@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 Array = np.ndarray
 
@@ -17,13 +18,15 @@ class EigEstimate:
     ``lam`` is the exact smallest eigenvalue on the dense path, and the
     Rayleigh quotient v'Hv of the returned unit vector on the Lanczos path
     (an upper bound on the true minimum in either case). ``iters`` counts
-    Lanczos matrix-vector products, summed across restarts.
+    Lanczos matrix-vector products, summed across restarts; ``restarts``
+    counts the fresh start vectors drawn after a Krylov breakdown.
     """
 
     lam: float
     v_unit: Array
     iters: int
     converged_by: str  # "exact", "lanczos_cap", or "full_n"
+    restarts: int = 0
     ritz_values: list[float] | None = None
 
 
@@ -59,12 +62,10 @@ def lanczos_iteration_cap(n: int, M: float, eps: float, delta: float) -> int:
 def _ritz_max(alphas: list[float], betas: list[float]) -> tuple[float, Array]:
     """Largest eigenpair of the tridiagonal matrix built from the recurrence."""
     k = len(alphas)
-    T = np.diag(alphas)
-    if k > 1:
-        off = np.asarray(betas[: k - 1])
-        T += np.diag(off, 1) + np.diag(off, -1)
-    w, Y = np.linalg.eigh(T)
-    return float(w[-1]), Y[:, -1]
+    w, Y = eigh_tridiagonal(
+        alphas, betas[: k - 1], select="i", select_range=(k - 1, k - 1)
+    )
+    return float(w[0]), Y[:, 0]
 
 
 def lanczos_min_eig(
@@ -87,23 +88,31 @@ def lanczos_min_eig(
     the iteration budget.
 
     The basis is fully reorthogonalized (budgets are small at this scale).
+    It lives in one preallocated ``(budget, n)`` array, row k holding the
+    k-th Lanczos vector, next to a second one holding the products H v_k,
+    so a call holds ``2 * budget * n`` floats and the Ritz vector's
+    Rayleigh quotient needs no extra product. Only the largest Ritz pair
+    of the tridiagonal matrix is computed, by ``eigh_tridiagonal``.
+
     A breakdown means the Krylov space became exactly invariant; we restart
-    from a fresh random vector at most 3 times, sharing the remaining
-    budget so the total product count never exceeds the cap, and keep the
-    best estimate seen.
+    from a fresh random vector at most 3 times, reusing both arrays and
+    sharing the remaining budget so the total product count never exceeds
+    the cap, and keep the best estimate seen. A product that makes the
+    recurrence non-finite raises ``ValueError``.
     """
     budget = lanczos_iteration_cap(n, M, eps, delta)
     breakdown_tol = 1e-13 * max(1.0, 2.0 * abs(M))
+    V = np.empty((budget, n))
+    HV = np.empty((budget, n))
 
     best_lam = math.inf
     best_v: Array | None = None
     total_iters = 0
-    restarts = 0
+    sweeps = 0
     ritz_history: list[float] = []
 
-    while total_iters < budget and restarts <= 3:
-        V: list[Array] = []
-        HV: list[Array] = []
+    while total_iters < budget and sweeps <= 3:
+        sweeps += 1
         alphas: list[float] = []
         betas: list[float] = []
         sweep_ritz: list[float] = []
@@ -115,26 +124,30 @@ def lanczos_min_eig(
             nv = np.linalg.norm(v)
         v = v / nv
 
+        k = 0
         broke = False
         while total_iters < budget:
-            hv_v = np.asarray(hv(v), dtype=float)
-            w = M * v - hv_v
+            V[k] = v
+            HV[k] = hv(v)
+            w = M * v - HV[k]
             alpha = float(v @ w)
-            V.append(v)
-            HV.append(hv_v)
+            if not math.isfinite(alpha):
+                raise ValueError(
+                    f"non-finite Hessian-vector product in Lanczos step {total_iters}"
+                )
             alphas.append(alpha)
+            k += 1
             total_iters += 1
 
-            w = w - alpha * v
-            if len(V) > 1:
-                w = w - betas[-1] * V[-2]
+            w -= alpha * v
+            if k > 1:
+                w -= betas[-1] * V[k - 2]
             # Full reorthogonalization against the stored basis.
-            Vmat = np.column_stack(V)
-            w = w - Vmat @ (Vmat.T @ w)
+            Vk = V[:k]
+            w -= Vk.T @ (Vk @ w)
 
             if track_ritz:
-                theta, _ = _ritz_max(alphas, betas)
-                sweep_ritz.append(theta)
+                sweep_ritz.append(_ritz_max(alphas, betas)[0])
 
             beta = float(np.linalg.norm(w))
             if beta <= breakdown_tol:
@@ -143,13 +156,11 @@ def lanczos_min_eig(
             betas.append(beta)
             v = w / beta
 
-        theta, y = _ritz_max(alphas, betas)
-        Vmat = np.column_stack(V)
-        HVmat = np.column_stack(HV)
-        v_ritz = Vmat @ y
+        _, y = _ritz_max(alphas, betas)
+        v_ritz = y @ V[:k]
         nv = float(np.linalg.norm(v_ritz))
         if nv > 0.0:
-            lam = float(v_ritz @ (HVmat @ y)) / (nv * nv)
+            lam = float(v_ritz @ (y @ HV[:k])) / (nv * nv)
             if lam < best_lam:
                 best_lam = lam
                 best_v = v_ritz / nv
@@ -157,7 +168,6 @@ def lanczos_min_eig(
 
         if not broke:
             break
-        restarts += 1
 
     assert best_v is not None
     return EigEstimate(
@@ -165,5 +175,6 @@ def lanczos_min_eig(
         v_unit=best_v,
         iters=total_iters,
         converged_by="full_n" if total_iters >= n else "lanczos_cap",
+        restarts=sweeps - 1,
         ritz_values=ritz_history if track_ritz else None,
     )

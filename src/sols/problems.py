@@ -213,15 +213,32 @@ def _rosenbrock_gradient(x: Array, a: float) -> Array:
     return g
 
 
+def _rosenbrock_bands(x: Array, a: float) -> tuple[Array, Array]:
+    """Diagonal and off-diagonal of the tridiagonal Rosenbrock Hessian."""
+    diag = np.zeros_like(x)
+    diag[:-1] = 12.0 * a * x[:-1] ** 2 - 4.0 * a * x[1:] + 2.0
+    diag[1:] += 2.0 * a
+    off = -4.0 * a * x[:-1]
+    return diag, off
+
+
 def _rosenbrock_hessian(x: Array, a: float) -> Array:
+    diag, off = _rosenbrock_bands(x, a)
     n = x.size
     H = np.zeros((n, n))
-    for i in range(n - 1):
-        H[i, i] += 12.0 * a * x[i] ** 2 - 4.0 * a * x[i + 1] + 2.0
-        H[i, i + 1] += -4.0 * a * x[i]
-        H[i + 1, i] += -4.0 * a * x[i]
-        H[i + 1, i + 1] += 2.0 * a
+    H.flat[:: n + 1] = diag
+    H.flat[1 :: n + 1] = off
+    H.flat[n :: n + 1] = off
     return H
+
+
+def _rosenbrock_hessian_vector(x: Array, v: Array, a: float) -> Array:
+    """Banded product H v in O(n); never forms the n x n Hessian."""
+    diag, off = _rosenbrock_bands(x, a)
+    out = diag * v
+    out[:-1] += off * v[1:]
+    out[1:] += off * v[:-1]
+    return out
 
 
 def rosenbrock(
@@ -246,7 +263,7 @@ def rosenbrock(
         return _rosenbrock_hessian(x, a)
 
     def hessian_vector(x: Array, v: Array) -> Array:
-        return _rosenbrock_hessian(x, a) @ v
+        return _rosenbrock_hessian_vector(x, v, a)
 
     def factory() -> Objective:
         return Objective(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,7 @@ def test_breakdown_restarts_on_isotropic_hessian():
     est = lanczos_min_eig(hv_of(H), 6, M=2.0, eps=0.1, delta=0.01, rng=rng_for(7))
     assert est.lam == pytest.approx(-1.0, abs=1e-12)
     assert est.iters <= lanczos_iteration_cap(6, 2.0, 0.1, 0.01)
+    assert est.restarts >= 1
 
 
 def test_monte_carlo_failure_rate_within_probability_contract():
@@ -187,3 +190,131 @@ def test_determinism_same_seed_same_estimate():
     b = lanczos_min_eig(hv_of(H), 25, M=M, eps=0.05, delta=0.01, rng=rng_for(42))
     assert a.lam == b.lam
     assert np.array_equal(a.v_unit, b.v_unit)
+
+
+# --- equivalence with the growing-basis reference ------------------------------
+
+def reference_lanczos_min_eig(hv, n, M, eps, delta, rng):
+    """Reference estimator: the basis grows by ``column_stack`` every step and
+    the Ritz pair comes from a dense ``eigh`` of the tridiagonal matrix.
+    Returns ``(lam, v_unit, iters, converged_by)``."""
+    budget = lanczos_iteration_cap(n, M, eps, delta)
+    breakdown_tol = 1e-13 * max(1.0, 2.0 * abs(M))
+
+    def ritz_max(alphas, betas):
+        k = len(alphas)
+        T = np.diag(alphas)
+        if k > 1:
+            off = np.asarray(betas[: k - 1])
+            T += np.diag(off, 1) + np.diag(off, -1)
+        w, Y = np.linalg.eigh(T)
+        return Y[:, -1]
+
+    best_lam, best_v = math.inf, None
+    total_iters = 0
+    restarts = 0
+    while total_iters < budget and restarts <= 3:
+        V, HV, alphas, betas = [], [], [], []
+        v = rng.standard_normal(n)
+        nv = np.linalg.norm(v)
+        while nv == 0.0:
+            v = rng.standard_normal(n)
+            nv = np.linalg.norm(v)
+        v = v / nv
+        broke = False
+        while total_iters < budget:
+            hv_v = np.asarray(hv(v), dtype=float)
+            w = M * v - hv_v
+            alpha = float(v @ w)
+            V.append(v)
+            HV.append(hv_v)
+            alphas.append(alpha)
+            total_iters += 1
+            w = w - alpha * v
+            if len(V) > 1:
+                w = w - betas[-1] * V[-2]
+            Vmat = np.column_stack(V)
+            w = w - Vmat @ (Vmat.T @ w)
+            beta = float(np.linalg.norm(w))
+            if beta <= breakdown_tol:
+                broke = True
+                break
+            betas.append(beta)
+            v = w / beta
+        y = ritz_max(alphas, betas)
+        v_ritz = np.column_stack(V) @ y
+        nv = float(np.linalg.norm(v_ritz))
+        if nv > 0.0:
+            lam = float(v_ritz @ (np.column_stack(HV) @ y)) / (nv * nv)
+            if lam < best_lam:
+                best_lam, best_v = lam, v_ritz / nv
+        if not broke:
+            break
+        restarts += 1
+    return best_lam, best_v, total_iters, "full_n" if total_iters >= n else "lanczos_cap"
+
+
+def _equivalence_cases():
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        n = int(rng.integers(5, 81))
+        H = random_symmetric(rng, n, scale=float(rng.uniform(0.1, 5.0)))
+        M = float(np.linalg.norm(H, 2)) + float(rng.uniform(0.5, 3.0))
+        eps, delta = [(0.05, 0.01), (0.3, 0.2), (0.5, 0.0), (1e-3, 1e-6)][trial % 4]
+        yield f"random-{trial}-n{n}", H, M, eps, delta, 1000 + trial
+    yield "isotropic", -np.eye(6), 2.0, 0.1, 0.01, 7
+    # Three distinct eigenvalues, each repeated four times: every Krylov
+    # space is invariant after three steps, so each sweep breaks down.
+    A = random_symmetric(np.random.default_rng(12), 3)
+    H = np.kron(np.eye(4), A)
+    for seed in range(5):
+        yield f"repeated-{seed}", H, float(np.linalg.norm(A, 2)) + 1.0, 0.05, 0.0, 20 + seed
+
+
+@pytest.mark.parametrize(
+    "H, M, eps, delta, seed",
+    [pytest.param(*case[1:], id=case[0]) for case in _equivalence_cases()],
+)
+def test_matches_growing_basis_reference(H, M, eps, delta, seed):
+    n = H.shape[0]
+    lam, v_unit, iters, converged_by = reference_lanczos_min_eig(
+        hv_of(H), n, M, eps, delta, rng_for(seed)
+    )
+    est = lanczos_min_eig(hv_of(H), n, M=M, eps=eps, delta=delta, rng=rng_for(seed))
+    assert (est.iters, est.converged_by) == (iters, converged_by)
+    assert abs(est.lam - lam) <= 1e-12 * max(1.0, abs(lam))
+    if est.restarts == 0:
+        assert abs(float(est.v_unit @ v_unit)) >= 1.0 - 1e-10
+    else:
+        # Every sweep finds the same repeated eigenvalue, so which sweep's
+        # vector is kept is decided by rounding; it must still be an
+        # eigenvector for lam.
+        resid = np.linalg.norm(H @ est.v_unit - est.lam * est.v_unit)
+        assert resid <= 1e-10 * max(1.0, np.linalg.norm(H, 2))
+
+
+def test_repeated_eigenvalues_restart_after_each_breakdown():
+    A = random_symmetric(np.random.default_rng(12), 3)
+    H = np.kron(np.eye(4), A)
+    est = lanczos_min_eig(
+        hv_of(H), 12, M=float(np.linalg.norm(A, 2)) + 1.0, eps=0.05, delta=0.0,
+        rng=rng_for(20),
+    )
+    assert (est.iters, est.restarts) == (12, 3)
+    assert est.lam == pytest.approx(float(np.linalg.eigvalsh(A)[0]), abs=1e-10)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_product_raises_value_error(bad):
+    H = random_symmetric(np.random.default_rng(13), 10)
+    calls = []
+
+    def hv(v):
+        calls.append(1)
+        out = H @ v
+        if len(calls) == 3:
+            out[4] = bad
+        return out
+
+    with pytest.raises(ValueError, match="non-finite Hessian-vector product"):
+        lanczos_min_eig(hv, 10, M=10.0, eps=0.1, delta=0.0, rng=rng_for(14))

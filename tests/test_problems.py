@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from sols import StepKind, get_problem, problem_names, rayleigh_quotient, run_exact, suite
-from sols.problems import ConstantsError, separable_quartic, verify_constants
+import sols.problems
+from sols.problems import (
+    ConstantsError,
+    _rosenbrock_hessian,
+    _rosenbrock_hessian_vector,
+    separable_quartic,
+    verify_constants,
+)
 from sols.steps import SolverConfig
 
 from test_operators import quadratic_objective
@@ -140,3 +147,60 @@ def test_degenerate_family_parameters_rejected():
             branch_coverage=[],
             coverage_config=SolverConfig(),
         )
+
+
+# --- Rosenbrock Hessian kernels --------------------------------------------------
+
+def _loop_rosenbrock_hessian(x: np.ndarray, a: float) -> np.ndarray:
+    """Reference: the Hessian assembled term by term, one chain link at a time."""
+    n = x.size
+    H = np.zeros((n, n))
+    for i in range(n - 1):
+        H[i, i] += 12.0 * a * x[i] ** 2 - 4.0 * a * x[i + 1] + 2.0
+        H[i, i + 1] += -4.0 * a * x[i]
+        H[i + 1, i] += -4.0 * a * x[i]
+        H[i + 1, i + 1] += 2.0 * a
+    return H
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 100, 1000])
+def test_rosenbrock_hessian_matches_loop_reference(n):
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(n)
+    for a in (100.0, 1.0, 3.7):
+        x = 2.0 * rng.standard_normal(n)
+        H, ref = _rosenbrock_hessian(x, a), _loop_rosenbrock_hessian(x, a)
+        off = ~np.eye(n, dtype=bool)
+        assert np.array_equal(H[off], ref[off])
+        # The loop squares a scalar through pow(), which can be one ulp off
+        # the correctly rounded x * x; the diagonal then cancels, so bound
+        # the difference by the size of its terms.
+        terms = np.full(n, 2.0 * a)
+        terms[0] = 0.0
+        terms[:-1] += 12.0 * a * x[:-1] ** 2 + 4.0 * a * np.abs(x[1:]) + 2.0
+        assert np.all(np.abs(np.diag(H) - np.diag(ref)) <= 4.0 * eps * terms)
+
+
+@pytest.mark.parametrize("n", [2, 10, 1000])
+def test_rosenbrock_banded_product_matches_dense(n):
+    rng = np.random.default_rng(10 + n)
+    for a in (100.0, 1.0):
+        x = 2.0 * rng.standard_normal(n)
+        v = rng.standard_normal(n)
+        H = _rosenbrock_hessian(x, a)
+        # Componentwise: the three-term sums round within a few ulp of |H| |v|.
+        err = np.abs(_rosenbrock_hessian_vector(x, v, a) - H @ v)
+        assert np.all(err <= 1e-13 * (np.abs(H) @ np.abs(v)))
+
+
+def test_rosenbrock_hessian_vector_never_builds_dense_matrix(monkeypatch):
+    obj = get_problem("rosenbrock-10d").make_objective()
+    x = np.linspace(-1.0, 1.5, 10)
+    v = np.ones(10)
+    expected = obj.dense_hessian(x) @ v
+
+    def forbidden(*args):
+        raise AssertionError("the matrix-free product built the dense Hessian")
+
+    monkeypatch.setattr(sols.problems, "_rosenbrock_hessian", forbidden)
+    assert np.allclose(obj.hessian_vector(x, v), expected, rtol=1e-13)

@@ -1,0 +1,150 @@
+"""Structural pin of the CLI traces on a fixed spec set.
+
+Each accepted step keeps its direction kind, its backtracking count ``j``
+and the evaluation counters at that step. Kernel rewrites that only move
+floating-point rounding (a preallocated Lanczos basis, a tridiagonal Ritz
+solve, a banded Hessian-vector product) must leave these rows unchanged.
+Rows read ``step_kind j n_f n_grad n_hv``.
+"""
+
+from __future__ import annotations
+
+import csv
+
+import pytest
+
+from sols.cli import main
+
+SPECS = {
+    "q50": ["--problem", "quartic-saddle-50d", "--algo", "inexact",
+            "--eps-g", "1e-4", "--eps-H", "1e-2", "--seed", "7,8"],
+    "r10": ["--problem", "rosenbrock-10d", "--algo", "exact", "--seed", "0"],
+}
+
+PINNED = {
+    "quartic-saddle-50d_inexact_seed7_trace.csv": """
+negative_curvature 0 2 2 4
+scaled_neg_curv_gradient 0 3 3 5
+scaled_neg_curv_gradient 0 4 4 6
+scaled_neg_curv_gradient 0 5 5 7
+scaled_neg_curv_gradient 0 6 6 8
+scaled_neg_curv_gradient 0 7 7 9
+scaled_neg_curv_gradient 0 8 8 10
+scaled_neg_curv_gradient 0 9 9 11
+scaled_neg_curv_gradient 0 10 10 12
+scaled_neg_curv_gradient 0 11 11 13
+scaled_neg_curv_gradient 0 12 12 14
+scaled_neg_curv_gradient 0 13 13 15
+scaled_neg_curv_gradient 0 14 14 16
+scaled_neg_curv_gradient 0 15 15 17
+scaled_neg_curv_gradient 0 16 16 18
+scaled_neg_curv_gradient 0 17 17 19
+scaled_neg_curv_gradient 0 18 18 20
+normalized_gradient 0 19 19 21
+negative_curvature 0 20 20 72
+negative_curvature 0 21 21 123
+negative_curvature 0 22 22 174
+negative_curvature 0 23 23 225
+negative_curvature 0 24 24 276
+negative_curvature 0 25 25 327
+negative_curvature 0 26 26 378
+negative_curvature 0 27 27 429
+negative_curvature 0 28 28 480
+negative_curvature 0 29 29 531
+negative_curvature 0 30 30 582
+negative_curvature 0 31 31 633
+negative_curvature 0 32 32 684
+inexact_newton 4 37 33 751
+inexact_newton 1 39 34 808
+inexact_newton 0 40 35 862
+inexact_newton 0 41 36 915
+inexact_newton 0 42 37 967
+""",
+    "quartic-saddle-50d_inexact_seed8_trace.csv": """
+negative_curvature 0 2 2 4
+scaled_neg_curv_gradient 0 3 3 5
+scaled_neg_curv_gradient 0 4 4 6
+scaled_neg_curv_gradient 0 5 5 7
+scaled_neg_curv_gradient 0 6 6 8
+scaled_neg_curv_gradient 0 7 7 9
+scaled_neg_curv_gradient 0 8 8 10
+scaled_neg_curv_gradient 0 9 9 11
+scaled_neg_curv_gradient 0 10 10 12
+scaled_neg_curv_gradient 0 11 11 13
+scaled_neg_curv_gradient 0 12 12 14
+scaled_neg_curv_gradient 0 13 13 15
+scaled_neg_curv_gradient 0 14 14 16
+scaled_neg_curv_gradient 0 15 15 17
+scaled_neg_curv_gradient 0 16 16 18
+scaled_neg_curv_gradient 0 17 17 19
+normalized_gradient 0 18 18 20
+negative_curvature 0 19 19 71
+negative_curvature 0 20 20 122
+negative_curvature 0 21 21 173
+negative_curvature 0 22 22 224
+negative_curvature 0 23 23 275
+negative_curvature 0 24 24 326
+negative_curvature 0 25 25 377
+negative_curvature 0 26 26 428
+negative_curvature 0 27 27 479
+negative_curvature 0 28 28 530
+negative_curvature 0 29 29 581
+negative_curvature 0 30 30 632
+negative_curvature 0 31 31 683
+negative_curvature 0 32 32 734
+negative_curvature 0 33 33 785
+negative_curvature 0 34 34 836
+negative_curvature 0 35 35 887
+negative_curvature 0 36 36 938
+negative_curvature 0 37 37 989
+negative_curvature 0 38 38 1040
+negative_curvature 0 39 39 1091
+negative_curvature 0 40 40 1142
+inexact_regularized_newton 5 46 41 1209
+inexact_newton 1 48 42 1268
+inexact_newton 0 49 43 1323
+inexact_newton 0 50 44 1376
+inexact_newton 0 51 45 1428
+""",
+    "rosenbrock-10d_exact_seed0_trace.csv": """
+newton 0 2 2 1
+newton 0 3 3 2
+newton 0 4 4 3
+newton 0 5 5 4
+negative_curvature 3 9 6 5
+newton 0 10 7 6
+newton 0 11 8 7
+newton 1 13 9 8
+newton 0 14 10 9
+newton 1 16 11 10
+newton 0 17 12 11
+newton 0 18 13 12
+newton 0 19 14 13
+newton 0 20 15 14
+newton 0 21 16 15
+newton 0 22 17 16
+newton 0 23 18 17
+newton 1 25 19 18
+newton 0 26 20 19
+newton 0 27 21 20
+newton 0 28 22 21
+newton 0 29 23 22
+newton 0 30 24 23
+newton 0 31 25 24
+newton 0 32 26 25
+""",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(SPECS))
+def test_cli_trace_rows_match_pin(spec, tmp_path):
+    assert main(["run", *SPECS[spec], "--out", str(tmp_path)]) == 0
+    traces = sorted(p.name for p in tmp_path.glob("*_trace.csv"))
+    assert traces and set(traces) <= set(PINNED)
+    for name in traces:
+        with open(tmp_path / name, newline="") as fh:
+            rows = [
+                " ".join(row[c] for c in ("step_kind", "j", "n_f", "n_grad", "n_hv"))
+                for row in csv.DictReader(fh)
+            ]
+        assert rows == PINNED[name].strip().splitlines(), name
