@@ -15,7 +15,6 @@ from .driver import (
     Certificate,
     IterationRecord,
     RunReport,
-    check_termination,
     run_exact,
     run_inexact,
     run_local_phase,
@@ -42,6 +41,7 @@ from .steps import (
     SolverConfig,
     StepKind,
     Terminate,
+    check_termination,
     scale_eigvector,
     select_direction_exact,
     select_direction_inexact,

@@ -120,25 +120,3 @@ def cg_capped(
 
     return outcome
 
-
-def residual_orthogonality_probe(residuals: list[Array]) -> float:
-    """Max normalized pairwise inner product of recorded CG residuals.
-
-    Exact CG produces mutually orthogonal residuals; this probe quantifies
-    how far a recorded trace drifts from that. Residuals at the roundoff
-    floor (a terminal residual on an exactly solved system is pure noise)
-    carry no directional information and are excluded. Traces with fewer
-    than two informative residuals are vacuously orthogonal.
-    """
-    norms = [float(np.linalg.norm(r)) for r in residuals]
-    floor = 1e-12 * max(norms, default=0.0)
-    live = [r for r, n in zip(residuals, norms) if n > floor]
-    if len(live) < 2:
-        return 0.0
-    worst = 0.0
-    for i in range(len(live)):
-        for j in range(i + 1, len(live)):
-            ni = float(np.linalg.norm(live[i]))
-            nj = float(np.linalg.norm(live[j]))
-            worst = max(worst, abs(float(live[i] @ live[j])) / (ni * nj))
-    return worst

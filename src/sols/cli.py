@@ -8,16 +8,26 @@ import csv
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
-from .driver import TRACE_COLUMNS, RunReport, run_exact, run_inexact
+from .driver import (
+    SCHEMA_VERSION,
+    TRACE_COLUMNS,
+    RunReport,
+    envelope_checks_pass,
+    run_exact,
+    run_inexact,
+)
 from .problems import get_problem, suite
 from .steps import ConfigError, SolverConfig
 
 DEFAULT_OUT_ENV = "SOLS_OUT_DIR"
 
-_CONFIG_FIELD_TYPES = {f.name: f.type for f in fields(SolverConfig)}
+# Config-file keys and their parsers, and the ``run`` flags: one per
+# SolverConfig field except ``rng_seed``, which ``--seed`` sets per run.
+_CONFIG_TYPES = {f.name: int if f.type == "int" else float for f in fields(SolverConfig)}
+_RUN_FLAGS = tuple(name for name in _CONFIG_TYPES if name != "rng_seed")
 
 
 def _parse_config_file(path: str) -> dict:
@@ -31,12 +41,9 @@ def _parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_FIELD_TYPES:
+        if key not in _CONFIG_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        if key in ("max_iters", "max_ls_steps", "rng_seed"):
-            values[key] = int(value)
-        else:
-            values[key] = float(value)
+        values[key] = _CONFIG_TYPES[key](value)
     return values
 
 
@@ -44,20 +51,10 @@ def _build_config(args: argparse.Namespace) -> SolverConfig:
     values: dict = {}
     if args.config:
         values.update(_parse_config_file(args.config))
-    flag_map = {
-        "eps_g": args.eps_g,
-        "eps_H": args.eps_H,
-        "theta": args.theta,
-        "eta": args.eta,
-        "zeta": args.zeta,
-        "delta": args.delta,
-        "U_H": args.U_H,
-        "max_iters": args.max_iters,
-        "max_ls_steps": args.max_ls_steps,
-    }
-    for key, val in flag_map.items():
+    for name in _RUN_FLAGS:
+        val = getattr(args, name)
         if val is not None:
-            values[key] = val
+            values[name] = val
     cfg = SolverConfig(**values)
     cfg.validate()
     return cfg
@@ -75,35 +72,20 @@ def _report_run_dict(report: RunReport, seed: int, trace_file: str) -> dict:
         "f_final": float(report.f_final),
         "g_norm_final": float(report.g_norm_final),
         "lambda_final": None if report.lambda_final is None else float(report.lambda_final),
-        "x_final": [float(v) for v in report.x_final],
-        "counters": {
-            "n_f": report.counters.n_f,
-            "n_grad": report.counters.n_grad,
-            "n_hv": report.counters.n_hv,
-        },
+        "x_final": report.x_final.tolist(),
+        "counters": asdict(report.counters),
         "certificate": None
         if cert is None
         else {
             "g_norm_min": float(cert.g_norm_min),
             "lambda": float(cert.lam),
             "steps": cert.steps,
-            "n_f": cert.counters.n_f,
-            "n_grad": cert.counters.n_grad,
-            "n_hv": cert.counters.n_hv,
-            "point": [float(v) for v in cert.point],
+            **asdict(cert.counters),
+            "point": cert.point.tolist(),
         },
         "envelope": None
         if env is None
-        else {
-            "K_iter": env.K_iter,
-            "K_eval": env.K_eval,
-            "K_hat": env.K_hat,
-            "ops_bound": env.ops_bound,
-            "success_prob": env.success_prob,
-            "max_term": env.max_term,
-            "eval_log_term": env.eval_log_term,
-            "eval_log_term_negative": env.eval_log_term_negative,
-        },
+        else {k: v for k, v in asdict(env).items() if k not in ("C", "C_hat")},
         "envelope_checks": report.envelope_checks(),
         "final_point_second_order_ok": report.final_point_second_order_ok,
         "error": report.error,
@@ -169,18 +151,18 @@ def cmd_run(args: argparse.Namespace) -> int:
                 _run_one(problem.name, args.algo, cfg, seed, args.strict_second_order, out_dir)
                 for seed in seeds
             ]
+    except ConfigError as exc:
+        print(f"error: invalid configuration: {exc}", file=sys.stderr)
+        return 2
     except RuntimeError as exc:
         print(f"error: solver failure: {exc}", file=sys.stderr)
         return 3
 
     all_converged = all(r["status"] == "converged" for r in runs)
-    all_envelopes = all(
-        all(v for k, v in r["envelope_checks"].items() if k.endswith("_ok"))
-        for r in runs
-    )
+    all_envelopes = all(envelope_checks_pass(r["envelope_checks"]) for r in runs)
     hard_errors = [r for r in runs if r["status"] in ("ls_stall", "cg_cap")]
     report = {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "problem": problem.name,
         "algo": args.algo,
         "strict_second_order": args.strict_second_order,
@@ -232,34 +214,31 @@ def cmd_envelope(args: argparse.Namespace) -> int:
         data = json.loads(path.read_text())
         for run in data["runs"]:
             checks = run["envelope_checks"]
-            if not checks:
-                rows.append(
-                    [data["problem"], data["algo"], str(run["seed"]), run["status"]]
-                    + ["-"] * 5
-                )
-                continue
-            iter_bound = checks["iteration_bound"]
-            ratio = checks["observed_iterations"] / iter_bound if iter_bound else 0.0
-            if data["algo"] == "inexact":
-                cost_obs, cost_bound = checks["observed_ops"], checks["ops_bound"]
-                cost_label = "ops"
-            else:
-                cost_obs, cost_bound = checks["observed_f_evals"], checks["f_eval_bound"]
-                cost_label = "f-evals"
-            cost_ratio = cost_obs / cost_bound if cost_bound else 0.0
-            ok = all(v for k, v in checks.items() if k.endswith("_ok"))
-            rows.append(
-                [
-                    data["problem"],
-                    data["algo"],
-                    str(run["seed"]),
-                    run["status"],
+            if checks:
+                iter_bound = checks["iteration_bound"]
+                ratio = checks["observed_iterations"] / iter_bound if iter_bound else 0.0
+                if data["algo"] == "inexact":
+                    cost_obs, cost_bound = checks["observed_ops"], checks["ops_bound"]
+                    cost_label = "ops"
+                else:
+                    cost_obs, cost_bound = checks["observed_f_evals"], checks["f_eval_bound"]
+                    cost_label = "f-evals"
+                cost_ratio = cost_obs / cost_bound if cost_bound else 0.0
+                cells = [
                     f"{checks['observed_iterations']}/{iter_bound:.3g}",
                     f"{ratio:.2e}",
                     f"{cost_obs}/{cost_bound:.3g} {cost_label}",
                     f"{cost_ratio:.2e}",
-                    "ok" if ok else "VIOLATED",
                 ]
+                verdict = "ok" if envelope_checks_pass(checks) else "VIOLATED"
+            else:
+                cells, verdict = ["-"] * 4, "-"
+            # A run that did not converge never reads "ok", even when the
+            # bounds held up to its first certificate.
+            if run["status"] != "converged" and verdict != "VIOLATED":
+                verdict = "FAILED"
+            rows.append(
+                [data["problem"], data["algo"], str(run["seed"]), run["status"], *cells, verdict]
             )
     header = [
         "problem",
@@ -312,6 +291,16 @@ def cmd_list_problems(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _seed_list(text: str) -> list[int]:
+    """Parse ``--seed``: a nonempty comma-separated list of nonnegative integers."""
+    seeds = [int(v) for v in text.split(",") if v != ""]
+    if not seeds or min(seeds) < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a nonempty comma-separated list of nonnegative integers, got {text!r}"
+        )
+    return seeds
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sols",
@@ -325,18 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--algo", choices=("exact", "exact-local", "inexact"), default="exact"
     )
-    run.add_argument("--eps-g", dest="eps_g", type=float, default=None)
-    run.add_argument("--eps-H", dest="eps_H", type=float, default=None)
-    run.add_argument("--theta", type=float, default=None)
-    run.add_argument("--eta", type=float, default=None)
-    run.add_argument("--zeta", type=float, default=None)
-    run.add_argument("--delta", type=float, default=None)
-    run.add_argument("--U-H", dest="U_H", type=float, default=None)
-    run.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-    run.add_argument("--max-ls-steps", dest="max_ls_steps", type=int, default=None)
+    for name in _RUN_FLAGS:
+        run.add_argument(
+            "--" + name.replace("_", "-"), dest=name, type=_CONFIG_TYPES[name], default=None
+        )
     run.add_argument(
         "--seed",
-        type=lambda s: [int(v) for v in s.split(",") if v != ""],
+        type=_seed_list,
         default=[0],
         help="comma-separated seed list",
     )

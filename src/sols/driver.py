@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -17,33 +17,12 @@ from .steps import (
     SolverConfig,
     StepKind,
     Terminate,
+    check_termination,
     select_direction_exact,
     select_direction_inexact,
 )
 
 SCHEMA_VERSION = 1
-
-TRACE_COLUMNS = (
-    "k",
-    "phase",
-    "step_kind",
-    "f",
-    "g_norm",
-    "x_norm",
-    "R",
-    "lam",
-    "d_norm",
-    "j",
-    "alpha",
-    "decrease",
-    "g_next_norm",
-    "lanczos_iters",
-    "cg_iters",
-    "cg_fallback",
-    "n_f",
-    "n_grad",
-    "n_hv",
-)
 
 
 @dataclass
@@ -83,6 +62,9 @@ class IterationRecord:
             else:
                 out.append(str(v))
         return out
+
+
+TRACE_COLUMNS = tuple(f.name for f in fields(IterationRecord))
 
 
 @dataclass
@@ -150,8 +132,12 @@ class RunReport:
         }
 
     def all_envelope_checks_pass(self) -> bool:
-        checks = self.envelope_checks()
-        return all(v for k, v in checks.items() if k.endswith("_ok"))
+        return envelope_checks_pass(self.envelope_checks())
+
+
+def envelope_checks_pass(checks: dict) -> bool:
+    """Whether every ``*_ok`` flag of an ``envelope_checks`` dict holds."""
+    return all(v for k, v in checks.items() if k.endswith("_ok"))
 
 
 @dataclass
@@ -162,27 +148,6 @@ class LocalPhaseResult:
     g: Array
     steps: int
     records: list[IterationRecord] = field(default_factory=list)
-
-
-def check_termination(
-    g_norm: float,
-    g_next_norm: float | None,
-    lambda_estimate: float,
-    cfg: SolverConfig,
-    mode: str = "exact",
-) -> bool:
-    """Approximate second-order criticality at the current iterate pair.
-
-    Exact mode accepts eigenvalue estimates down to -eps_H; the inexact
-    mode tightens the eigenvalue threshold to -eps_H/2 so that the
-    estimator's eps_H/2 slack still certifies -eps_H. Both inequalities
-    are closed.
-    """
-    if mode not in ("exact", "inexact"):
-        raise ValueError(f"unknown mode {mode!r}")
-    gmin = g_norm if g_next_norm is None else min(g_norm, g_next_norm)
-    floor = -cfg.eps_H if mode == "exact" else -0.5 * cfg.eps_H
-    return gmin <= cfg.eps_g and lambda_estimate >= floor
 
 
 def local_phase_floor(cfg: SolverConfig) -> float:
@@ -207,23 +172,26 @@ def _check_ls_budget(obj: Objective, cfg: SolverConfig, inexact: bool) -> None:
         )
 
 
-def _make_record(
-    k: int,
-    phase: str,
+def _step(
+    obj: Objective,
+    cfg: SolverConfig,
     sel: Direction,
     x: Array,
     f_x: float,
-    g_norm: float,
-    res,
-    g_next_norm: float,
-    counters: EvalCounters,
-) -> IterationRecord:
-    return IterationRecord(
+    g: Array,
+    k: int,
+    phase: str,
+) -> tuple[IterationRecord, Array, float, Array]:
+    """Backtrack along ``sel.d`` from ``x`` and record the accepted step as row ``k``."""
+    res = backtrack(obj, x, f_x, sel.d, cfg, kind=sel.kind)
+    x_next = x + res.alpha * sel.d
+    g_next = obj.gradient(x_next)
+    rec = IterationRecord(
         k=k,
         phase=phase,
         step_kind=sel.kind,
         f=float(f_x),
-        g_norm=float(g_norm),
+        g_norm=float(np.linalg.norm(g)),
         x_norm=float(np.linalg.norm(x)),
         R=None if sel.R is None else float(sel.R),
         lam=None if sel.lam is None else float(sel.lam),
@@ -231,14 +199,15 @@ def _make_record(
         j=res.j,
         alpha=float(res.alpha),
         decrease=float(res.decrease),
-        g_next_norm=float(g_next_norm),
+        g_next_norm=float(np.linalg.norm(g_next)),
         lanczos_iters=sel.lanczos_iters,
         cg_iters=sel.cg_iters,
         cg_fallback=sel.cg_fallback,
-        n_f=counters.n_f,
-        n_grad=counters.n_grad,
-        n_hv=counters.n_hv,
+        n_f=obj.counters.n_f,
+        n_grad=obj.counters.n_grad,
+        n_hv=obj.counters.n_hv,
     )
+    return rec, x_next, res.f_new, g_next
 
 
 def run_local_phase(
@@ -262,7 +231,6 @@ def run_local_phase(
     records: list[IterationRecord] = []
     floor = local_phase_floor(cfg)
     steps = 0
-    k = k_start
     while True:
         g_norm = float(np.linalg.norm(g))
         if g_norm <= floor:
@@ -281,19 +249,11 @@ def run_local_phase(
             )
         else:
             sel = Direction(StepKind.NEWTON, solve_exact(H, g, 0.0), lam=est.lam)
-        res = backtrack(obj, x, f_x, sel.d, cfg, kind=sel.kind)
-        x_next = x + res.alpha * sel.d
-        g_next = obj.gradient(x_next)
-        steps += 1
-        rec = _make_record(
-            k, "local", sel, x, f_x, g_norm, res, float(np.linalg.norm(g_next)),
-            obj.counters,
-        )
+        rec, x, f_x, g = _step(obj, cfg, sel, x, f_x, g, k_start + steps, "local")
         records.append(rec)
         if trace_sink is not None:
             trace_sink(rec)
-        k += 1
-        x, f_x, g = x_next, res.f_new, g_next
+        steps += 1
 
 
 def _run_loop(
@@ -323,90 +283,55 @@ def _run_loop(
     status = "max_iters"
     final_lam: float | None = None
     error_msg: str | None = None
-    k = 0
-    newton_kinds = (
-        (StepKind.NEWTON, StepKind.REGULARIZED_NEWTON)
-        if mode == "exact"
-        else (StepKind.INEXACT_NEWTON, StepKind.INEXACT_REGULARIZED_NEWTON)
-    )
-
-    def certify(point: Array, g_norm_min: float, lam: float) -> None:
-        nonlocal cert
-        if cert is None:
-            cert = Certificate(
-                point=point.copy(),
-                g_norm_min=float(g_norm_min),
-                lam=float(lam),
-                steps=steps_taken,
-                counters=obj.counters.snapshot(),
-            )
 
     try:
-        while True:
-            if steps_taken >= cfg.max_iters:
-                status = "max_iters"
-                break
+        while steps_taken < cfg.max_iters:
             sel = select(x, g)
             if isinstance(sel, Terminate):
-                final_lam = sel.lam
-                certify(x, np.linalg.norm(g), sel.lam)
-                if local_phase:
-                    lp = run_local_phase(
-                        obj, x, g, f_x, cfg, cfg.max_iters - steps_taken, k, trace_sink
-                    )
-                    records.extend(lp.records)
-                    k += lp.steps
-                    steps_taken += lp.steps
-                    x, f_x, g = lp.x, lp.f, lp.g
-                    if lp.outcome == "reenter":
-                        reentries += 1
-                        continue
-                    status = "converged" if lp.outcome == "converged" else "max_iters"
-                    break
+                point, g_norm_min, lam = x, np.linalg.norm(g), sel.lam
+            else:
+                if sel.cg_fallback:
+                    fallback_count += 1
+                rec, x_next, f_next, g_next = _step(
+                    obj, cfg, sel, x, f_x, g, steps_taken, "main"
+                )
+                records.append(rec)
+                if trace_sink is not None:
+                    trace_sink(rec)
+                steps_taken += 1
+                point, g_norm_min, lam = x, min(rec.g_norm, rec.g_next_norm), sel.lam
+                x, f_x, g = x_next, f_next, g_next
+                # A Newton-type step certifies the pair (point, x) when the
+                # new gradient is small and the Hessian at point was certified.
+                if (
+                    strict_second_order
+                    or sel.kind not in StepKind.NEWTON_LIKE
+                    or not check_termination(rec.g_next_norm, None, lam, cfg, mode)
+                ):
+                    continue
+
+            final_lam = lam
+            if cert is None:
+                cert = Certificate(
+                    point=point.copy(),
+                    g_norm_min=float(g_norm_min),
+                    lam=float(lam),
+                    steps=steps_taken,
+                    counters=obj.counters.snapshot(),
+                )
+            if not local_phase:
                 status = "converged"
                 break
-
-            if sel.cg_fallback:
-                fallback_count += 1
-            g_norm = float(np.linalg.norm(g))
-            res = backtrack(obj, x, f_x, sel.d, cfg, kind=sel.kind)
-            x_next = x + res.alpha * sel.d
-            g_next = obj.gradient(x_next)
-            g_next_norm = float(np.linalg.norm(g_next))
-            steps_taken += 1
-            rec = _make_record(
-                k, "main", sel, x, f_x, g_norm, res, g_next_norm, obj.counters
+            lp = run_local_phase(
+                obj, x, g, f_x, cfg, cfg.max_iters - steps_taken, steps_taken, trace_sink
             )
-            records.append(rec)
-            if trace_sink is not None:
-                trace_sink(rec)
-            k += 1
-
-            post_ls_stop = (
-                not strict_second_order
-                and sel.kind in newton_kinds
-                and check_termination(g_next_norm, None, sel.lam, cfg, mode)
-            )
-            x_prev, g_norm_prev = x, g_norm
-            x, f_x, g = x_next, res.f_new, g_next
-            if post_ls_stop:
-                final_lam = sel.lam
-                certify(x_prev, min(g_norm_prev, g_next_norm), sel.lam)
-                if local_phase:
-                    lp = run_local_phase(
-                        obj, x, g, f_x, cfg, cfg.max_iters - steps_taken, k, trace_sink
-                    )
-                    records.extend(lp.records)
-                    k += lp.steps
-                    steps_taken += lp.steps
-                    x, f_x, g = lp.x, lp.f, lp.g
-                    if lp.outcome == "reenter":
-                        reentries += 1
-                        continue
-                    status = "converged" if lp.outcome == "converged" else "max_iters"
-                    break
-                status = "converged"
+            records.extend(lp.records)
+            steps_taken += lp.steps
+            x, f_x, g = lp.x, lp.f, lp.g
+            if lp.outcome != "reenter":
+                status = "converged" if lp.outcome == "converged" else "max_iters"
                 break
+            reentries += 1
     except LineSearchStallError as exc:
         status = "ls_stall"
         error_msg = str(exc)
@@ -423,9 +348,7 @@ def _run_loop(
         # One extra eigenvalue check classifies whether the final point
         # itself satisfies the pointwise second-order condition.
         est = min_eigenpair_exact(obj.dense_hessian(x))
-        second_order_ok = bool(
-            est.lam >= -cfg.eps_H and float(np.linalg.norm(g)) <= cfg.eps_g
-        )
+        second_order_ok = bool(check_termination(np.linalg.norm(g), None, est.lam, cfg))
 
     report = RunReport(
         status=status,

@@ -22,16 +22,6 @@ class StepKind:
     INEXACT_NEWTON = "inexact_newton"
     INEXACT_REGULARIZED_NEWTON = "inexact_regularized_newton"
 
-    ALL = (
-        SCALED_NEG_CURV_GRADIENT,
-        NORMALIZED_GRADIENT,
-        NEGATIVE_CURVATURE,
-        NEWTON,
-        REGULARIZED_NEWTON,
-        INEXACT_NEWTON,
-        INEXACT_REGULARIZED_NEWTON,
-    )
-
     # Kinds whose scaling makes d'Hd = -||d||^3 hold by construction.
     CUBIC_CURVATURE = (SCALED_NEG_CURV_GRADIENT, NEGATIVE_CURVATURE)
     NEWTON_LIKE = (NEWTON, REGULARIZED_NEWTON, INEXACT_NEWTON, INEXACT_REGULARIZED_NEWTON)
@@ -112,6 +102,27 @@ class SolverConfig:
         return replace(self, **kwargs)
 
 
+def check_termination(
+    g_norm: float,
+    g_next_norm: float | None,
+    lambda_estimate: float,
+    cfg: SolverConfig,
+    mode: str = "exact",
+) -> bool:
+    """Approximate second-order criticality at the current iterate pair.
+
+    Exact mode accepts eigenvalue estimates down to -eps_H; the inexact
+    mode tightens the eigenvalue threshold to -eps_H/2 so that the
+    estimator's eps_H/2 slack still certifies -eps_H. Both inequalities
+    are closed.
+    """
+    if mode not in ("exact", "inexact"):
+        raise ValueError(f"unknown mode {mode!r}")
+    gmin = g_norm if g_next_norm is None else min(g_norm, g_next_norm)
+    floor = -cfg.eps_H if mode == "exact" else -0.5 * cfg.eps_H
+    return gmin <= cfg.eps_g and lambda_estimate >= floor
+
+
 def scale_eigvector(v_unit: Array, lam: float, g: Array) -> Array:
     """Scale a unit curvature direction to norm [-lam]_+ with nonpositive slope.
 
@@ -172,7 +183,7 @@ def select_direction_exact(
     H = obj.dense_hessian(x)
     est = eig(H)
     lam = est.lam
-    if gnorm <= cfg.eps_g and lam >= -cfg.eps_H:
+    if check_termination(gnorm, None, lam, cfg, "exact"):
         return Terminate(lam=lam, R=R)
     if lam < -cfg.eps_H:
         d = scale_eigvector(est.v_unit, lam, g)
@@ -239,7 +250,7 @@ def select_direction_inexact(
     M_shift = U_H + 2.0
     est: EigEstimate = lanczos(hv, obj.dim, M_shift, cfg.eps_H / 2.0, cfg.delta, rng)
     lam_i = est.lam
-    if gnorm <= cfg.eps_g and lam_i >= -0.5 * cfg.eps_H:
+    if check_termination(gnorm, None, lam_i, cfg, "inexact"):
         return Terminate(lam=lam_i, R=R, lanczos_iters=est.iters)
     if lam_i < -0.5 * cfg.eps_H:
         d = scale_eigvector(est.v_unit, lam_i, g)

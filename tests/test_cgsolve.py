@@ -7,7 +7,6 @@ import pytest
 import scipy.linalg
 
 from sols import cg_capped, cg_iteration_cap, solve_exact
-from sols.cgsolve import residual_orthogonality_probe
 
 
 def reference_cg(A: np.ndarray, g: np.ndarray, tol: float = 1e-14) -> np.ndarray:
@@ -133,6 +132,29 @@ def test_residual_envelope_and_direction_norm_floor():
             envelope = 2.0 * np.sqrt(kappa) * rho**q * gnorm
             assert np.linalg.norm(r) <= envelope * (1.0 + 1e-10) + 1e-12
             assert dn >= gnorm / M - 1e-12
+
+
+def residual_orthogonality_probe(residuals: list[np.ndarray]) -> float:
+    """Max normalized pairwise inner product of recorded CG residuals.
+
+    Exact CG produces mutually orthogonal residuals; this probe quantifies
+    how far a recorded trace drifts from that. Residuals at the roundoff
+    floor (a terminal residual on an exactly solved system is pure noise)
+    carry no directional information and are excluded. Traces with fewer
+    than two informative residuals are vacuously orthogonal.
+    """
+    norms = [float(np.linalg.norm(r)) for r in residuals]
+    floor = 1e-12 * max(norms, default=0.0)
+    live = [r for r, n in zip(residuals, norms) if n > floor]
+    if len(live) < 2:
+        return 0.0
+    worst = 0.0
+    for i in range(len(live)):
+        for j in range(i + 1, len(live)):
+            ni = float(np.linalg.norm(live[i]))
+            nj = float(np.linalg.norm(live[j]))
+            worst = max(worst, abs(float(live[i] @ live[j])) / (ni * nj))
+    return worst
 
 
 def test_orthogonality_probe_on_spd_system():

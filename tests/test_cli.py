@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
+from dataclasses import fields
 from pathlib import Path
 
-from sols.cli import main
+import numpy as np
+import pytest
+
+import sols.steps
+from sols import SolverConfig
+from sols.cgsolve import CgOutcome
+from sols.cli import build_parser, main
 from sols.driver import TRACE_COLUMNS
 
 
@@ -155,3 +163,91 @@ def test_parallel_jobs_produce_same_report(tmp_path):
     a = (serial / "quartic-offset-2d_inexact_report.json").read_bytes()
     b = (parallel / "quartic-offset-2d_inexact_report.json").read_bytes()
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--problem", "rosenbrock-2d", "--max-ls-steps", "2"],
+        ["--problem", "quad-convex-2d", "--theta", "0.999999"],
+    ],
+)
+def test_run_rejects_ls_budget_below_declared_cap(tmp_path, capsys, flags):
+    code = main(["run", *flags, "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "backtracking cap" in err
+
+
+@pytest.mark.parametrize("seed", ["-1", "", "0,-3", ","])
+def test_run_rejects_negative_or_empty_seed_list(tmp_path, capsys, seed):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--problem", "quad-convex-2d", "--algo", "inexact",
+              f"--seed={seed}", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "error: argument --seed" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_run_cg_cap_exits_3(tmp_path, capsys, monkeypatch):
+    def capped_cg(apply_A, g, m, M, zeta, n):
+        return CgOutcome(d=np.zeros_like(g), iters=n, final_residual_norm=1.0,
+                         status="cap_reached")
+
+    monkeypatch.setattr(sols.steps, "cg_capped", capped_cg)
+    code = main(["run", "--problem", "quad-convex-2d", "--algo", "inexact",
+                 "--out", str(tmp_path)])
+    assert code == 3
+    assert read_report(tmp_path, "quad-convex-2d", "inexact")["runs"][0]["status"] == "cg_cap"
+    assert "error: seed 0:" in capsys.readouterr().err
+
+
+def test_envelope_marks_failed_run(tmp_path, capsys):
+    # The default exact-local run on rosenbrock-10d ends in a line-search
+    # stall after certifying; its envelope checks pass, yet the run failed.
+    code = main(["run", "--problem", "rosenbrock-10d", "--algo", "exact-local",
+                 "--out", str(tmp_path)])
+    assert code == 3
+    run = read_report(tmp_path, "rosenbrock-10d", "exact-local")["runs"][0]
+    assert run["status"] == "ls_stall"
+    assert all(v for k, v in run["envelope_checks"].items() if k.endswith("_ok"))
+    capsys.readouterr()
+    assert main(["envelope", "--in", str(tmp_path)]) == 0
+    row = next(line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("rosenbrock-10d"))
+    assert row.split()[3] == "ls_stall"
+    assert row.split()[-1] == "FAILED"
+
+
+def test_run_flags_mirror_config_fields():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    run = sub.choices["run"]
+    other = {"--help", "--problem", "--algo", "--seed", "--strict-second-order",
+             "--config", "--out", "--jobs"}
+    flags = [s for a in run._actions for s in a.option_strings if s.startswith("--")]
+    config_fields = [f for f in fields(SolverConfig) if f.name != "rng_seed"]
+    assert [s for s in flags if s not in other] == [
+        "--" + f.name.replace("_", "-") for f in config_fields
+    ]
+    for f in config_fields:
+        flag = "--" + f.name.replace("_", "-")
+        args = parser.parse_args(["run", "--problem", "p", flag, "3"])
+        value = getattr(args, f.name)
+        assert value == 3
+        assert type(value) is (int if f.type == "int" else float)
+
+
+def test_config_file_integer_keys(tmp_path, capsys):
+    cfg_file = tmp_path / "solver.cfg"
+    cfg_file.write_text("max_iters = 500\n")
+    out = tmp_path / "out"
+    assert main(["run", "--problem", "quad-convex-2d", "--config", str(cfg_file),
+                 "--out", str(out)]) == 0
+    max_iters = read_report(out, "quad-convex-2d", "exact")["config"]["max_iters"]
+    assert max_iters == 500 and type(max_iters) is int
+    cfg_file.write_text("max_iters = 1.5\n")
+    code = main(["run", "--problem", "quad-convex-2d", "--config", str(cfg_file),
+                 "--out", str(out)])
+    assert code == 2
+    assert "error: invalid configuration" in capsys.readouterr().err

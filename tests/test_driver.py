@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from sols import (
     run_exact,
     run_inexact,
     run_local_phase,
+    suite,
 )
 from sols.cgsolve import CgOutcome
 from sols.eigen import EigEstimate
@@ -162,6 +165,40 @@ def test_local_phase_regularized_branch_fires_on_flat_curvature():
     assert lp.outcome == "converged"
 
 
+def test_local_phase_reentry_resumes_main_loop(monkeypatch):
+    # The local phase's first eigenvalue check reports strong negative
+    # curvature, so it hands straight back; the main loop certifies again
+    # and the second local phase converges.
+    import sols.driver
+
+    real = sols.driver.min_eigenpair_exact
+    calls = []
+
+    def first_call_negative(H):
+        calls.append(H)
+        est = real(H)
+        return replace(est, lam=-1.0) if len(calls) == 1 else est
+
+    monkeypatch.setattr(sols.driver, "min_eigenpair_exact", first_call_negative)
+    p = get_problem("quartic-convex-4d")
+    cfg = SolverConfig(eps_g=1e-2, eps_H=0.5)
+    report, records = run_exact(p.make_objective(), p.start_point(), cfg, local_phase=True)
+    assert report.status == "converged"
+    assert report.reentries == 1
+    assert [r.k for r in records] == [0, 1, 2, 3, 4]
+    assert [r.phase for r in records] == ["main"] * 4 + ["local"]
+    assert report.certificate.steps == 4
+
+
+def test_trace_rows_are_numbered_by_step(law_corpus):
+    runs = [(run.report, run.records) for run in law_corpus]
+    for p in suite():
+        runs.append(run_exact(p.make_objective(), p.start_point(), p.coverage_config,
+                              local_phase=True))
+    for report, records in runs:
+        assert [r.k for r in records] == list(range(report.iterations))
+
+
 # --- inexact loop ---------------------------------------------------------------
 
 def test_inexact_unit_newton_on_quadratic():
@@ -189,7 +226,6 @@ def test_inexact_zero_delta_matches_exact_branch_choice_at_start():
         StepKind.REGULARIZED_NEWTON: StepKind.INEXACT_REGULARIZED_NEWTON,
     }
     from sols import Terminate, select_direction_exact, select_direction_inexact
-    from sols import suite
 
     for p in suite():
         cfg = p.coverage_config.with_updates(delta=0.0)
