@@ -28,6 +28,7 @@ from .linesearch import (
 )
 from .operators import (
     EvalCounters,
+    NonFiniteError,
     Objective,
     ProblemConstants,
     check_derivatives,
@@ -63,6 +64,7 @@ __all__ = [
     "IterationRecord",
     "LineSearchResult",
     "LineSearchStallError",
+    "NonFiniteError",
     "Objective",
     "ProblemConstants",
     "RunReport",

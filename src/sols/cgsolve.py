@@ -8,6 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from .operators import NonFiniteError
+
 Array = np.ndarray
 
 CURVATURE_TOL = 1e-14  # p'Ap <= tol * ||p||^2 counts as nonpositive curvature
@@ -78,7 +80,8 @@ def cg_capped(
     the zero initial iterate, where the m||d|| side is vacuous) the
     residual test ||A d + g|| <= (zeta/2) min(||g||, m ||d||) is applied.
     The curvature of every search direction is checked; nonpositive
-    curvature aborts the solve and surfaces the direction.
+    curvature aborts the solve and surfaces the direction, and a non-finite
+    one raises ``NonFiniteError``.
     """
     g = np.asarray(g, dtype=float)
     gnorm = float(np.linalg.norm(g))
@@ -95,6 +98,8 @@ def cg_capped(
     for q in range(1, cap + 1):
         Ap = np.asarray(apply_A(p), dtype=float)
         pAp = float(p @ Ap)
+        if not math.isfinite(pAp):
+            raise NonFiniteError(f"non-finite curvature p'Ap in CG iteration {q}")
         if pAp <= CURVATURE_TOL * float(p @ p):
             outcome.status = "nonpositive_curvature"
             outcome.p = p
@@ -104,17 +109,18 @@ def cg_capped(
         alpha = rr / pAp
         d = d + alpha * p
         r = r + alpha * Ap
-        rnorm = float(np.linalg.norm(r))
+        rr_new = float(r @ r)
+        rnorm = math.sqrt(rr_new)
+        dnorm = math.sqrt(float(d @ d))
         if collect_trace:
             outcome.residual_history.append(r.copy())
-            outcome.d_norm_history.append(float(np.linalg.norm(d)))
+            outcome.d_norm_history.append(dnorm)
         outcome.d = d
         outcome.iters = q
         outcome.final_residual_norm = rnorm
-        if rnorm <= 0.5 * zeta * min(gnorm, m * float(np.linalg.norm(d))):
+        if rnorm <= 0.5 * zeta * min(gnorm, m * dnorm):
             outcome.status = "converged"
             return outcome
-        rr_new = float(r @ r)
         p = -r + (rr_new / rr) * p
         rr = rr_new
 

@@ -41,6 +41,10 @@ def _parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key == "rng_seed":
+            raise ConfigError(
+                f"{path}:{lineno}: rng_seed is not a config-file key; set seeds with --seed"
+            )
         if key not in _CONFIG_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = _CONFIG_TYPES[key](value)
@@ -160,7 +164,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     all_converged = all(r["status"] == "converged" for r in runs)
     all_envelopes = all(envelope_checks_pass(r["envelope_checks"]) for r in runs)
-    hard_errors = [r for r in runs if r["status"] in ("ls_stall", "cg_cap")]
+    hard_errors = [r for r in runs if r["status"] in ("ls_stall", "cg_cap", "nonfinite")]
     report = {
         "schema_version": SCHEMA_VERSION,
         "problem": problem.name,
@@ -202,6 +206,50 @@ def _format_table(rows: list[list[str]], header: list[str]) -> str:
     return "\n".join(lines)
 
 
+def _envelope_row(data: dict, run: dict) -> list[str]:
+    checks = run["envelope_checks"]
+    if checks:
+        iter_bound = checks["iteration_bound"]
+        ratio = checks["observed_iterations"] / iter_bound if iter_bound else 0.0
+        if data["algo"] == "inexact":
+            cost_obs, cost_bound = checks["observed_ops"], checks["ops_bound"]
+            cost_label = "ops"
+        else:
+            cost_obs, cost_bound = checks["observed_f_evals"], checks["f_eval_bound"]
+            cost_label = "f-evals"
+        cost_ratio = cost_obs / cost_bound if cost_bound else 0.0
+        cells = [
+            f"{checks['observed_iterations']}/{iter_bound:.3g}",
+            f"{ratio:.2e}",
+            f"{cost_obs}/{cost_bound:.3g} {cost_label}",
+            f"{cost_ratio:.2e}",
+        ]
+        verdict = "ok" if envelope_checks_pass(checks) else "VIOLATED"
+    else:
+        cells, verdict = ["-"] * 4, "-"
+    # A run that did not converge never reads "ok", even when the
+    # bounds held up to its first certificate.
+    if run["status"] != "converged" and verdict != "VIOLATED":
+        verdict = "FAILED"
+    return [data["problem"], data["algo"], str(run["seed"]), run["status"], *cells, verdict]
+
+
+def _scaling_row(data: dict) -> list[str] | None:
+    cfg = data["config"]
+    env = next((r["envelope"] for r in data["runs"] if r["envelope"]), None)
+    if env is None:
+        return None
+    return [
+        data["problem"],
+        data["algo"],
+        f"{cfg['eps_g']:.3g}",
+        f"{cfg['eps_H']:.3g}",
+        f"{env['max_term']:.6g}",
+        f"{env['K_iter']:.6g}",
+        f"{env['K_hat']:.6g}",
+    ]
+
+
 def cmd_envelope(args: argparse.Namespace) -> int:
     in_dir = Path(args.in_dir)
     report_files = sorted(in_dir.glob("*_report.json")) if in_dir.is_dir() else []
@@ -209,37 +257,17 @@ def cmd_envelope(args: argparse.Namespace) -> int:
         print(f"error: no report files found in {args.in_dir!r}", file=sys.stderr)
         return 2
 
-    rows = []
+    rows, scaling_rows = [], []
     for path in report_files:
-        data = json.loads(path.read_text())
-        for run in data["runs"]:
-            checks = run["envelope_checks"]
-            if checks:
-                iter_bound = checks["iteration_bound"]
-                ratio = checks["observed_iterations"] / iter_bound if iter_bound else 0.0
-                if data["algo"] == "inexact":
-                    cost_obs, cost_bound = checks["observed_ops"], checks["ops_bound"]
-                    cost_label = "ops"
-                else:
-                    cost_obs, cost_bound = checks["observed_f_evals"], checks["f_eval_bound"]
-                    cost_label = "f-evals"
-                cost_ratio = cost_obs / cost_bound if cost_bound else 0.0
-                cells = [
-                    f"{checks['observed_iterations']}/{iter_bound:.3g}",
-                    f"{ratio:.2e}",
-                    f"{cost_obs}/{cost_bound:.3g} {cost_label}",
-                    f"{cost_ratio:.2e}",
-                ]
-                verdict = "ok" if envelope_checks_pass(checks) else "VIOLATED"
-            else:
-                cells, verdict = ["-"] * 4, "-"
-            # A run that did not converge never reads "ok", even when the
-            # bounds held up to its first certificate.
-            if run["status"] != "converged" and verdict != "VIOLATED":
-                verdict = "FAILED"
-            rows.append(
-                [data["problem"], data["algo"], str(run["seed"]), run["status"], *cells, verdict]
-            )
+        try:
+            data = json.loads(path.read_text())
+            rows += [_envelope_row(data, run) for run in data["runs"]]
+            scaling = _scaling_row(data)
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            print(f"error: {path}: not a sols report: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2
+        if scaling is not None:
+            scaling_rows.append(scaling)
     header = [
         "problem",
         "algo",
@@ -252,25 +280,6 @@ def cmd_envelope(args: argparse.Namespace) -> int:
         "envelope",
     ]
     print(_format_table(rows, header))
-
-    scaling_rows = []
-    for path in report_files:
-        data = json.loads(path.read_text())
-        cfg = data["config"]
-        env = next((r["envelope"] for r in data["runs"] if r["envelope"]), None)
-        if env is None:
-            continue
-        scaling_rows.append(
-            [
-                data["problem"],
-                data["algo"],
-                f"{cfg['eps_g']:.3g}",
-                f"{cfg['eps_H']:.3g}",
-                f"{env['max_term']:.6g}",
-                f"{env['K_iter']:.6g}",
-                f"{env['K_hat']:.6g}",
-            ]
-        )
     if scaling_rows:
         print()
         print(

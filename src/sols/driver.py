@@ -10,7 +10,7 @@ from .bounds import ComplexityEnvelope, iteration_envelope
 from .cgsolve import CgCapError, solve_exact
 from .eigen import min_eigenpair_exact
 from .linesearch import LineSearchStallError, backtrack, max_ls_cap
-from .operators import Array, EvalCounters, Objective
+from .operators import Array, EvalCounters, NonFiniteError, Objective
 from .steps import (
     ConfigError,
     Direction,
@@ -88,7 +88,7 @@ class Certificate:
 class RunReport:
     """Summary of one solver run."""
 
-    status: str  # "converged", "max_iters", "ls_stall", or "cg_cap"
+    status: str  # "converged", "max_iters", "ls_stall", "cg_cap", or "nonfinite"
     algo: str
     x_final: Array
     f_final: float
@@ -156,9 +156,9 @@ def local_phase_floor(cfg: SolverConfig) -> float:
     return max(1e-14, cfg.eps_g * 1e-6)
 
 
-def _require_finite(f_x: float, where: str) -> None:
-    if not np.isfinite(f_x):
-        raise ValueError(f"objective is not finite at {where}")
+def _require_finite(value: float, what: str) -> None:
+    if not np.isfinite(value):
+        raise NonFiniteError(f"{what} is not finite")
 
 
 def _check_ls_budget(obj: Objective, cfg: SolverConfig, inexact: bool) -> None:
@@ -207,6 +207,7 @@ def _step(
         n_grad=obj.counters.n_grad,
         n_hv=obj.counters.n_hv,
     )
+    _require_finite(rec.g_next_norm, f"the gradient norm after step {k}")
     return rec, x_next, res.f_new, g_next
 
 
@@ -271,7 +272,9 @@ def _run_loop(
     _check_ls_budget(obj, cfg, inexact=(mode == "inexact"))
     x = np.asarray(x0, dtype=float)
     f_x = obj.value(x)
-    _require_finite(f_x, "the start point")
+    # A non-finite start value is a bad input and raises; a non-finite
+    # derivative from here on ends the run with status "nonfinite".
+    _require_finite(f_x, "the objective at the start point")
     f0 = f_x
     g = obj.gradient(x)
 
@@ -285,6 +288,7 @@ def _run_loop(
     error_msg: str | None = None
 
     try:
+        _require_finite(np.linalg.norm(g), "the gradient norm at the start point")
         while steps_taken < cfg.max_iters:
             sel = select(x, g)
             if isinstance(sel, Terminate):
@@ -337,6 +341,9 @@ def _run_loop(
         error_msg = str(exc)
     except CgCapError as exc:
         status = "cg_cap"
+        error_msg = str(exc)
+    except NonFiniteError as exc:
+        status = "nonfinite"
         error_msg = str(exc)
 
     envelope = None

@@ -8,6 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from .operators import NonFiniteError
+
 Array = np.ndarray
 
 
@@ -34,6 +36,8 @@ def min_eigenpair_exact(H: Array) -> EigEstimate:
     """Smallest eigenpair of a dense symmetric matrix via full eigendecomposition."""
     H = np.asarray(H, dtype=float)
     scale = float(np.max(np.abs(H))) if H.size else 0.0
+    if not math.isfinite(scale):
+        raise NonFiniteError("non-finite entry in the dense Hessian")
     asym = float(np.max(np.abs(H - H.T))) if H.size else 0.0
     if asym > 1e-10 * max(scale, 1.0):
         raise ValueError(f"matrix is not symmetric: max asymmetry {asym:.3e}")
@@ -98,7 +102,7 @@ def lanczos_min_eig(
     from a fresh random vector at most 3 times, reusing both arrays and
     sharing the remaining budget so the total product count never exceeds
     the cap, and keep the best estimate seen. A product that makes the
-    recurrence non-finite raises ``ValueError``.
+    recurrence non-finite raises ``NonFiniteError``.
     """
     budget = lanczos_iteration_cap(n, M, eps, delta)
     breakdown_tol = 1e-13 * max(1.0, 2.0 * abs(M))
@@ -128,11 +132,13 @@ def lanczos_min_eig(
         broke = False
         while total_iters < budget:
             V[k] = v
-            HV[k] = hv(v)
-            w = M * v - HV[k]
+            hvk = HV[k]
+            hvk[:] = hv(v)
+            w = M * v
+            w -= hvk
             alpha = float(v @ w)
             if not math.isfinite(alpha):
-                raise ValueError(
+                raise NonFiniteError(
                     f"non-finite Hessian-vector product in Lanczos step {total_iters}"
                 )
             alphas.append(alpha)
@@ -149,7 +155,7 @@ def lanczos_min_eig(
             if track_ritz:
                 sweep_ritz.append(_ritz_max(alphas, betas)[0])
 
-            beta = float(np.linalg.norm(w))
+            beta = math.sqrt(float(w @ w))
             if beta <= breakdown_tol:
                 broke = True
                 break

@@ -13,6 +13,10 @@ class DerivativeCheckError(RuntimeError):
     """Non-finite value or gradient at a finite-difference probe point."""
 
 
+class NonFiniteError(ValueError):
+    """An objective callback returned a non-finite value, gradient or product."""
+
+
 @dataclass(frozen=True)
 class ProblemConstants:
     """Smoothness and level-set constants declared by a problem.

@@ -27,6 +27,26 @@ class ConstantsError(RuntimeError):
     """Declared constants failed the sampling verifier."""
 
 
+def _point_memo(coefficients):
+    """One-slot memo of ``coefficients(x)``, keyed on the value of x.
+
+    Every Hessian-vector product at one iterate shares the iterate's Hessian
+    coefficients, so they are computed once per point. The key is the bytes
+    of x, never its identity: a caller may change x in place.
+    """
+    key, value = None, None
+
+    def at(x: Array):
+        nonlocal key, value
+        x = np.asarray(x, dtype=float)
+        b = x.tobytes()
+        if b != key:
+            key, value = b, coefficients(x)
+        return value
+
+    return at
+
+
 @dataclass(frozen=True)
 class KnownMinimizer:
     x: tuple[float, ...]
@@ -133,13 +153,18 @@ def separable_quartic(
     def gradient(x: Array) -> Array:
         return d * x + beta * x**3
 
-    def hessian_vector(x: Array, v: Array) -> Array:
-        return (d + 3.0 * beta * x**2) * v
+    def curvature(x: Array) -> Array:
+        return d + 3.0 * beta * x**2
 
     def dense_hessian(x: Array) -> Array:
-        return np.diag(d + 3.0 * beta * x**2)
+        return np.diag(curvature(x))
 
     def factory() -> Objective:
+        curvature_at = _point_memo(curvature)
+
+        def hessian_vector(x: Array, v: Array) -> Array:
+            return curvature_at(x) * v
+
         return Objective(
             n, value, gradient, hessian_vector, dense_hessian, constants=pc, name=name
         )
@@ -232,13 +257,18 @@ def _rosenbrock_hessian(x: Array, a: float) -> Array:
     return H
 
 
-def _rosenbrock_hessian_vector(x: Array, v: Array, a: float) -> Array:
-    """Banded product H v in O(n); never forms the n x n Hessian."""
-    diag, off = _rosenbrock_bands(x, a)
+def _banded_product(bands: tuple[Array, Array], v: Array) -> Array:
+    """Product of the symmetric tridiagonal matrix ``(diag, off)`` with v."""
+    diag, off = bands
     out = diag * v
     out[:-1] += off * v[1:]
     out[1:] += off * v[:-1]
     return out
+
+
+def _rosenbrock_hessian_vector(x: Array, v: Array, a: float) -> Array:
+    """Banded product H v in O(n); never forms the n x n Hessian."""
+    return _banded_product(_rosenbrock_bands(x, a), v)
 
 
 def rosenbrock(
@@ -262,10 +292,12 @@ def rosenbrock(
     def dense_hessian(x: Array) -> Array:
         return _rosenbrock_hessian(x, a)
 
-    def hessian_vector(x: Array, v: Array) -> Array:
-        return _rosenbrock_hessian_vector(x, v, a)
-
     def factory() -> Objective:
+        bands_at = _point_memo(lambda x: _rosenbrock_bands(x, a))
+
+        def hessian_vector(x: Array, v: Array) -> Array:
+            return _banded_product(bands_at(x), v)
+
         return Objective(
             n, value, gradient, hessian_vector, dense_hessian, constants=pc, name=name
         )

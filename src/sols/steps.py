@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .cgsolve import CgCapError, cg_capped, solve_exact
 from .eigen import EigEstimate, lanczos_min_eig, min_eigenpair_exact
-from .operators import Array, Objective, rayleigh_quotient
+from .operators import Array, NonFiniteError, Objective, rayleigh_quotient
 
 
 class StepKind:
@@ -149,6 +150,8 @@ def _first_order_direction(
     if gnorm == 0.0:
         return None, None
     R = rayleigh_quotient(obj, x, g)
+    if not math.isfinite(R):
+        raise NonFiniteError(f"non-finite curvature ratio g'Hg/||g||^2 = {R}")
     if R < -cfg.eps_H:
         return Direction(StepKind.SCALED_NEG_CURV_GRADIENT, (R / gnorm) * g, R=R), R
     if -cfg.eps_H <= R <= cfg.eps_H and gnorm > cfg.eps_g:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sols import cg_capped, cg_iteration_cap, solve_exact
+from sols import NonFiniteError, cg_capped, cg_iteration_cap, solve_exact
 
 
 def reference_cg(A: np.ndarray, g: np.ndarray, tol: float = 1e-14) -> np.ndarray:
@@ -179,3 +179,14 @@ def test_cap_formula_guards():
     assert cg_iteration_cap(7, 1.0, 4.0, 0.0) == 7  # zeta = 0 demands an exact solve
     with pytest.raises(ValueError):
         cg_iteration_cap(7, 0.0, 4.0, 0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_curvature_raises(bad):
+    def apply_A(p):
+        out = p.copy()
+        out[1] = bad
+        return out
+
+    with pytest.raises(NonFiniteError, match="CG iteration 1"):
+        cg_capped(apply_A, np.array([1.0, 2.0, 3.0]), m=0.5, M=2.0, zeta=0.5, n=3)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import sols.steps
-from sols import SolverConfig
+from sols import Objective, SolverConfig
 from sols.cgsolve import CgOutcome
 from sols.cli import build_parser, main
 from sols.driver import TRACE_COLUMNS
@@ -251,3 +251,43 @@ def test_config_file_integer_keys(tmp_path, capsys):
                  "--out", str(out)])
     assert code == 2
     assert "error: invalid configuration" in capsys.readouterr().err
+
+
+def test_config_file_rng_seed_rejected(tmp_path, capsys):
+    # --seed sets the seed of each run; a config-file seed would be reported
+    # in the config but never run.
+    cfg_file = tmp_path / "solver.cfg"
+    cfg_file.write_text("rng_seed = 4\n")
+    out = tmp_path / "out"
+    code = main(["run", "--problem", "quad-convex-2d", "--config", str(cfg_file),
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "rng_seed" in err and "--seed" in err
+    assert not out.exists()
+
+
+def test_run_nonfinite_product_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(Objective, "hessian_vector", lambda self, x, v: np.full_like(v, np.nan))
+    code = main(["run", "--problem", "quartic-saddle-2d", "--algo", "inexact",
+                 "--out", str(tmp_path)])
+    assert code == 3
+    run = read_report(tmp_path, "quartic-saddle-2d", "inexact")["runs"][0]
+    assert run["status"] == "nonfinite"
+    assert "error: seed 0: non-finite Hessian-vector product" in capsys.readouterr().err
+    assert main(["envelope", "--in", str(tmp_path)]) == 0
+    row = next(line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("quartic-saddle-2d"))
+    assert row.split()[3] == "nonfinite" and row.split()[-1] == "FAILED"
+
+
+@pytest.mark.parametrize("text", ["{", '{"problem": "quad-convex-2d", "algo": "exact"}', "[]"])
+def test_envelope_bad_report_exits_2(tmp_path, capsys, text):
+    main(["run", "--problem", "quad-convex-2d", "--out", str(tmp_path)])
+    (tmp_path / "broken_report.json").write_text(text)
+    capsys.readouterr()
+    code = main(["envelope", "--in", str(tmp_path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "broken_report.json" in captured.err
+    assert captured.out == ""

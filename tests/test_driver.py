@@ -432,3 +432,96 @@ def test_trace_step_kinds_legal_per_mode(law_corpus):
     for run in law_corpus:
         legal = exact_kinds if run.mode == "exact" else inexact_kinds
         assert {r.step_kind for r in run.records} <= legal
+
+
+@pytest.mark.parametrize("name", ["rosenbrock-10d", "quartic-saddle-50d"])
+def test_every_product_enters_through_the_counted_method(name, monkeypatch):
+    # Per-point memoisation sits below Objective.hessian_vector, so calls
+    # through the class method, as a tracer wrapping it sees them, still
+    # equal the program's own n_hv.
+    calls = []
+    original = Objective.hessian_vector
+
+    def counted(self, x, v):
+        calls.append(1)
+        return original(self, x, v)
+
+    monkeypatch.setattr(Objective, "hessian_vector", counted)
+    p = get_problem(name)
+    report, _ = run_inexact(p.make_objective(), p.start_point(), p.coverage_config)
+    assert report.converged
+    assert len(calls) == report.counters.n_hv > 0
+
+
+def _nan_objective(gradient=None, hessian_vector=None, dense_hessian=None) -> Objective:
+    """f = x'x/2 in two dimensions, with chosen derivatives replaced."""
+    return Objective(
+        2,
+        lambda x: 0.5 * float(x @ x),
+        gradient or (lambda x: x.copy()),
+        hessian_vector or (lambda x, v: v.copy()),
+        dense_hessian or (lambda x: np.eye(2)),
+    )
+
+
+NAN2 = np.full(2, np.nan)
+X1 = np.array([1.0, -0.5])
+
+
+def test_nonfinite_product_in_lanczos_is_classified():
+    # A zero gradient at the start skips the curvature ratio, so Lanczos
+    # takes the first product.
+    obj = _nan_objective(hessian_vector=lambda x, v: NAN2.copy())
+    report, records = run_inexact(obj, np.zeros(2), SolverConfig(U_H=2.0))
+    assert report.status == "nonfinite"
+    assert "Lanczos" in report.error
+    assert records == [] and report.certificate is None
+
+
+def test_nonfinite_product_in_cg_is_classified():
+    # Products 1-3 (curvature ratio, two Lanczos steps) are finite; CG's first is not.
+    calls = []
+
+    def hv(x, v):
+        calls.append(1)
+        return v.copy() if len(calls) <= 3 else NAN2.copy()
+
+    report, _ = run_inexact(_nan_objective(hessian_vector=hv), X1, SolverConfig(U_H=2.0))
+    assert report.status == "nonfinite"
+    assert "CG iteration 1" in report.error
+    assert report.counters.n_hv == 4
+
+
+def test_nonfinite_gradient_inexact_is_not_cg_cap():
+    obj = _nan_objective(gradient=lambda x: NAN2.copy())
+    report, records = run_inexact(obj, X1, SolverConfig(U_H=2.0))
+    assert report.status == "nonfinite"
+    assert "gradient" in report.error
+    assert records == [] and report.counters.n_hv == 0
+
+
+NAN22 = np.full((2, 2), np.nan)
+
+
+@pytest.mark.parametrize(
+    "derivatives, where",
+    [
+        # A NaN gradient used to end in a ValueError from the Cholesky solve.
+        ({"gradient": lambda x: NAN2.copy(), "dense_hessian": lambda x: NAN22},
+         "gradient norm at the start point"),
+        # The curvature ratio takes the first product, before any dense Hessian.
+        ({"hessian_vector": lambda x, v: NAN2.copy(), "dense_hessian": lambda x: NAN22},
+         "curvature ratio"),
+        # Finite products, NaN dense Hessian: its NaN eigenvalue passes no branch test.
+        ({"dense_hessian": lambda x: NAN22}, "dense Hessian"),
+        # The Newton step from X1 lands on the origin, where the gradient is NaN.
+        ({"gradient": lambda x: x.copy() if x @ x > 0.25 else NAN2.copy()},
+         "gradient norm after step 0"),
+    ],
+    ids=["gradient", "product", "dense-hessian", "gradient-after-step"],
+)
+def test_nonfinite_exact_is_classified(derivatives, where):
+    report, records = run_exact(_nan_objective(**derivatives), X1, SolverConfig())
+    assert report.status == "nonfinite"
+    assert where in report.error
+    assert records == [] and report.final_point_second_order_ok is None

@@ -204,3 +204,73 @@ def test_rosenbrock_hessian_vector_never_builds_dense_matrix(monkeypatch):
 
     monkeypatch.setattr(sols.problems, "_rosenbrock_hessian", forbidden)
     assert np.allclose(obj.hessian_vector(x, v), expected, rtol=1e-13)
+
+
+# Hessian-vector formulas of suite problems, written out independently of the
+# objectives' per-point memo.
+HV_FORMULAS = {
+    "rosenbrock-2d": lambda x, v: _rosenbrock_hessian_vector(x, v, 100.0),
+    "rosenbrock-10d": lambda x, v: _rosenbrock_hessian_vector(x, v, 100.0),
+    "quartic-saddle-50d": lambda x, v: (np.full(50, -1.0) + 3.0 * np.ones(50) * x**2) * v,
+    "reg-newton-2d": lambda x, v: (
+        np.array([1.0, -0.05]) + 3.0 * np.array([0.0, 0.05]) * x**2
+    ) * v,
+}
+
+
+@pytest.mark.parametrize("name", sorted(HV_FORMULAS))
+def test_memo_product_matches_formula_bit_for_bit(name):
+    obj = get_problem(name).make_objective()
+    rng = np.random.default_rng(len(name))
+    for _ in range(5):
+        x = 2.0 * rng.standard_normal(obj.dim)
+        for _ in range(4):  # repeated products at one point reuse its coefficients
+            v = rng.standard_normal(obj.dim)
+            assert np.array_equal(obj.hessian_vector(x, v), HV_FORMULAS[name](x, v))
+
+
+@pytest.mark.parametrize("name", sorted(HV_FORMULAS))
+def test_memo_follows_in_place_changes_to_x(name):
+    obj = get_problem(name).make_objective()
+    x = np.linspace(-1.0, 1.5, obj.dim)
+    v = np.linspace(0.5, -2.0, obj.dim)
+    first = obj.hessian_vector(x, v)
+    first[:] = 0.0  # the result is the caller's; the memo keeps no reference to it
+    assert np.array_equal(obj.hessian_vector(x, v), HV_FORMULAS[name](x, v))
+    x *= -0.5  # same array object, new point
+    assert np.array_equal(obj.hessian_vector(x, v), HV_FORMULAS[name](x, v))
+
+
+@pytest.mark.parametrize("name", sorted(HV_FORMULAS))
+def test_memo_is_owned_by_each_objective(name):
+    p = get_problem(name)
+    a, b = p.make_objective(), p.make_objective()
+    rng = np.random.default_rng(7)
+    xa, xb = rng.standard_normal(p.dim), rng.standard_normal(p.dim)
+    for _ in range(3):
+        for obj, x in ((a, xa), (b, xb)):
+            v = rng.standard_normal(p.dim)
+            assert np.array_equal(obj.hessian_vector(x, v), HV_FORMULAS[name](x, v))
+
+
+def test_rosenbrock_bands_computed_once_per_point_and_objective(monkeypatch):
+    calls = []
+    bands = sols.problems._rosenbrock_bands
+
+    def counted(x, a):
+        calls.append(x.copy())
+        return bands(x, a)
+
+    monkeypatch.setattr(sols.problems, "_rosenbrock_bands", counted)
+    p = get_problem("rosenbrock-10d")
+    a, b = p.make_objective(), p.make_objective()
+    xa, xb = np.linspace(-1.0, 1.0, 10), np.linspace(0.0, 2.0, 10)
+    v = np.ones(10)
+    for _ in range(3):
+        a.hessian_vector(xa, v)
+        b.hessian_vector(xb, v)
+    # Interleaved products at two points: one band evaluation per objective.
+    assert len(calls) == 2
+    assert np.array_equal(calls[0], xa) and np.array_equal(calls[1], xb)
+    a.hessian_vector(xb, v)
+    assert len(calls) == 3

@@ -3,7 +3,8 @@
 Each accepted step keeps its direction kind, its backtracking count ``j``
 and the evaluation counters at that step. Kernel rewrites that only move
 floating-point rounding (a preallocated Lanczos basis, a tridiagonal Ritz
-solve, a banded Hessian-vector product) must leave these rows unchanged.
+solve, a banded Hessian-vector product, per-point Hessian coefficients)
+must leave these rows unchanged.
 Rows read ``step_kind j n_f n_grad n_hv``.
 """
 
@@ -19,6 +20,8 @@ SPECS = {
     "q50": ["--problem", "quartic-saddle-50d", "--algo", "inexact",
             "--eps-g", "1e-4", "--eps-H", "1e-2", "--seed", "7,8"],
     "r10": ["--problem", "rosenbrock-10d", "--algo", "exact", "--seed", "0"],
+    # The banded product, Lanczos and capped CG together.
+    "r10-inexact": ["--problem", "rosenbrock-10d", "--algo", "inexact", "--seed", "0"],
 }
 
 PINNED = {
@@ -132,6 +135,33 @@ newton 0 29 23 22
 newton 0 30 24 23
 newton 0 31 25 24
 newton 0 32 26 25
+""",
+    "rosenbrock-10d_inexact_seed0_trace.csv": """
+inexact_newton 0 2 2 21
+inexact_newton 0 3 3 42
+inexact_newton 0 4 4 63
+inexact_newton 0 5 5 84
+negative_curvature 3 9 6 95
+inexact_newton 0 10 7 113
+inexact_newton 0 11 8 132
+inexact_newton 1 13 9 151
+inexact_newton 0 14 10 171
+inexact_newton 1 16 11 190
+inexact_newton 0 17 12 211
+inexact_newton 0 18 13 232
+inexact_newton 0 19 14 253
+inexact_newton 0 20 15 274
+inexact_newton 0 21 16 295
+inexact_newton 0 22 17 316
+inexact_newton 0 23 18 337
+inexact_newton 1 25 19 358
+inexact_newton 0 26 20 379
+inexact_newton 0 27 21 400
+inexact_newton 0 28 22 421
+inexact_newton 0 29 23 442
+inexact_newton 0 30 24 463
+inexact_newton 0 31 25 484
+inexact_newton 0 32 26 505
 """,
 }
 
