@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .operators import NonFiniteError
 
@@ -45,12 +44,13 @@ def solve_exact(H: Array, g: Array, shift: float = 0.0) -> Array:
     The branch conditions of the callers guarantee positive definiteness
     (smallest eigenvalue above eps_H in both the plain and the shifted
     case); a factorization failure therefore signals a violated branch
-    condition and is raised as-is.
+    condition and is raised as-is (``np.linalg.LinAlgError``).
     """
     H = np.asarray(H, dtype=float)
     A = H if shift == 0.0 else H + shift * np.eye(H.shape[0])
-    c, low = scipy.linalg.cho_factor(A)
-    return scipy.linalg.cho_solve((c, low), -np.asarray(g, dtype=float))
+    L = np.linalg.cholesky(A)
+    y = np.linalg.solve(L, -np.asarray(g, dtype=float))
+    return np.linalg.solve(L.T, y)
 
 
 def cg_iteration_cap(n: int, m: float, M: float, zeta: float) -> int:

@@ -138,7 +138,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     seeds = args.seed
     out_dir = args.out or os.environ.get(DEFAULT_OUT_ENV, "sols-out")
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    try:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory {out_dir!r}: {exc}", file=sys.stderr)
+        return 2
 
     try:
         if args.jobs > 1 and len(seeds) > 1:
@@ -310,6 +314,17 @@ def _seed_list(text: str) -> list[int]:
     return seeds
 
 
+def _positive_int(text: str) -> int:
+    """Parse ``--jobs``: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sols",
@@ -336,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--strict-second-order", action="store_true")
     run.add_argument("--config", default=None, help="flat key=value config file")
     run.add_argument("--out", default=None, help=f"output dir (default ${DEFAULT_OUT_ENV})")
-    run.add_argument("--jobs", type=int, default=1)
+    run.add_argument("--jobs", type=_positive_int, default=1)
     run.set_defaults(func=cmd_run)
 
     env = sub.add_parser("envelope", help="summarize reports against their bounds")

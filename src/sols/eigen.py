@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .operators import NonFiniteError
 
@@ -65,6 +64,9 @@ def lanczos_iteration_cap(n: int, M: float, eps: float, delta: float) -> int:
 
 def _ritz_max(alphas: list[float], betas: list[float]) -> tuple[float, Array]:
     """Largest eigenpair of the tridiagonal matrix built from the recurrence."""
+    # Imported here, not at module level: only the Lanczos path pays its load time.
+    from scipy.linalg import eigh_tridiagonal
+
     k = len(alphas)
     w, Y = eigh_tridiagonal(
         alphas, betas[: k - 1], select="i", select_range=(k - 1, k - 1)

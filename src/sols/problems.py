@@ -377,111 +377,128 @@ def verify_constants(
             )
 
 
-@functools.lru_cache(maxsize=1)
-def _build_suite() -> tuple[SuiteProblem, ...]:
-    cfg = SolverConfig  # shorthand for the per-problem coverage configs
-    problems = (
-        separable_quartic(
+def _entry(family, name: str, **kwargs) -> tuple:
+    return name, functools.partial(family, name, **kwargs)
+
+
+# Problem builders in suite order. A problem is built, and its constants
+# verified, the first time it is looked up.
+_BUILDERS = dict(
+    [
+        _entry(
+            separable_quartic,
             "quad-convex-2d",
             d=[1.0, 2.0],
             beta=0.0,
             c0=0.0,
             x0=[1.0, 1.0],
             branch_coverage=[StepKind.NEWTON],
-            coverage_config=cfg(eps_g=1e-6, eps_H=0.5),
+            coverage_config=SolverConfig(eps_g=1e-6, eps_H=0.5),
         ),
-        separable_quartic(
+        _entry(
+            separable_quartic,
             "quad-convex-10d",
             d=np.logspace(0.0, 2.0, 10),
             beta=0.0,
             c0=0.0,
             x0=np.full(10, 0.8),
             branch_coverage=[StepKind.NEWTON],
-            coverage_config=cfg(eps_g=1e-6, eps_H=0.5),
+            coverage_config=SolverConfig(eps_g=1e-6, eps_H=0.5),
         ),
-        separable_quartic(
+        _entry(
+            separable_quartic,
             "quartic-saddle-2d",
             d=[-1.0, -1.0],
             beta=1.0,
             c0=0.5,
             x0=[0.0, 0.0],
             branch_coverage=[StepKind.NEGATIVE_CURVATURE],
-            coverage_config=cfg(eps_g=1e-5, eps_H=0.1),
+            coverage_config=SolverConfig(eps_g=1e-5, eps_H=0.1),
         ),
-        separable_quartic(
+        _entry(
+            separable_quartic,
             "quartic-offset-2d",
             d=[-1.0, -1.0],
             beta=1.0,
             c0=0.5,
             x0=[0.5, 0.4],
             branch_coverage=[StepKind.SCALED_NEG_CURV_GRADIENT, StepKind.NEWTON],
-            coverage_config=cfg(eps_g=1e-5, eps_H=0.1),
+            coverage_config=SolverConfig(eps_g=1e-5, eps_H=0.1),
         ),
-        separable_quartic(
+        _entry(
+            separable_quartic,
             "quartic-saddle-50d",
             d=np.full(50, -1.0),
             beta=1.0,
             c0=12.5,
             x0=np.zeros(50),
             branch_coverage=[StepKind.NEGATIVE_CURVATURE],
-            coverage_config=cfg(eps_g=1e-4, eps_H=1e-2),
+            coverage_config=SolverConfig(eps_g=1e-4, eps_H=1e-2),
         ),
-        separable_quartic(
+        _entry(
+            separable_quartic,
             "quartic-convex-4d",
             d=np.ones(4),
             beta=1.0,
             c0=0.0,
             x0=np.full(4, 1.5),
             branch_coverage=[StepKind.NEWTON],
-            coverage_config=cfg(eps_g=1e-3, eps_H=0.5),
+            coverage_config=SolverConfig(eps_g=1e-3, eps_H=0.5),
         ),
-        separable_quartic(
+        _entry(
+            separable_quartic,
             "reg-newton-2d",
             d=[1.0, -0.05],
             beta=[0.0, 0.05],
             c0=0.0125,
             x0=[1.0, 0.9],
             branch_coverage=[StepKind.REGULARIZED_NEWTON],
-            coverage_config=cfg(eps_g=1e-4, eps_H=0.5),
+            coverage_config=SolverConfig(eps_g=1e-4, eps_H=0.5),
         ),
-        separable_quartic(
+        _entry(
+            separable_quartic,
             "flat-1d",
             d=[0.05],
             beta=0.0,
             c0=0.0,
             x0=[10.0],
             branch_coverage=[StepKind.NORMALIZED_GRADIENT],
-            coverage_config=cfg(eps_g=1e-3, eps_H=0.1),
+            coverage_config=SolverConfig(eps_g=1e-3, eps_H=0.1),
         ),
-        rosenbrock(
+        _entry(
+            rosenbrock,
             "rosenbrock-2d",
             n=2,
             x0=[-1.2, 1.0],
             branch_coverage=[StepKind.NEWTON],
-            coverage_config=cfg(eps_g=1e-5, eps_H=1e-3),
+            coverage_config=SolverConfig(eps_g=1e-5, eps_H=1e-3),
         ),
-        rosenbrock(
+        _entry(
+            rosenbrock,
             "rosenbrock-10d",
             n=10,
             x0=[-1.2 if i % 2 == 0 else 1.0 for i in range(10)],
             branch_coverage=[StepKind.NEWTON],
-            coverage_config=cfg(eps_g=1e-5, eps_H=1e-2),
+            coverage_config=SolverConfig(eps_g=1e-5, eps_H=1e-2),
         ),
-    )
-    return problems
+    ]
+)
+
+
+@functools.cache
+def get_problem(name: str) -> SuiteProblem:
+    """The suite problem ``name``, built and verified on first use."""
+    try:
+        build = _BUILDERS[name]
+    except KeyError:
+        raise KeyError(f"unknown problem {name!r}") from None
+    return build()
 
 
 def suite() -> list[SuiteProblem]:
-    """The built-in problem set; constants are verified once at construction."""
-    return list(_build_suite())
+    """The built-in problem set, in suite order; each is verified once."""
+    return [get_problem(name) for name in _BUILDERS]
 
 
 def problem_names() -> list[str]:
-    return [p.name for p in suite()]
-
-
-def get_problem(name: str) -> SuiteProblem:
-    for p in suite():
-        if p.name == name:
-            return p
-    raise KeyError(f"unknown problem {name!r}")
+    return list(_BUILDERS)

@@ -86,14 +86,14 @@ class SolverConfig:
             raise ConfigError(f"eps_H must lie in (0, 1), got {self.eps_H}")
         if not 0.0 < self.theta < 1.0:
             raise ConfigError(f"theta must lie in (0, 1), got {self.theta}")
-        if not self.eta > 0.0:
-            raise ConfigError(f"eta must be positive, got {self.eta}")
+        if not 0.0 < self.eta < math.inf:
+            raise ConfigError(f"eta must be positive and finite, got {self.eta}")
         if not 0.0 <= self.zeta < 1.0:
             raise ConfigError(f"zeta must lie in [0, 1), got {self.zeta}")
         if not 0.0 <= self.delta < 1.0:
             raise ConfigError(f"delta must lie in [0, 1), got {self.delta}")
-        if self.U_H is not None and not self.U_H > 0.0:
-            raise ConfigError(f"U_H must be positive, got {self.U_H}")
+        if self.U_H is not None and not 0.0 < self.U_H < math.inf:
+            raise ConfigError(f"U_H must be positive and finite, got {self.U_H}")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be a positive integer")
         if self.max_ls_steps < 1:

@@ -190,3 +190,23 @@ def test_non_finite_curvature_raises(bad):
 
     with pytest.raises(NonFiniteError, match="CG iteration 1"):
         cg_capped(apply_A, np.array([1.0, 2.0, 3.0]), m=0.5, M=2.0, zeta=0.5, n=3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 20, 60])
+@pytest.mark.parametrize("shift", [0.0, 2.0])
+def test_solve_exact_matches_cho_solve_oracle(n, shift):
+    rng = np.random.default_rng(1000 * n + int(shift))
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    # With a shift the matrix itself may be indefinite; H + shift I is not.
+    low = 0.5 - shift
+    H = (Q * rng.uniform(low, low + 50.0, n)) @ Q.T
+    H = 0.5 * (H + H.T)
+    g = rng.standard_normal(n)
+    d = solve_exact(H, g, shift)
+    ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(H + shift * np.eye(n)), -g)
+    assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_solve_exact_shift_below_spectrum_raises():
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_exact(np.diag([-3.0, 1.0]), np.ones(2), shift=2.0)

@@ -291,3 +291,38 @@ def test_envelope_bad_report_exits_2(tmp_path, capsys, text):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "broken_report.json" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--eta", "inf"],
+        ["--U-H", "inf", "--algo", "inexact"],
+    ],
+)
+def test_run_rejects_nonfinite_config_values(tmp_path, capsys, flags):
+    code = main(["run", "--problem", "quad-convex-2d", *flags, "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: invalid configuration:")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("sub", ["", "x"])
+def test_run_rejects_unusable_out_dir(tmp_path, capsys, sub):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["run", "--problem", "quad-convex-2d", "--out", str(blocker / sub)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot create output directory")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [blocker]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_run_rejects_nonpositive_jobs(tmp_path, capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--problem", "quad-convex-2d", f"--jobs={jobs}", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "error: argument --jobs" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

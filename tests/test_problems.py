@@ -30,6 +30,46 @@ def test_get_problem_unknown_raises():
         get_problem("missing-problem")
 
 
+@pytest.fixture
+def fresh_registry(monkeypatch):
+    """An empty problem cache whose ``verify_constants`` calls are counted."""
+    verified = []
+    real = sols.problems.verify_constants
+
+    def counting(problem, *args, **kwargs):
+        verified.append(problem.name)
+        return real(problem, *args, **kwargs)
+
+    monkeypatch.setattr(sols.problems, "verify_constants", counting)
+    get_problem.cache_clear()
+    yield verified
+    get_problem.cache_clear()
+
+
+def test_problem_names_builds_nothing(fresh_registry):
+    names = problem_names()
+    assert names[0] == "quad-convex-2d" and names[-1] == "rosenbrock-10d"
+    assert fresh_registry == []
+
+
+def test_get_problem_builds_one_problem_once(fresh_registry):
+    p = get_problem("rosenbrock-10d")
+    assert get_problem("rosenbrock-10d") is p
+    assert fresh_registry == ["rosenbrock-10d"]
+
+
+def test_suite_shares_the_cached_problems_in_order(fresh_registry):
+    first = get_problem("flat-1d")
+    problems = suite()
+    assert [p.name for p in problems] == problem_names()
+    assert all(p is get_problem(p.name) for p in problems)
+    assert problems[problem_names().index("flat-1d")] is first
+    assert all(a is b for a, b in zip(suite(), problems))
+    assert sorted(fresh_registry) == sorted(problem_names())  # each verified once
+    with pytest.raises(KeyError, match="unknown problem 'missing-problem'"):
+        get_problem("missing-problem")
+
+
 def test_quartic_saddle_at_origin():
     p = get_problem("quartic-saddle-2d")
     obj = p.make_objective()
