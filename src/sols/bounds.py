@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .eigen import log_n_over_delta_sq
 from .operators import ProblemConstants
 from .steps import SolverConfig
 
@@ -135,24 +136,26 @@ def iteration_envelope(
 
     U_H = cfg.U_H if cfg.U_H is not None else constants.U_H
     M = U_H + 2.0
+    # Each inner term is capped at n; one whose formula overflows (M**1.5 at a
+    # huge U_H) is far above n.
+    cg_term = lanczos_term = float(n)
     if cfg.zeta > 0.0:
-        cg_term = min(
-            float(n),
-            1.0
-            / math.sqrt(2.0)
-            * math.sqrt(M)
-            / math.sqrt(cfg.eps_H)
-            * math.log(4.0 * M**1.5 * cfg.eps_H**-1.5 / cfg.zeta),
-        )
-    else:
-        cg_term = float(n)
+        try:
+            cg_term = min(
+                cg_term,
+                1.0
+                / math.sqrt(2.0)
+                * math.sqrt(M)
+                / math.sqrt(cfg.eps_H)
+                * math.log(4.0 * M**1.5 * cfg.eps_H**-1.5 / cfg.zeta),
+            )
+        except OverflowError:
+            pass
     if cfg.delta > 0.0:
         lanczos_term = min(
-            float(n),
-            math.sqrt(M) / math.sqrt(cfg.eps_H) * math.log(n / cfg.delta**2) / 2.0,
+            lanczos_term,
+            math.sqrt(M) / math.sqrt(cfg.eps_H) * log_n_over_delta_sq(n, cfg.delta) / 2.0,
         )
-    else:
-        lanczos_term = float(n)
     ops_bound = (2.0 + cg_term + lanczos_term) * K_hat
 
     return ComplexityEnvelope(

@@ -61,8 +61,11 @@ def cg_iteration_cap(n: int, m: float, M: float, zeta: float) -> int:
         # An exact solve is demanded; plain CG delivers it in n steps.
         return n
     kappa = max(M / m, 1.0)
-    cap = 0.5 * math.sqrt(kappa) * math.log(4.0 * kappa**1.5 / zeta)
-    return min(n, max(1, math.ceil(cap)))
+    try:
+        cap = 0.5 * math.sqrt(kappa) * math.log(4.0 * kappa**1.5 / zeta)
+    except OverflowError:  # kappa**1.5: a cap far above n
+        return n
+    return n if not cap < n else max(1, math.ceil(cap))
 
 
 def cg_capped(

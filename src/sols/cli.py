@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import os
@@ -146,6 +145,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     try:
         if args.jobs > 1 and len(seeds) > 1:
+            # Imported here: it loads logging too, which single-process runs skip.
+            import concurrent.futures
+
             with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 futures = [
                     pool.submit(

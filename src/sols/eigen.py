@@ -28,7 +28,6 @@ class EigEstimate:
     iters: int
     converged_by: str  # "exact", "lanczos_cap", or "full_n"
     restarts: int = 0
-    ritz_values: list[float] | None = None
 
 
 def min_eigenpair_exact(H: Array) -> EigEstimate:
@@ -58,20 +57,33 @@ def lanczos_iteration_cap(n: int, M: float, eps: float, delta: float) -> int:
         raise ValueError("delta must lie in [0, 1)")
     if delta == 0.0:
         return n
-    cap = math.log(n / delta**2) / (2.0 * math.sqrt(2.0)) * math.sqrt(M / eps)
-    return min(n, max(1, math.ceil(cap)))
+    cap = log_n_over_delta_sq(n, delta) / (2.0 * math.sqrt(2.0)) * math.sqrt(M / eps)
+    # Not below n, an overflow to inf or NaN included: the cap binds at n.
+    return n if not cap < n else max(1, math.ceil(cap))
 
 
-def _ritz_max(alphas: list[float], betas: list[float]) -> tuple[float, Array]:
-    """Largest eigenpair of the tridiagonal matrix built from the recurrence."""
-    # Imported here, not at module level: only the Lanczos path pays its load time.
-    from scipy.linalg import eigh_tridiagonal
+def log_n_over_delta_sq(n: int, delta: float) -> float:
+    """log(n / delta^2), as a difference of logs where delta^2 underflows."""
+    d2 = delta**2
+    return math.log(n / d2) if d2 > 0.0 else math.log(n) - 2.0 * math.log(delta)
 
+
+def _ritz_min(alphas: list[float], betas: list[float]) -> Array:
+    """Unit eigenvector for the smallest eigenvalue of the tridiagonal matrix
+    with diagonal ``alphas`` and off-diagonal ``betas``, from the two LAPACK
+    calls ``eigh_tridiagonal(select="i")`` makes, without its argument checks."""
     k = len(alphas)
-    w, Y = eigh_tridiagonal(
-        alphas, betas[: k - 1], select="i", select_range=(k - 1, k - 1)
-    )
-    return float(w[0]), Y[:, 0]
+    if k == 1:
+        return np.ones(1)
+    # Imported here, not at module level: only the Lanczos path pays its load time.
+    from scipy.linalg.lapack import dstebz, dstein
+
+    m, w, iblock, isplit, info = dstebz(alphas, betas, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    if info == 0:
+        y, info = dstein(alphas, betas, w[:m], iblock, isplit)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"tridiagonal eigensolve failed (info={info})")
+    return y[:, 0]
 
 
 def lanczos_min_eig(
@@ -81,24 +93,27 @@ def lanczos_min_eig(
     eps: float,
     delta: float,
     rng: np.random.Generator,
-    track_ritz: bool = False,
 ) -> EigEstimate:
     """Estimate the smallest eigenvalue of H through products v -> H v.
 
-    Runs the Lanczos iteration on the shifted operator v -> M v - H v (so
-    that the target becomes the largest eigenvalue of a positive
-    semidefinite matrix) from a start vector drawn uniformly on the unit
-    sphere. The caller guarantees ``M >= ||H||``. The returned ``lam`` is
-    the Rayleigh quotient of the returned unit vector, which satisfies
-    lam <= lambda_min(H) + eps with probability at least 1 - delta within
-    the iteration budget.
+    Runs the Lanczos iteration on H from a start vector drawn uniformly on
+    the unit sphere. The caller guarantees ``M >= ||H||``. The returned
+    ``lam`` is the Rayleigh quotient of the returned unit vector, which
+    satisfies lam <= lambda_min(H) + eps with probability at least
+    1 - delta within the iteration budget.
+
+    The budget is the Kuczynski-Wozniakowski bound for the largest
+    eigenvalue of the positive semidefinite M I - H. That shift is needed
+    only by the analysis: M I - H has the same Krylov spaces as H and a
+    tridiagonal matrix shifted by M, so the recurrence runs on H itself,
+    and M enters only the budget and the breakdown scale.
 
     The basis is fully reorthogonalized (budgets are small at this scale).
     It lives in one preallocated ``(budget, n)`` array, row k holding the
     k-th Lanczos vector, next to a second one holding the products H v_k,
     so a call holds ``2 * budget * n`` floats and the Ritz vector's
-    Rayleigh quotient needs no extra product. Only the largest Ritz pair
-    of the tridiagonal matrix is computed, by ``eigh_tridiagonal``.
+    Rayleigh quotient needs no extra product. Only the smallest Ritz pair
+    of the tridiagonal matrix is computed (``_ritz_min``).
 
     A breakdown means the Krylov space became exactly invariant; we restart
     from a fresh random vector at most 3 times, reusing both arrays and
@@ -115,13 +130,11 @@ def lanczos_min_eig(
     best_v: Array | None = None
     total_iters = 0
     sweeps = 0
-    ritz_history: list[float] = []
 
     while total_iters < budget and sweeps <= 3:
         sweeps += 1
         alphas: list[float] = []
         betas: list[float] = []
-        sweep_ritz: list[float] = []
 
         v = rng.standard_normal(n)
         nv = np.linalg.norm(v)
@@ -130,15 +143,14 @@ def lanczos_min_eig(
             nv = np.linalg.norm(v)
         v = v / nv
 
+        # A sweep ends at the budget or at a breakdown; only the latter
+        # leaves budget for the next sweep.
         k = 0
-        broke = False
-        while total_iters < budget:
+        while True:
             V[k] = v
             hvk = HV[k]
             hvk[:] = hv(v)
-            w = M * v
-            w -= hvk
-            alpha = float(v @ w)
+            alpha = float(v @ hvk)
             if not math.isfinite(alpha):
                 raise NonFiniteError(
                     f"non-finite Hessian-vector product in Lanczos step {total_iters}"
@@ -146,25 +158,24 @@ def lanczos_min_eig(
             alphas.append(alpha)
             k += 1
             total_iters += 1
+            if total_iters == budget:
+                # T_k never reads the next beta.
+                break
 
-            w -= alpha * v
+            w = hvk - alpha * v
             if k > 1:
                 w -= betas[-1] * V[k - 2]
             # Full reorthogonalization against the stored basis.
             Vk = V[:k]
             w -= Vk.T @ (Vk @ w)
 
-            if track_ritz:
-                sweep_ritz.append(_ritz_max(alphas, betas)[0])
-
             beta = math.sqrt(float(w @ w))
             if beta <= breakdown_tol:
-                broke = True
                 break
             betas.append(beta)
             v = w / beta
 
-        _, y = _ritz_max(alphas, betas)
+        y = _ritz_min(alphas, betas)
         v_ritz = y @ V[:k]
         nv = float(np.linalg.norm(v_ritz))
         if nv > 0.0:
@@ -172,10 +183,6 @@ def lanczos_min_eig(
             if lam < best_lam:
                 best_lam = lam
                 best_v = v_ritz / nv
-                ritz_history = sweep_ritz
-
-        if not broke:
-            break
 
     assert best_v is not None
     return EigEstimate(
@@ -184,5 +191,4 @@ def lanczos_min_eig(
         iters=total_iters,
         converged_by="full_n" if total_iters >= n else "lanczos_cap",
         restarts=sweeps - 1,
-        ritz_values=ritz_history if track_ritz else None,
     )

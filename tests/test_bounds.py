@@ -6,12 +6,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sols import (
     ProblemConstants,
     SolverConfig,
+    cg_iteration_cap,
     decrease_constants,
     iteration_envelope,
+    lanczos_iteration_cap,
     local_rate_constants,
     scalar_root_bound,
     scalar_root_lhs,
@@ -94,6 +98,21 @@ def test_envelope_fields_finite_positive_and_ordered():
         assert np.isfinite(v) and v > 0.0
     assert env.K_eval >= env.K_iter
     assert not env.eval_log_term_negative  # the log argument is < 1 by construction
+
+
+POSITIVE = st.floats(min_value=0.0, max_value=1e308, exclude_min=True)
+UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 10**6), M=POSITIVE, m=POSITIVE, eps=POSITIVE, zeta=POSITIVE,
+       delta=UNIT, U_H=POSITIVE)
+def test_inner_caps_and_ops_bound_survive_huge_inputs(n, M, m, eps, zeta, delta, U_H):
+    # Each inner term is min(n, formula); a formula that overflows is above n.
+    for cap in (lanczos_iteration_cap(n, M, eps, delta), cg_iteration_cap(n, m, M, zeta)):
+        assert isinstance(cap, int) and 1 <= cap <= n
+    cfg = SolverConfig(eps_g=1e-4, eps_H=1e-2, zeta=min(zeta, 0.5), delta=delta, U_H=U_H)
+    assert math.isfinite(iteration_envelope(PC, cfg, f0=7.0, n=n).ops_bound)
 
 
 def test_envelope_monotonicity_in_tolerances_and_gap():

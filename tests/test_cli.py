@@ -307,6 +307,25 @@ def test_run_rejects_nonfinite_config_values(tmp_path, capsys, flags):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "flags, algo",
+    [
+        # Every inner-iteration term overflows at this U_H and binds at n.
+        pytest.param(["--U-H", "1e308"], "inexact", id="huge-U_H-inexact"),
+        pytest.param(["--U-H", "1e308"], "exact", id="huge-U_H-exact"),
+        # delta**2 underflows to zero inside log(n / delta**2).
+        pytest.param(["--delta", "1e-200"], "inexact", id="tiny-delta-inexact"),
+    ],
+)
+def test_run_with_extreme_finite_config_values(tmp_path, capsys, flags, algo):
+    code = main(["run", "--problem", "quad-convex-2d", *flags, "--algo", algo,
+                 "--out", str(tmp_path)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    report = read_report(tmp_path, "quad-convex-2d", algo)
+    assert report["all_converged"] and report["all_envelope_checks_passed"]
+
+
 @pytest.mark.parametrize("sub", ["", "x"])
 def test_run_rejects_unusable_out_dir(tmp_path, capsys, sub):
     blocker = tmp_path / "file"

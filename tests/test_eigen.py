@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sols import lanczos_iteration_cap, lanczos_min_eig, min_eigenpair_exact, suite
+from sols.eigen import _ritz_min
 
 from conftest import wilson_slack
 
@@ -146,15 +147,23 @@ def test_iteration_count_respects_cap():
         assert est.iters <= lanczos_iteration_cap(n, M, eps, delta)
 
 
-def test_ritz_values_monotone():
-    H = random_symmetric(np.random.default_rng(5), 40)
+def test_estimate_never_increases_with_the_budget():
+    # One start vector at every budget k = 1..n: the Krylov spaces are
+    # nested, so the smallest Ritz value cannot go up as k grows.
+    n, delta = 40, 0.2
+    H = random_symmetric(np.random.default_rng(5), n)
     M = float(np.linalg.norm(H, 2)) + 2.0
-    est = lanczos_min_eig(
-        hv_of(H), 40, M=M, eps=0.01, delta=0.2, rng=rng_for(6), track_ritz=True
-    )
-    ritz = est.ritz_values
-    assert ritz is not None and len(ritz) == est.iters
-    assert all(b >= a - 1e-10 for a, b in zip(ritz, ritz[1:]))
+    log_factor = math.log(n / delta**2) / (2.0 * math.sqrt(2.0))
+    lams = []
+    for k in range(1, n + 1):
+        eps = M * (log_factor / (k - 0.5)) ** 2
+        assert lanczos_iteration_cap(n, M, eps, delta) == k
+        est = lanczos_min_eig(hv_of(H), n, M=M, eps=eps, delta=delta, rng=rng_for(6))
+        assert (est.iters, est.restarts) == (k, 0)
+        lams.append(est.lam)
+    tol = 1e-10 * np.linalg.norm(H, 2)
+    assert all(b <= a + tol for a, b in zip(lams, lams[1:]))
+    assert lams[-1] == pytest.approx(float(np.linalg.eigvalsh(H)[0]), abs=tol)
 
 
 def test_breakdown_restarts_on_isotropic_hessian():
@@ -302,6 +311,28 @@ def test_repeated_eigenvalues_restart_after_each_breakdown():
     )
     assert (est.iters, est.restarts) == (12, 3)
     assert est.lam == pytest.approx(float(np.linalg.eigvalsh(A)[0]), abs=1e-10)
+
+
+def _tridiagonal_cases():
+    rng = np.random.default_rng(15)
+    for k in range(1, 121):
+        alphas = rng.standard_normal(k).tolist()
+        yield f"random-k{k}", alphas, np.abs(rng.standard_normal(k - 1)).tolist()
+        # Near-degenerate: tiny couplings between nearly equal diagonal entries.
+        alphas = (1.0 + 1e-9 * rng.standard_normal(k)).tolist()
+        yield f"degenerate-k{k}", alphas, (1e-9 * rng.uniform(0.5, 1.5, k - 1)).tolist()
+
+
+@pytest.mark.parametrize(
+    "alphas, betas",
+    [pytest.param(*case[1:], id=case[0]) for case in _tridiagonal_cases()],
+)
+def test_ritz_min_matches_eigh_tridiagonal(alphas, betas):
+    from scipy.linalg import eigh_tridiagonal
+
+    k = len(alphas)
+    _, Y = eigh_tridiagonal(alphas, betas[: k - 1], select="i", select_range=(0, 0))
+    assert np.array_equal(_ritz_min(alphas, betas), Y[:, 0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -1,4 +1,5 @@
-"""Cold start: the exact path, envelope and list-problems never load scipy.linalg."""
+"""Cold start: the exact path, envelope and list-problems never load scipy.linalg,
+and no single-seed run loads the process pool."""
 
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ try:
 except SystemExit as exc:
     codes.append(exc.code)
 print("codes", *codes)
+print("concurrent.futures loaded:", "concurrent.futures" in sys.modules)
 print("scipy.linalg loaded:", "scipy.linalg" in sys.modules)
 """
 
@@ -43,6 +45,8 @@ def run_script(tmp_path: Path, algo: str) -> list[str]:
 def test_exact_path_never_loads_scipy_linalg(tmp_path):
     lines = run_script(tmp_path, "exact")
     assert "codes 0 0 0 0" in lines
+    # scipy itself loads the pool module, so this holds only off the Lanczos path.
+    assert "concurrent.futures loaded: False" in lines
     assert lines[-1] == "scipy.linalg loaded: False"
 
 
