@@ -17,7 +17,6 @@ from .driver import (
     RunReport,
     run_exact,
     run_inexact,
-    run_local_phase,
 )
 from .eigen import EigEstimate, lanczos_iteration_cap, lanczos_min_eig, min_eigenpair_exact
 from .linesearch import (
@@ -88,7 +87,6 @@ __all__ = [
     "rayleigh_quotient",
     "run_exact",
     "run_inexact",
-    "run_local_phase",
     "scalar_root_bound",
     "scalar_root_lhs",
     "scale_eigvector",

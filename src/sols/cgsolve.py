@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +34,6 @@ class CgOutcome:
     status: str  # "converged", "cap_reached", or "nonpositive_curvature"
     p: Array | None = None
     p_curvature: float | None = None
-    residual_history: list[Array] = field(default_factory=list)
-    d_norm_history: list[float] = field(default_factory=list)
 
 
 def solve_exact(H: Array, g: Array, shift: float = 0.0) -> Array:
@@ -75,7 +73,6 @@ def cg_capped(
     M: float,
     zeta: float,
     n: int,
-    collect_trace: bool = False,
 ) -> CgOutcome:
     """Conjugate gradient for A d = -g with a two-sided stop and a hard cap.
 
@@ -115,9 +112,6 @@ def cg_capped(
         rr_new = float(r @ r)
         rnorm = math.sqrt(rr_new)
         dnorm = math.sqrt(float(d @ d))
-        if collect_trace:
-            outcome.residual_history.append(r.copy())
-            outcome.d_norm_history.append(dnorm)
         outcome.d = d
         outcome.iters = q
         outcome.final_residual_norm = rnorm

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -140,16 +140,6 @@ def envelope_checks_pass(checks: dict) -> bool:
     return all(v for k, v in checks.items() if k.endswith("_ok"))
 
 
-@dataclass
-class LocalPhaseResult:
-    outcome: str  # "reenter", "converged", or "max_iters"
-    x: Array
-    f: float
-    g: Array
-    steps: int
-    records: list[IterationRecord] = field(default_factory=list)
-
-
 def local_phase_floor(cfg: SolverConfig) -> float:
     # The local loop as stated never stops; a finite artifact needs a hard
     # gradient floor far below eps_g so complexity accounting is unaffected.
@@ -211,50 +201,23 @@ def _step(
     return rec, x_next, res.f_new, g_next
 
 
-def run_local_phase(
-    obj: Objective,
-    x: Array,
-    g: Array,
-    f_x: float,
-    cfg: SolverConfig,
-    max_steps: int,
-    k_start: int = 0,
-    trace_sink=None,
-) -> LocalPhaseResult:
-    """Newton-dominant loop entered from a certified iterate.
+def _select_local(obj: Objective, x: Array, g: Array, cfg: SolverConfig) -> Direction | None:
+    """The Newton direction of the local phase, or None to hand back to the main loop.
 
-    Hands control back to the main loop as soon as the gradient grows past
-    eps_g or significant negative curvature reappears; otherwise takes
-    (regularized) Newton steps until the gradient falls below the hard
-    floor. The eigenvalue interval (-eps_H, 0] selects the regularized
-    system; any strictly positive eigenvalue selects the plain one.
+    Significant negative curvature (lambda < -eps_H) hands back; the closed
+    interval [-eps_H, 0] selects the regularized system, whose shift 2 eps_H
+    keeps it positive definite, and any strictly positive eigenvalue selects
+    the plain one.
     """
-    records: list[IterationRecord] = []
-    floor = local_phase_floor(cfg)
-    steps = 0
-    while True:
-        g_norm = float(np.linalg.norm(g))
-        if g_norm <= floor:
-            return LocalPhaseResult("converged", x, f_x, g, steps, records)
-        if g_norm > cfg.eps_g:
-            return LocalPhaseResult("reenter", x, f_x, g, steps, records)
-        if steps >= max_steps:
-            return LocalPhaseResult("max_iters", x, f_x, g, steps, records)
-        H = obj.dense_hessian(x)
-        est = min_eigenpair_exact(H)
-        if est.lam < -cfg.eps_H:
-            return LocalPhaseResult("reenter", x, f_x, g, steps, records)
-        if -cfg.eps_H < est.lam <= 0.0:
-            sel = Direction(
-                StepKind.REGULARIZED_NEWTON, solve_exact(H, g, 2.0 * cfg.eps_H), lam=est.lam
-            )
-        else:
-            sel = Direction(StepKind.NEWTON, solve_exact(H, g, 0.0), lam=est.lam)
-        rec, x, f_x, g = _step(obj, cfg, sel, x, f_x, g, k_start + steps, "local")
-        records.append(rec)
-        if trace_sink is not None:
-            trace_sink(rec)
-        steps += 1
+    H = obj.dense_hessian(x)
+    lam = min_eigenpair_exact(H).lam
+    if lam < -cfg.eps_H:
+        return None
+    if lam <= 0.0:
+        kind, shift = StepKind.REGULARIZED_NEWTON, 2.0 * cfg.eps_H
+    else:
+        kind, shift = StepKind.NEWTON, 0.0
+    return Direction(kind, solve_exact(H, g, shift), lam=lam)
 
 
 def _run_loop(
@@ -263,11 +226,10 @@ def _run_loop(
     cfg: SolverConfig,
     algo: str,
     select,
-    mode: str,
-    local_phase: bool,
     strict_second_order: bool,
     trace_sink,
 ) -> tuple[RunReport, list[IterationRecord]]:
+    mode = "inexact" if algo == "inexact" else "exact"
     cfg.validate()
     _check_ls_budget(obj, cfg, inexact=(mode == "inexact"))
     x = np.asarray(x0, dtype=float)
@@ -286,18 +248,36 @@ def _run_loop(
     status = "max_iters"
     final_lam: float | None = None
     error_msg: str | None = None
+    # "local" after a certificate on exact-local: the Newton-dominant loop,
+    # which hands back to "main" when the gradient grows past eps_g or
+    # significant negative curvature reappears.
+    phase = "main"
 
     try:
         _require_finite(np.linalg.norm(g), "the gradient norm at the start point")
-        while steps_taken < cfg.max_iters:
-            sel = select(x, g)
+        while True:
+            if phase == "local":
+                g_norm = float(np.linalg.norm(g))
+                if g_norm <= local_phase_floor(cfg):
+                    status = "converged"
+                    break
+                if g_norm > cfg.eps_g:
+                    phase = "main"
+                    reentries += 1
+            if steps_taken >= cfg.max_iters:
+                break
+            sel = _select_local(obj, x, g, cfg) if phase == "local" else select(x, g)
+            if sel is None:
+                phase = "main"
+                reentries += 1
+                continue
             if isinstance(sel, Terminate):
                 point, g_norm_min, lam = x, np.linalg.norm(g), sel.lam
             else:
                 if sel.cg_fallback:
                     fallback_count += 1
                 rec, x_next, f_next, g_next = _step(
-                    obj, cfg, sel, x, f_x, g, steps_taken, "main"
+                    obj, cfg, sel, x, f_x, g, steps_taken, phase
                 )
                 records.append(rec)
                 if trace_sink is not None:
@@ -308,7 +288,8 @@ def _run_loop(
                 # A Newton-type step certifies the pair (point, x) when the
                 # new gradient is small and the Hessian at point was certified.
                 if (
-                    strict_second_order
+                    phase == "local"
+                    or strict_second_order
                     or sel.kind not in StepKind.NEWTON_LIKE
                     or not check_termination(rec.g_next_norm, None, lam, cfg, mode)
                 ):
@@ -323,19 +304,10 @@ def _run_loop(
                     steps=steps_taken,
                     counters=obj.counters.snapshot(),
                 )
-            if not local_phase:
+            if algo != "exact-local":
                 status = "converged"
                 break
-            lp = run_local_phase(
-                obj, x, g, f_x, cfg, cfg.max_iters - steps_taken, steps_taken, trace_sink
-            )
-            records.extend(lp.records)
-            steps_taken += lp.steps
-            x, f_x, g = lp.x, lp.f, lp.g
-            if lp.outcome != "reenter":
-                status = "converged" if lp.outcome == "converged" else "max_iters"
-                break
-            reentries += 1
+            phase = "local"
     except LineSearchStallError as exc:
         status = "ls_stall"
         error_msg = str(exc)
@@ -383,8 +355,6 @@ def run_exact(
     local_phase: bool = False,
     strict_second_order: bool = False,
     trace_sink=None,
-    eig=None,
-    newton=None,
 ) -> tuple[RunReport, list[IterationRecord]]:
     """Minimize with exact eigenpair and linear-system computations.
 
@@ -398,12 +368,10 @@ def run_exact(
     """
 
     def select(x, g):
-        return select_direction_exact(obj, x, g, cfg, eig=eig, newton=newton)
+        return select_direction_exact(obj, x, g, cfg)
 
     algo = "exact-local" if local_phase else "exact"
-    return _run_loop(
-        obj, x0, cfg, algo, select, "exact", local_phase, strict_second_order, trace_sink
-    )
+    return _run_loop(obj, x0, cfg, algo, select, strict_second_order, trace_sink)
 
 
 def run_inexact(
@@ -412,8 +380,6 @@ def run_inexact(
     cfg: SolverConfig,
     strict_second_order: bool = False,
     trace_sink=None,
-    lanczos=None,
-    cg=None,
 ) -> tuple[RunReport, list[IterationRecord]]:
     """Minimize matrix-free, with randomized eigenvalue estimates and CG solves.
 
@@ -432,10 +398,6 @@ def run_inexact(
     rng = np.random.Generator(np.random.Philox(cfg.rng_seed))
 
     def select(x, g):
-        return select_direction_inexact(
-            obj, x, g, cfg, rng, U_H, lanczos=lanczos, cg=cg
-        )
+        return select_direction_inexact(obj, x, g, cfg, rng, U_H)
 
-    return _run_loop(
-        obj, x0, cfg, "inexact", select, "inexact", False, strict_second_order, trace_sink
-    )
+    return _run_loop(obj, x0, cfg, "inexact", select, strict_second_order, trace_sink)

@@ -84,6 +84,14 @@ class SolverConfig:
             raise ConfigError(f"eps_g must lie in (0, 1), got {self.eps_g}")
         if not 0.0 < self.eps_H < 1.0:
             raise ConfigError(f"eps_H must lie in (0, 1), got {self.eps_H}")
+        for name in ("eps_g", "eps_H"):
+            tol = getattr(self, name)
+            try:
+                # The complexity bounds scale with tol**-3; while that is
+                # finite, the eps_H**2 in the backtracking caps is above 0.
+                tol**-3
+            except OverflowError:
+                raise ConfigError(f"{name}={tol} is too small: {name}**-3 overflows") from None
         if not 0.0 < self.theta < 1.0:
             raise ConfigError(f"theta must lie in (0, 1), got {self.theta}")
         if not 0.0 < self.eta < math.inf:
@@ -164,27 +172,16 @@ def select_direction_exact(
     x: Array,
     g: Array,
     cfg: SolverConfig,
-    eig=None,
-    newton=None,
 ) -> Direction | Terminate:
-    """Choose the search direction of the exact loop, or certify the iterate.
-
-    ``eig(H)`` and ``newton(H, g, shift)`` default to the dense
-    eigendecomposition and Cholesky solvers; they are injectable so tests
-    can steer the second-order branch.
-    """
+    """Choose the search direction of the exact loop, or certify the iterate."""
     g = np.asarray(g, dtype=float)
     gnorm = float(np.linalg.norm(g))
     direction, R = _first_order_direction(obj, x, g, gnorm, cfg)
     if direction is not None:
         return direction
 
-    if eig is None:
-        eig = min_eigenpair_exact
-    if newton is None:
-        newton = solve_exact
     H = obj.dense_hessian(x)
-    est = eig(H)
+    est = min_eigenpair_exact(H)
     lam = est.lam
     if check_termination(gnorm, None, lam, cfg, "exact"):
         return Terminate(lam=lam, R=R)
@@ -192,9 +189,9 @@ def select_direction_exact(
         d = scale_eigvector(est.v_unit, lam, g)
         return Direction(StepKind.NEGATIVE_CURVATURE, d, R=R, lam=lam)
     if lam > cfg.eps_H:
-        d = newton(H, g, 0.0)
+        d = solve_exact(H, g, 0.0)
         return Direction(StepKind.NEWTON, d, R=R, lam=lam)
-    d = newton(H, g, 2.0 * cfg.eps_H)
+    d = solve_exact(H, g, 2.0 * cfg.eps_H)
     return Direction(StepKind.REGULARIZED_NEWTON, d, R=R, lam=lam)
 
 
@@ -224,8 +221,6 @@ def select_direction_inexact(
     cfg: SolverConfig,
     rng: np.random.Generator,
     U_H: float,
-    lanczos=None,
-    cg=None,
 ) -> Direction | Terminate:
     """Choose the search direction of the inexact loop, or certify the iterate.
 
@@ -242,16 +237,11 @@ def select_direction_inexact(
     if direction is not None:
         return direction
 
-    if lanczos is None:
-        lanczos = lanczos_min_eig
-    if cg is None:
-        cg = cg_capped
-
     def hv(v: Array) -> Array:
         return obj.hessian_vector(x, v)
 
     M_shift = U_H + 2.0
-    est: EigEstimate = lanczos(hv, obj.dim, M_shift, cfg.eps_H / 2.0, cfg.delta, rng)
+    est: EigEstimate = lanczos_min_eig(hv, obj.dim, M_shift, cfg.eps_H / 2.0, cfg.delta, rng)
     lam_i = est.lam
     if check_termination(gnorm, None, lam_i, cfg, "inexact"):
         return Terminate(lam=lam_i, R=R, lanczos_iters=est.iters)
@@ -274,7 +264,7 @@ def select_direction_inexact(
         hvv = obj.hessian_vector(x, v)
         return hvv if shift == 0.0 else hvv + shift * v
 
-    outcome = cg(apply_A, g, cfg.eps_H, M_cg, cfg.zeta, obj.dim)
+    outcome = cg_capped(apply_A, g, cfg.eps_H, M_cg, cfg.zeta, obj.dim)
     if outcome.status == "nonpositive_curvature":
         d, R_p = _neg_curvature_from_cg(outcome.p, outcome.p_curvature, shift, g)
         return Direction(

@@ -8,9 +8,11 @@ from dataclasses import dataclass
 import pytest
 
 from sols import (
+    CgOutcome,
     DecreaseConstants,
     SolverConfig,
     StepKind,
+    cg_capped,
     decrease_constants,
     run_exact,
     run_inexact,
@@ -85,3 +87,20 @@ def wilson_upper_zero(n: int, z: float = 3.0) -> float:
 
 def wilson_slack(p: float, n: int, z: float = 3.0) -> float:
     return z * math.sqrt(p * (1.0 - p) / n) + z * z / (2.0 * n)
+
+
+def cg_iterates(apply_A, g, m: float, M: float, zeta: float, iters: int) -> list[CgOutcome]:
+    """CG's iterates d_1 ... d_iters, taken from the public solver.
+
+    For q at most the iterations of the uncapped solve, the a-priori cap
+    ``cg_iteration_cap(q, m, M, zeta)`` is exactly q (that solve ran within
+    its own cap, which is not below q), so ``cg_capped(..., n=q)`` stops after
+    q iterations. Its outcome holds the iterate d_q and CG's own residual
+    norm ||r_q||, bit for bit as in the uncapped solve.
+    """
+    outs = []
+    for q in range(1, iters + 1):
+        out = cg_capped(apply_A, g, m=m, M=M, zeta=zeta, n=q)
+        assert out.iters == q
+        outs.append(out)
+    return outs

@@ -26,7 +26,7 @@ from sols import (
 )
 from sols.cli import main as cli_main
 
-from conftest import constants_for, decrease_floor, wilson_slack, wilson_upper_zero
+from conftest import cg_iterates, constants_for, decrease_floor, wilson_slack, wilson_upper_zero
 
 
 def conclude(index: int, name: str, violations: int, detail: str = "") -> None:
@@ -299,7 +299,7 @@ def test_criterion_09_cg_contract():
         m, M = float(spectrum.min()), float(spectrum.max())
         zeta = float(rng.uniform(0.05, 0.9))
         g = rng.standard_normal(n)
-        out = cg_capped(lambda v: A @ v, g, m=m, M=M, zeta=zeta, n=n, collect_trace=True)
+        out = cg_capped(lambda v: A @ v, g, m=m, M=M, zeta=zeta, n=n)
         if out.status != "converged":
             violations += 1
             continue
@@ -311,10 +311,12 @@ def test_criterion_09_cg_contract():
             violations += 1
         kappa = M / m
         rho = (np.sqrt(kappa) - 1.0) / (np.sqrt(kappa) + 1.0)
-        for q, (r, dn) in enumerate(zip(out.residual_history, out.d_norm_history), start=1):
-            if np.linalg.norm(r) > 2.0 * np.sqrt(kappa) * rho**q * gnorm * (1 + 1e-10) + 1e-12:
+        history = cg_iterates(lambda v: A @ v, g, m, M, zeta, out.iters)
+        for q, it in enumerate(history, start=1):
+            envelope = 2.0 * np.sqrt(kappa) * rho**q * gnorm
+            if it.final_residual_norm > envelope * (1 + 1e-10) + 1e-12:
                 violations += 1
-            if dn < gnorm / M - 1e-12:
+            if float(np.linalg.norm(it.d)) < gnorm / M - 1e-12:
                 violations += 1
     conclude(9, "capped conjugate gradient contract", violations, "200 systems")
 

@@ -8,6 +8,8 @@ import scipy.linalg
 
 from sols import NonFiniteError, cg_capped, cg_iteration_cap, solve_exact
 
+from conftest import cg_iterates
+
 
 def reference_cg(A: np.ndarray, g: np.ndarray, tol: float = 1e-14) -> np.ndarray:
     """Independent factorization-free oracle for A d = -g, run to roundoff."""
@@ -124,14 +126,17 @@ def test_residual_envelope_and_direction_norm_floor():
         A = Q @ np.diag(spectrum) @ Q.T
         m, M = float(spectrum.min()), float(spectrum.max())
         g = rng.standard_normal(n)
-        out = cg_capped(operator(A), g, m=m, M=M, zeta=0.2, n=n, collect_trace=True)
+        out = cg_capped(operator(A), g, m=m, M=M, zeta=0.2, n=n)
+        history = cg_iterates(operator(A), g, m, M, 0.2, out.iters)
+        assert np.array_equal(history[-1].d, out.d)
+        assert history[-1].final_residual_norm == out.final_residual_norm
         kappa = M / m
         gnorm = np.linalg.norm(g)
         rho = (np.sqrt(kappa) - 1.0) / (np.sqrt(kappa) + 1.0)
-        for q, (r, dn) in enumerate(zip(out.residual_history, out.d_norm_history), start=1):
+        for q, it in enumerate(history, start=1):
             envelope = 2.0 * np.sqrt(kappa) * rho**q * gnorm
-            assert np.linalg.norm(r) <= envelope * (1.0 + 1e-10) + 1e-12
-            assert dn >= gnorm / M - 1e-12
+            assert it.final_residual_norm <= envelope * (1.0 + 1e-10) + 1e-12
+            assert np.linalg.norm(it.d) >= gnorm / M - 1e-12
 
 
 def residual_orthogonality_probe(residuals: list[np.ndarray]) -> float:
@@ -162,17 +167,19 @@ def test_orthogonality_probe_on_spd_system():
     A5 = rng.standard_normal((5, 5))
     A = A5 @ A5.T + np.eye(5)
     g = rng.standard_normal(5)
-    out = cg_capped(operator(A), g, m=0.5, M=float(np.linalg.norm(A, 2)), zeta=0.01,
-                    n=5, collect_trace=True)
-    assert residual_orthogonality_probe(out.residual_history) <= 1e-8
+    M = float(np.linalg.norm(A, 2))
+    out = cg_capped(operator(A), g, m=0.5, M=M, zeta=0.01, n=5)
+    history = cg_iterates(operator(A), g, 0.5, M, 0.01, out.iters)
+    assert residual_orthogonality_probe([A @ it.d + g for it in history]) <= 1e-8
 
 
 def test_orthogonality_probe_trivial_traces():
     assert residual_orthogonality_probe([]) == 0.0
     assert residual_orthogonality_probe([np.array([1.0, 0.0])]) == 0.0
-    out = cg_capped(operator(np.eye(2)), np.ones(2), m=1.0, M=1.0, zeta=0.5, n=2,
-                    collect_trace=True)
-    assert residual_orthogonality_probe(out.residual_history) == 0.0
+    g = np.ones(2)
+    out = cg_capped(operator(np.eye(2)), g, m=1.0, M=1.0, zeta=0.5, n=2)
+    history = cg_iterates(operator(np.eye(2)), g, 1.0, 1.0, 0.5, out.iters)
+    assert residual_orthogonality_probe([it.d + g for it in history]) == 0.0
 
 
 def test_cap_formula_guards():

@@ -298,6 +298,11 @@ def test_envelope_bad_report_exits_2(tmp_path, capsys, text):
     [
         ["--eta", "inf"],
         ["--U-H", "inf", "--algo", "inexact"],
+        # Tolerances whose factor eps**-3 overflows, or whose eps_H**2 is 0.
+        ["--eps-H", "1e-300"],
+        ["--eps-H", "1e-120", "--max-ls-steps", "1000"],
+        ["--eps-H", "1e-300", "--max-ls-steps", "100000"],
+        ["--eps-g", "1e-120"],
     ],
 )
 def test_run_rejects_nonfinite_config_values(tmp_path, capsys, flags):

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import sols.steps
 from sols import (
     Objective,
     SolverConfig,
@@ -16,7 +17,6 @@ from sols import (
     min_eigenpair_exact,
     run_exact,
     run_inexact,
-    run_local_phase,
     suite,
 )
 from sols.cgsolve import CgOutcome
@@ -106,14 +106,36 @@ def test_check_termination_cases():
 
 # --- local phase -----------------------------------------------------------------
 
+def _gradient_grows_after_certificate() -> Objective:
+    """f = x'x/2 whose first gradient is shrunk 100-fold and the rest are exact.
+
+    From x0 = [1e-3, 0] the shrunk gradient certifies x0 at once, the local
+    Newton step moves only to [0.99e-3, 0], and the exact gradient there
+    exceeds eps_g = 1e-4: the gradient has grown past eps_g in the local phase.
+    """
+    calls = []
+
+    def gradient(x):
+        calls.append(1)
+        return x / 100.0 if len(calls) == 1 else x.copy()
+
+    return _nan_objective(gradient=gradient)
+
+
 def test_local_phase_immediately_reenters_on_large_gradient():
-    p = get_problem("quartic-offset-2d")
-    obj = p.make_objective()
-    x = p.start_point()
-    g = obj.gradient(x)
-    lp = run_local_phase(obj, x, g, obj.value(x), p.coverage_config, max_steps=50)
-    assert lp.outcome == "reenter"
-    assert lp.steps == 0
+    cfg = SolverConfig(eps_g=1e-4, eps_H=0.5)
+    report, records = run_exact(
+        _gradient_grows_after_certificate(), np.array([1e-3, 0.0]), cfg, local_phase=True
+    )
+    # The grown gradient hands back before a second local step; the main
+    # loop's Newton step then lands on the minimizer and the run converges.
+    assert [(r.k, r.phase, r.step_kind) for r in records] == [
+        (0, "local", StepKind.NEWTON), (1, "main", StepKind.NEWTON)
+    ]
+    assert records[0].g_next_norm > cfg.eps_g
+    assert report.status == "converged"
+    assert report.certificate.steps == 0
+    assert report.iterations == 2 and report.g_norm_final == 0.0
 
 
 def test_local_phase_unit_newton_to_floor():
@@ -131,22 +153,24 @@ def test_local_phase_unit_newton_to_floor():
 
 
 def test_local_phase_reentry_counted():
-    # Construct entry at a point whose gradient exceeds eps_g: the local
-    # loop hands straight back and the driver counts the re-entry.
+    # A local step whose new gradient exceeds eps_g hands back to the main
+    # loop, and the driver counts the re-entry.
     p = get_problem("quartic-convex-4d")
     cfg = SolverConfig(eps_g=1e-2, eps_H=0.5)
     obj = p.make_objective()
     report, _ = run_exact(obj, p.start_point(), cfg, local_phase=True)
     assert report.reentries == 0  # well-behaved convex run never bounces
-    obj2 = p.make_objective()
-    x = p.start_point()
-    lp = run_local_phase(obj2, x, obj2.gradient(x), obj2.value(x), cfg, max_steps=10)
-    assert lp.outcome == "reenter"
+    report, _ = run_exact(
+        _gradient_grows_after_certificate(), np.array([1e-3, 0.0]),
+        SolverConfig(eps_g=1e-4, eps_H=0.5), local_phase=True,
+    )
+    assert report.reentries == 1
 
 
 def test_local_phase_regularized_branch_fires_on_flat_curvature():
-    # Entry iterate with a slightly negative eigenvalue inside (-eps_H, 0]:
-    # the local loop must pick the regularized system.
+    # The start point is certified at once, with a slightly negative
+    # eigenvalue inside [-eps_H, 0]: the local loop must pick the
+    # regularized system.
     prob = separable_quartic(
         "local-flat",
         d=[1.0, -0.02],
@@ -156,13 +180,44 @@ def test_local_phase_regularized_branch_fires_on_flat_curvature():
         branch_coverage=[StepKind.REGULARIZED_NEWTON],
         coverage_config=SolverConfig(eps_g=1e-2, eps_H=0.5),
     )
-    obj = prob.make_objective()
-    x = prob.start_point()
-    lp = run_local_phase(obj, x, obj.gradient(x), obj.value(x), prob.coverage_config,
-                         max_steps=800)
-    kinds = {r.step_kind for r in lp.records}
-    assert StepKind.REGULARIZED_NEWTON in kinds
-    assert lp.outcome == "converged"
+    cfg = prob.coverage_config.with_updates(max_iters=800)
+    report, records = run_exact(prob.make_objective(), prob.start_point(), cfg,
+                                local_phase=True)
+    assert report.certificate.steps == 0
+    assert all(r.phase == "local" for r in records)
+    assert StepKind.REGULARIZED_NEWTON in {r.step_kind for r in records}
+    assert report.status == "converged"
+
+
+def test_local_phase_regularizes_at_eigenvalue_minus_eps_H():
+    # lambda = -eps_H exactly lies in the closed regularized interval; the
+    # plain Newton system there is indefinite and its Cholesky would fail.
+    obj = quadratic_objective(np.diag([1.0, -0.5]))
+    cfg = SolverConfig(eps_g=1e-4, eps_H=0.5)
+    report, records = run_exact(obj, np.array([1e-5, 0.0]), cfg, local_phase=True)
+    assert report.status == "converged"
+    assert records and all(r.step_kind == StepKind.REGULARIZED_NEWTON for r in records)
+    assert all(r.lam == -0.5 for r in records)
+    assert report.g_norm_final <= max(1e-14, cfg.eps_g * 1e-6)
+
+
+@pytest.mark.parametrize(
+    "name,cfg",
+    [("rosenbrock-10d", SolverConfig()), ("quartic-offset-2d", None)],
+    ids=["rosenbrock-10d-default", "quartic-offset-2d-coverage"],
+)
+def test_local_phase_stall_keeps_every_accepted_step(name, cfg):
+    # These runs end in ls_stall in the local phase at the roundoff floor of
+    # f; every accepted step before the stall is still a row of the run.
+    p = get_problem(name)
+    obj = p.make_objective()
+    report, records = run_exact(obj, p.start_point(), cfg or p.coverage_config,
+                                local_phase=True)
+    assert report.status == "ls_stall"
+    assert records[-1].phase == "local"
+    assert report.iterations == len(records) == report.counters.n_grad - 1
+    assert report.g_norm_final == records[-1].g_next_norm
+    assert report.f_final == obj.value(report.x_final)
 
 
 def test_local_phase_reentry_resumes_main_loop(monkeypatch):
@@ -259,7 +314,7 @@ def test_inexact_seed_determinism_and_variation():
     assert runs[1][0] != runs[2][0]
 
 
-def test_driver_counts_cg_fallback_events():
+def test_driver_counts_cg_fallback_events(monkeypatch):
     def lying_lanczos(hv, n, M, eps, delta, rng):
         v = np.zeros(n)
         v[0] = 1.0
@@ -275,33 +330,33 @@ def test_driver_counts_cg_fallback_events():
         coverage_config=SolverConfig(eps_g=1e-4, eps_H=0.5),
     )
     obj = prob.make_objective()
-    report, records = run_inexact(
-        obj, prob.start_point(), prob.coverage_config, lanczos=lying_lanczos
-    )
+    monkeypatch.setattr(sols.steps, "lanczos_min_eig", lying_lanczos)
+    report, records = run_inexact(obj, prob.start_point(), prob.coverage_config)
     assert report.fallback_count >= 1
     fallback_rows = [r for r in records if r.cg_fallback]
     assert fallback_rows
     assert all(r.step_kind == StepKind.NEGATIVE_CURVATURE for r in fallback_rows)
 
 
-def test_driver_reports_cg_cap_status():
+def test_driver_reports_cg_cap_status(monkeypatch):
     def capped_cg(apply_A, g, m, M, zeta, n):
         return CgOutcome(d=np.zeros_like(g), iters=n, final_residual_norm=1.0,
                          status="cap_reached")
 
     p = get_problem("quad-convex-2d")
     obj = p.make_objective()
-    report, _ = run_inexact(obj, np.array([5.0, 5.0]), SolverConfig(eps_g=1e-6, eps_H=0.5),
-                            cg=capped_cg)
+    monkeypatch.setattr(sols.steps, "cg_capped", capped_cg)
+    report, _ = run_inexact(obj, np.array([5.0, 5.0]), SolverConfig(eps_g=1e-6, eps_H=0.5))
     assert report.status == "cg_cap"
     assert "cap" in report.error
 
 
-def test_driver_reports_line_search_stall_status():
+def test_driver_reports_line_search_stall_status(monkeypatch):
     obj = quadratic_objective(np.eye(2))  # no declared constants: budget unchecked
-    ascent = lambda H, g, shift: g.copy()  # sabotaged solver returns ascent
+    # A sabotaged solver returns ascent.
+    monkeypatch.setattr(sols.steps, "solve_exact", lambda H, g, shift: g.copy())
     cfg = SolverConfig(eps_g=1e-9, eps_H=0.5, max_ls_steps=5)
-    report, _ = run_exact(obj, np.array([1.0, 1.0]), cfg, newton=ascent)
+    report, _ = run_exact(obj, np.array([1.0, 1.0]), cfg)
     assert report.status == "ls_stall"
     assert "stall" in report.error
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import sols.steps
 from sols import (
     CgCapError,
     Direction,
@@ -138,14 +139,12 @@ INEXACT_CELLS = [
 
 
 @pytest.mark.parametrize("lam_i,gscale,expected", INEXACT_CELLS)
-def test_inexact_threshold_table(lam_i, gscale, expected):
+def test_inexact_threshold_table(lam_i, gscale, expected, monkeypatch):
     H = np.diag([0.5, 1.0])  # R = 0.5 > eps_H routes to the second-order branch
     obj = quadratic_objective(H)
     g = np.array([gscale, 0.0])
-    sel = select_direction_inexact(
-        obj, np.zeros(2), g, CFG, rng_for(0), U_H=1.0,
-        lanczos=stub_lanczos(lam_i, np.array([0.0, 1.0])),
-    )
+    monkeypatch.setattr(sols.steps, "lanczos_min_eig", stub_lanczos(lam_i, np.array([0.0, 1.0])))
+    sel = select_direction_inexact(obj, np.zeros(2), g, CFG, rng_for(0), U_H=1.0)
     if expected == "terminate":
         assert isinstance(sel, Terminate)
         assert sel.lam == lam_i
@@ -219,14 +218,13 @@ def test_newton_branch_requires_definite_curvature(law_corpus):
 
 # --- CG failure handling -----------------------------------------------------
 
-def test_cg_nonpositive_curvature_falls_back_to_negative_curvature():
+def test_cg_nonpositive_curvature_falls_back_to_negative_curvature(monkeypatch):
     H = np.diag([2.0, -1.0])
     obj = quadratic_objective(H)
     g = np.array([1.0, 1.0])
-    sel = select_direction_inexact(
-        obj, np.zeros(2), g, CFG, rng_for(3), U_H=2.0,
-        lanczos=stub_lanczos(10.0, np.array([1.0, 0.0])),  # lies: claims definiteness
-    )
+    # The estimator lies: it claims definiteness.
+    monkeypatch.setattr(sols.steps, "lanczos_min_eig", stub_lanczos(10.0, np.array([1.0, 0.0])))
+    sel = select_direction_inexact(obj, np.zeros(2), g, CFG, rng_for(3), U_H=2.0)
     assert isinstance(sel, Direction)
     assert sel.kind == StepKind.NEGATIVE_CURVATURE
     assert sel.cg_fallback
@@ -235,29 +233,26 @@ def test_cg_nonpositive_curvature_falls_back_to_negative_curvature():
     assert float(sel.d @ g) <= 1e-12
 
 
-def test_cg_zero_curvature_direction_raises():
+def test_cg_zero_curvature_direction_raises(monkeypatch):
     H = np.diag([2.0, 0.0])
     obj = quadratic_objective(H)
     g = np.array([1.0, 1.0])
+    monkeypatch.setattr(sols.steps, "lanczos_min_eig", stub_lanczos(10.0, np.array([1.0, 0.0])))
     with pytest.raises(IndefiniteSystemError):
-        select_direction_inexact(
-            obj, np.zeros(2), g, CFG, rng_for(4), U_H=2.0,
-            lanczos=stub_lanczos(10.0, np.array([1.0, 0.0])),
-        )
+        select_direction_inexact(obj, np.zeros(2), g, CFG, rng_for(4), U_H=2.0)
 
 
-def test_cg_cap_reached_raises():
+def test_cg_cap_reached_raises(monkeypatch):
     def capped_cg(apply_A, g, m, M, zeta, n):
         return CgOutcome(d=np.zeros_like(g), iters=n, final_residual_norm=1.0,
                          status="cap_reached")
 
     obj = quadratic_objective(np.diag([1.0, 2.0]))
     g = np.array([1.0, 0.0])
+    monkeypatch.setattr(sols.steps, "lanczos_min_eig", stub_lanczos(1.0, np.array([1.0, 0.0])))
+    monkeypatch.setattr(sols.steps, "cg_capped", capped_cg)
     with pytest.raises(CgCapError):
-        select_direction_inexact(
-            obj, np.zeros(2), g, CFG, rng_for(5), U_H=2.0,
-            lanczos=stub_lanczos(1.0, np.array([1.0, 0.0])), cg=capped_cg,
-        )
+        select_direction_inexact(obj, np.zeros(2), g, CFG, rng_for(5), U_H=2.0)
 
 
 # --- config validation -------------------------------------------------------

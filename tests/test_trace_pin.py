@@ -5,7 +5,8 @@ and the evaluation counters at that step. Kernel rewrites that only move
 floating-point rounding (a preallocated Lanczos basis, a tridiagonal Ritz
 solve, a banded Hessian-vector product, per-point Hessian coefficients)
 must leave these rows unchanged.
-Rows read ``step_kind j n_f n_grad n_hv``.
+Rows read ``step_kind j n_f n_grad n_hv``, led by ``phase`` on exact-local
+traces, whose steps switch from the main loop to the local Newton phase.
 """
 
 from __future__ import annotations
@@ -22,7 +23,12 @@ SPECS = {
     "r10": ["--problem", "rosenbrock-10d", "--algo", "exact", "--seed", "0"],
     # The banded product, Lanczos and capped CG together.
     "r10-inexact": ["--problem", "rosenbrock-10d", "--algo", "inexact", "--seed", "0"],
+    # Four main-loop Newton steps to the certificate, then one local step.
+    "c4-local": ["--problem", "quartic-convex-4d", "--algo", "exact-local",
+                 "--eps-g", "1e-2", "--eps-H", "0.5", "--seed", "0"],
 }
+
+COLUMNS = ("step_kind", "j", "n_f", "n_grad", "n_hv")
 
 PINNED = {
     "quartic-saddle-50d_inexact_seed7_trace.csv": """
@@ -109,6 +115,13 @@ inexact_newton 0 49 43 1323
 inexact_newton 0 50 44 1376
 inexact_newton 0 51 45 1428
 """,
+    "quartic-convex-4d_exact-local_seed0_trace.csv": """
+main newton 0 2 2 1
+main newton 0 3 3 2
+main newton 0 4 4 3
+main newton 0 5 5 4
+local newton 0 6 6 4
+""",
     "rosenbrock-10d_exact_seed0_trace.csv": """
 newton 0 2 2 1
 newton 0 3 3 2
@@ -172,9 +185,7 @@ def test_cli_trace_rows_match_pin(spec, tmp_path):
     traces = sorted(p.name for p in tmp_path.glob("*_trace.csv"))
     assert traces and set(traces) <= set(PINNED)
     for name in traces:
+        cols = ("phase", *COLUMNS) if "_exact-local_" in name else COLUMNS
         with open(tmp_path / name, newline="") as fh:
-            rows = [
-                " ".join(row[c] for c in ("step_kind", "j", "n_f", "n_grad", "n_hv"))
-                for row in csv.DictReader(fh)
-            ]
+            rows = [" ".join(row[c] for c in cols) for row in csv.DictReader(fh)]
         assert rows == PINNED[name].strip().splitlines(), name
