@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .eigen import log_n_over_delta_sq
 from .operators import ProblemConstants
-from .steps import SolverConfig
+from .steps import ConfigError, SolverConfig
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,19 @@ class DecreaseConstants:
     c_hat: float
 
 
+def _pow(base: float, p: float) -> float:
+    """base**p, or +inf where it overflows: the true value is above every float."""
+    try:
+        return base**p
+    except OverflowError:
+        return math.inf
+
+
+def _ratio(num: float, den: float) -> float:
+    """num / den for num >= 0, or +inf where den underflowed to 0."""
+    return num / den if den > 0.0 else math.inf
+
+
 def decrease_constants(
     theta: float, eta: float, L_H: float, zeta: float = 0.0
 ) -> DecreaseConstants:
@@ -44,16 +57,16 @@ def decrease_constants(
         raise ValueError("zeta must lie in [0, 1)")
 
     s = L_H + eta
-    c_e = eta / 6.0 * min(1.0, 27.0 * theta**3 / s**3)
-    c_g = eta / 6.0 * min(1.0, theta**3 / s**1.5, 125.0 * theta**3 / 27.0)
-    newton_unit = (2.0 / L_H) ** 1.5 if L_H > 0.0 else math.inf
-    c_n = eta / 6.0 * min(newton_unit, (3.0 * theta / s) ** 3)
+    c_e = eta / 6.0 * min(1.0, _ratio(27.0 * theta**3, _pow(s, 3)))
+    c_g = eta / 6.0 * min(1.0, _ratio(theta**3, _pow(s, 1.5)), 125.0 * theta**3 / 27.0)
+    newton_unit = _pow(_ratio(2.0, L_H), 1.5)
+    c_n = eta / 6.0 * min(newton_unit, _pow(3.0 * theta / s, 3))
     c_r = eta / 6.0 * min(
-        (1.0 / (1.0 + math.sqrt(1.0 + L_H / 2.0))) ** 3, (6.0 * theta / s) ** 3
+        (1.0 / (1.0 + math.sqrt(1.0 + L_H / 2.0))) ** 3, _pow(6.0 * theta / s, 3)
     )
     denom_in = zeta + math.sqrt(zeta**2 + 8.0 * L_H)
-    in_unit = (4.0 / denom_in) ** 3 if denom_in > 0.0 else math.inf
-    inexact_backtrack = (3.0 * theta**2 * (1.0 - zeta) / s) ** 3
+    in_unit = _pow(_ratio(4.0, denom_in), 3)
+    inexact_backtrack = _pow(3.0 * theta**2 * (1.0 - zeta) / s, 3)
     c_in = eta / 6.0 * min(in_unit, inexact_backtrack)
     denom_ir = 4.0 + zeta + math.sqrt((4.0 + zeta) ** 2 + 8.0 * L_H)
     c_ir = eta / 6.0 * min((4.0 / denom_ir) ** 3, inexact_backtrack)
@@ -93,8 +106,6 @@ class ComplexityEnvelope:
     ops_bound: float
     success_prob: float
     max_term: float
-    C: float
-    C_hat: float
     eval_log_term: float
     eval_log_term_negative: bool
 
@@ -112,6 +123,13 @@ def iteration_envelope(
     if f0 < constants.f_low:
         raise ValueError("f0 must be at least f_low")
     dc = decrease_constants(cfg.theta, cfg.eta, constants.L_H, cfg.zeta)
+    for name in ("c", "c_hat"):
+        if getattr(dc, name) == 0.0:
+            raise ConfigError(
+                f"the decrease constant {name} underflows to 0 at theta={cfg.theta}, "
+                f"eta={cfg.eta}, zeta={cfg.zeta}, L_H={constants.L_H}: no finite "
+                "complexity envelope"
+            )
     gap = f0 - constants.f_low
     mt = tolerance_max_term(cfg.eps_g, cfg.eps_H)
     C = gap / dc.c
@@ -165,8 +183,6 @@ def iteration_envelope(
         ops_bound=ops_bound,
         success_prob=1.0 - K_hat * cfg.delta,
         max_term=mt,
-        C=C,
-        C_hat=C_hat,
         eval_log_term=log_term,
         eval_log_term_negative=log_term < 0.0,
     )

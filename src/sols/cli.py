@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
+
+import numpy as np
 
 from .driver import (
     SCHEMA_VERSION,
@@ -64,55 +67,34 @@ def _build_config(args: argparse.Namespace) -> SolverConfig:
 
 
 def _report_run_dict(report: RunReport, seed: int, trace_file: str) -> dict:
-    cert = report.certificate
-    env = report.envelope
-    return {
-        "seed": seed,
-        "status": report.status,
-        "iterations": report.iterations,
-        "reentries": report.reentries,
-        "fallback_count": report.fallback_count,
-        "f_final": float(report.f_final),
-        "g_norm_final": float(report.g_norm_final),
-        "lambda_final": None if report.lambda_final is None else float(report.lambda_final),
-        "x_final": report.x_final.tolist(),
-        "counters": asdict(report.counters),
-        "certificate": None
-        if cert is None
-        else {
-            "g_norm_min": float(cert.g_norm_min),
-            "lambda": float(cert.lam),
-            "steps": cert.steps,
-            **asdict(cert.counters),
-            "point": cert.point.tolist(),
-        },
-        "envelope": None
-        if env is None
-        else {k: v for k, v in asdict(env).items() if k not in ("C", "C_hat")},
-        "envelope_checks": report.envelope_checks(),
-        "final_point_second_order_ok": report.final_point_second_order_ok,
-        "error": report.error,
-        "trace_file": trace_file,
-    }
+    """The run's report fields, less ``algo``, which the report states once.
+
+    The certificate's ``lam`` is written as ``lambda`` beside its counters,
+    and the seed, trace file and envelope checks are added.
+    """
+    run = asdict(report)
+    del run["algo"]
+    cert = run["certificate"]
+    if cert is not None:
+        cert["lambda"] = cert.pop("lam")
+        cert.update(cert.pop("counters"))
+    run.update(seed=seed, trace_file=trace_file, envelope_checks=report.envelope_checks())
+    return run
 
 
 def _run_one(
-    problem_name: str, algo: str, cfg: SolverConfig, seed: int, strict: bool, out_dir: str
+    problem_name: str, algo: str, cfg: SolverConfig, strict: bool, out_dir: str, seed: int
 ) -> dict:
     problem = get_problem(problem_name)
     obj = problem.make_objective()
     run_cfg = cfg.with_updates(rng_seed=seed)
     x0 = problem.start_point()
-    if algo == "exact":
-        report, records = run_exact(obj, x0, run_cfg, strict_second_order=strict)
-    elif algo == "exact-local":
-        report, records = run_exact(
-            obj, x0, run_cfg, local_phase=True, strict_second_order=strict
-        )
-    elif algo == "inexact":
+    if algo == "inexact":
         report, records = run_inexact(obj, x0, run_cfg, strict_second_order=strict)
     else:
-        raise ValueError(f"unknown algorithm {algo!r}")
+        report, records = run_exact(
+            obj, x0, run_cfg, local_phase=algo == "exact-local", strict_second_order=strict
+        )
 
     trace_name = f"{problem_name}_{algo}_seed{seed}_trace.csv"
     with open(Path(out_dir) / trace_name, "w", newline="") as fh:
@@ -143,24 +125,18 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"error: cannot create output directory {out_dir!r}: {exc}", file=sys.stderr)
         return 2
 
+    run_seed = functools.partial(
+        _run_one, problem.name, args.algo, cfg, args.strict_second_order, out_dir
+    )
     try:
         if args.jobs > 1 and len(seeds) > 1:
             # Imported here: it loads logging too, which single-process runs skip.
             import concurrent.futures
 
             with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                futures = [
-                    pool.submit(
-                        _run_one, problem.name, args.algo, cfg, seed, args.strict_second_order, out_dir
-                    )
-                    for seed in seeds
-                ]
-                runs = [f.result() for f in futures]
+                runs = list(pool.map(run_seed, seeds))
         else:
-            runs = [
-                _run_one(problem.name, args.algo, cfg, seed, args.strict_second_order, out_dir)
-                for seed in seeds
-            ]
+            runs = list(map(run_seed, seeds))
     except ConfigError as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 2
@@ -182,7 +158,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         "all_envelope_checks_passed": all_envelopes,
     }
     report_path = Path(out_dir) / f"{problem.name}_{args.algo}_report.json"
-    report_path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    text = json.dumps(report, sort_keys=True, indent=2, default=np.ndarray.tolist)
+    report_path.write_text(text + "\n")
 
     for r in runs:
         print(

@@ -227,7 +227,6 @@ def _run_loop(
     algo: str,
     select,
     strict_second_order: bool,
-    trace_sink,
 ) -> tuple[RunReport, list[IterationRecord]]:
     mode = "inexact" if algo == "inexact" else "exact"
     cfg.validate()
@@ -237,11 +236,12 @@ def _run_loop(
     # A non-finite start value is a bad input and raises; a non-finite
     # derivative from here on ends the run with status "nonfinite".
     _require_finite(f_x, "the objective at the start point")
-    f0 = f_x
+    envelope = None
+    if obj.constants is not None:
+        envelope = iteration_envelope(obj.constants, cfg, f_x, obj.dim)
     g = obj.gradient(x)
 
     records: list[IterationRecord] = []
-    steps_taken = 0
     reentries = 0
     fallback_count = 0
     cert: Certificate | None = None
@@ -264,7 +264,7 @@ def _run_loop(
                 if g_norm > cfg.eps_g:
                     phase = "main"
                     reentries += 1
-            if steps_taken >= cfg.max_iters:
+            if len(records) >= cfg.max_iters:
                 break
             sel = _select_local(obj, x, g, cfg) if phase == "local" else select(x, g)
             if sel is None:
@@ -277,12 +277,9 @@ def _run_loop(
                 if sel.cg_fallback:
                     fallback_count += 1
                 rec, x_next, f_next, g_next = _step(
-                    obj, cfg, sel, x, f_x, g, steps_taken, phase
+                    obj, cfg, sel, x, f_x, g, len(records), phase
                 )
                 records.append(rec)
-                if trace_sink is not None:
-                    trace_sink(rec)
-                steps_taken += 1
                 point, g_norm_min, lam = x, min(rec.g_norm, rec.g_next_norm), sel.lam
                 x, f_x, g = x_next, f_next, g_next
                 # A Newton-type step certifies the pair (point, x) when the
@@ -291,7 +288,7 @@ def _run_loop(
                     phase == "local"
                     or strict_second_order
                     or sel.kind not in StepKind.NEWTON_LIKE
-                    or not check_termination(rec.g_next_norm, None, lam, cfg, mode)
+                    or not check_termination(rec.g_next_norm, lam, cfg, mode)
                 ):
                     continue
 
@@ -301,7 +298,7 @@ def _run_loop(
                     point=point.copy(),
                     g_norm_min=float(g_norm_min),
                     lam=float(lam),
-                    steps=steps_taken,
+                    steps=len(records),
                     counters=obj.counters.snapshot(),
                 )
             if algo != "exact-local":
@@ -318,16 +315,12 @@ def _run_loop(
         status = "nonfinite"
         error_msg = str(exc)
 
-    envelope = None
-    if obj.constants is not None:
-        envelope = iteration_envelope(obj.constants, cfg, f0, obj.dim)
-
     second_order_ok = None
     if status == "converged" and mode == "exact" and obj.has_dense_hessian:
         # One extra eigenvalue check classifies whether the final point
         # itself satisfies the pointwise second-order condition.
         est = min_eigenpair_exact(obj.dense_hessian(x))
-        second_order_ok = bool(check_termination(np.linalg.norm(g), None, est.lam, cfg))
+        second_order_ok = bool(check_termination(np.linalg.norm(g), est.lam, cfg))
 
     report = RunReport(
         status=status,
@@ -336,7 +329,7 @@ def _run_loop(
         f_final=float(f_x),
         g_norm_final=float(np.linalg.norm(g)),
         lambda_final=final_lam,
-        iterations=steps_taken,
+        iterations=len(records),
         reentries=reentries,
         fallback_count=fallback_count,
         counters=obj.counters.snapshot(),
@@ -354,7 +347,6 @@ def run_exact(
     cfg: SolverConfig,
     local_phase: bool = False,
     strict_second_order: bool = False,
-    trace_sink=None,
 ) -> tuple[RunReport, list[IterationRecord]]:
     """Minimize with exact eigenpair and linear-system computations.
 
@@ -371,7 +363,7 @@ def run_exact(
         return select_direction_exact(obj, x, g, cfg)
 
     algo = "exact-local" if local_phase else "exact"
-    return _run_loop(obj, x0, cfg, algo, select, strict_second_order, trace_sink)
+    return _run_loop(obj, x0, cfg, algo, select, strict_second_order)
 
 
 def run_inexact(
@@ -379,7 +371,6 @@ def run_inexact(
     x0: Array,
     cfg: SolverConfig,
     strict_second_order: bool = False,
-    trace_sink=None,
 ) -> tuple[RunReport, list[IterationRecord]]:
     """Minimize matrix-free, with randomized eigenvalue estimates and CG solves.
 
@@ -400,4 +391,4 @@ def run_inexact(
     def select(x, g):
         return select_direction_inexact(obj, x, g, cfg, rng, U_H)
 
-    return _run_loop(obj, x0, cfg, "inexact", select, strict_second_order, trace_sink)
+    return _run_loop(obj, x0, cfg, "inexact", select, strict_second_order)

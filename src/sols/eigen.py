@@ -106,7 +106,7 @@ def lanczos_min_eig(
     eigenvalue of the positive semidefinite M I - H. That shift is needed
     only by the analysis: M I - H has the same Krylov spaces as H and a
     tridiagonal matrix shifted by M, so the recurrence runs on H itself,
-    and M enters only the budget and the breakdown scale.
+    and M sets only the budget.
 
     The basis is fully reorthogonalized (budgets are small at this scale).
     It lives in one preallocated ``(budget, n)`` array, row k holding the
@@ -115,14 +115,16 @@ def lanczos_min_eig(
     Rayleigh quotient needs no extra product. Only the smallest Ritz pair
     of the tridiagonal matrix is computed (``_ritz_min``).
 
-    A breakdown means the Krylov space became exactly invariant; we restart
-    from a fresh random vector at most 3 times, reusing both arrays and
-    sharing the remaining budget so the total product count never exceeds
-    the cap, and keep the best estimate seen. A product that makes the
-    recurrence non-finite raises ``NonFiniteError``.
+    A breakdown means the Krylov space became exactly invariant: a beta at
+    most 1e-13 times the recurrence's own scale, the largest of 1 and every
+    |alpha| and beta seen so far in the call. We restart from a fresh
+    random vector at most 3 times, reusing both arrays and sharing the
+    remaining budget so the total product count never exceeds the cap, and
+    keep the best estimate seen. A product that makes the recurrence
+    non-finite raises ``NonFiniteError``.
     """
     budget = lanczos_iteration_cap(n, M, eps, delta)
-    breakdown_tol = 1e-13 * max(1.0, 2.0 * abs(M))
+    scale = 1.0
     V = np.empty((budget, n))
     HV = np.empty((budget, n))
 
@@ -156,6 +158,9 @@ def lanczos_min_eig(
                     f"non-finite Hessian-vector product in Lanczos step {total_iters}"
                 )
             alphas.append(alpha)
+            # Comparisons, not max(): this runs once per product.
+            if abs(alpha) > scale:
+                scale = abs(alpha)
             k += 1
             total_iters += 1
             if total_iters == budget:
@@ -170,9 +175,11 @@ def lanczos_min_eig(
             w -= Vk.T @ (Vk @ w)
 
             beta = math.sqrt(float(w @ w))
-            if beta <= breakdown_tol:
+            if beta <= 1e-13 * scale:
                 break
             betas.append(beta)
+            if beta > scale:
+                scale = beta
             v = w / beta
 
         y = _ritz_min(alphas, betas)

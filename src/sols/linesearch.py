@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import Array, Objective, ProblemConstants
-from .steps import SolverConfig, StepKind
+from .steps import ConfigError, SolverConfig, StepKind
 
 
 class LineSearchStallError(RuntimeError):
@@ -82,6 +82,9 @@ def _pospart(v: float) -> float:
 
 
 def _log_base_theta(z: float, theta: float) -> float:
+    if z == 0.0:
+        # z underflowed: its true value is positive but below every float.
+        raise ConfigError("a backtracking-cap argument underflows to 0: no finite backtracking cap")
     return math.log(z) / math.log(theta)
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import min_eigenpair_exact
 from .operators import Array, Objective, ProblemConstants
 from .steps import SolverConfig, StepKind
 
@@ -51,7 +50,6 @@ def _point_memo(coefficients):
 class KnownMinimizer:
     x: tuple[float, ...]
     f: float
-    lam_min: float
 
 
 @dataclass(frozen=True)
@@ -82,11 +80,6 @@ class SuiteProblem:
     def f0(self) -> float:
         obj = self.make_objective()
         return obj.value(self.start_point())
-
-    def mu(self) -> float:
-        """Half of min(1, smallest Hessian eigenvalue at the first minimizer)."""
-        lam = self.known_minimizers[0].lam_min
-        return 0.5 * min(1.0, lam)
 
 
 def _separable_quartic_constants(
@@ -170,10 +163,7 @@ def separable_quartic(
         )
 
     x_star = np.where((d < 0.0) & (beta > 0.0), np.sqrt(np.maximum(-d, 0.0) / np.where(beta > 0, beta, 1.0)), 0.0)
-    lam_star = float(np.min(d + 3.0 * beta * x_star**2))
-    minimizer = KnownMinimizer(
-        x=tuple(float(v) for v in x_star), f=pc.f_low, lam_min=lam_star
-    )
+    minimizer = KnownMinimizer(x=tuple(float(v) for v in x_star), f=pc.f_low)
     problem = SuiteProblem(
         name=name,
         dim=n,
@@ -303,13 +293,12 @@ def rosenbrock(
         )
 
     ones = np.ones(n)
-    lam_star = min_eigenpair_exact(_rosenbrock_hessian(ones, a)).lam
     problem = SuiteProblem(
         name=name,
         dim=n,
         x0=tuple(float(v) for v in x0),
         constants=pc,
-        known_minimizers=(KnownMinimizer(x=tuple(ones), f=0.0, lam_min=lam_star),),
+        known_minimizers=(KnownMinimizer(x=tuple(ones), f=0.0),),
         branch_coverage=frozenset(branch_coverage),
         coverage_config=coverage_config,
         _factory=factory,

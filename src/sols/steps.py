@@ -56,8 +56,6 @@ class Terminate:
     """Marker returned when the second-order branch certifies the iterate."""
 
     lam: float
-    R: float | None = None
-    lanczos_iters: int | None = None
 
 
 @dataclass(frozen=True)
@@ -112,13 +110,10 @@ class SolverConfig:
 
 
 def check_termination(
-    g_norm: float,
-    g_next_norm: float | None,
-    lambda_estimate: float,
-    cfg: SolverConfig,
-    mode: str = "exact",
+    g_norm: float, lambda_estimate: float, cfg: SolverConfig, mode: str = "exact"
 ) -> bool:
-    """Approximate second-order criticality at the current iterate pair.
+    """Approximate second-order criticality: a small gradient norm and a
+    certified eigenvalue estimate.
 
     Exact mode accepts eigenvalue estimates down to -eps_H; the inexact
     mode tightens the eigenvalue threshold to -eps_H/2 so that the
@@ -127,9 +122,8 @@ def check_termination(
     """
     if mode not in ("exact", "inexact"):
         raise ValueError(f"unknown mode {mode!r}")
-    gmin = g_norm if g_next_norm is None else min(g_norm, g_next_norm)
     floor = -cfg.eps_H if mode == "exact" else -0.5 * cfg.eps_H
-    return gmin <= cfg.eps_g and lambda_estimate >= floor
+    return g_norm <= cfg.eps_g and lambda_estimate >= floor
 
 
 def scale_eigvector(v_unit: Array, lam: float, g: Array) -> Array:
@@ -183,8 +177,8 @@ def select_direction_exact(
     H = obj.dense_hessian(x)
     est = min_eigenpair_exact(H)
     lam = est.lam
-    if check_termination(gnorm, None, lam, cfg, "exact"):
-        return Terminate(lam=lam, R=R)
+    if check_termination(gnorm, lam, cfg, "exact"):
+        return Terminate(lam=lam)
     if lam < -cfg.eps_H:
         d = scale_eigvector(est.v_unit, lam, g)
         return Direction(StepKind.NEGATIVE_CURVATURE, d, R=R, lam=lam)
@@ -243,8 +237,8 @@ def select_direction_inexact(
     M_shift = U_H + 2.0
     est: EigEstimate = lanczos_min_eig(hv, obj.dim, M_shift, cfg.eps_H / 2.0, cfg.delta, rng)
     lam_i = est.lam
-    if check_termination(gnorm, None, lam_i, cfg, "inexact"):
-        return Terminate(lam=lam_i, R=R, lanczos_iters=est.iters)
+    if check_termination(gnorm, lam_i, cfg, "inexact"):
+        return Terminate(lam=lam_i)
     if lam_i < -0.5 * cfg.eps_H:
         d = scale_eigvector(est.v_unit, lam_i, g)
         return Direction(

@@ -203,7 +203,9 @@ def test_criterion_07_local_quadratic_convergence():
         ("quartic-offset-2d", SolverConfig(eps_g=1e-2, eps_H=0.1, theta=0.5, eta=1.0)),
     ):
         problem = get_problem(name)
-        mu = problem.mu()
+        # Half of min(1, smallest Hessian eigenvalue at the limit minimizer).
+        H_star = problem.make_objective().dense_hessian(np.asarray(problem.known_minimizers[0].x))
+        mu = 0.5 * min(1.0, float(np.linalg.eigvalsh(H_star)[0]))
         threshold, contraction = local_rate_constants(
             problem.constants.L_H, cfg.eta, cfg.eps_g, mu
         )

@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import json
+import math
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sols.steps
 from sols import Objective, SolverConfig
@@ -331,6 +337,34 @@ def test_run_with_extreme_finite_config_values(tmp_path, capsys, flags, algo):
     assert report["all_converged"] and report["all_envelope_checks_passed"]
 
 
+@pytest.mark.parametrize(
+    "problem, flags, code",
+    [
+        # With L_H = 0, (4 / (2 zeta))**3 overflows: that term is far above the other.
+        ("quad-convex-2d", ["--zeta", "1e-200", "--algo", "exact"], 0),
+        # The envelope is finite; CG then stalls at its tiny tolerance, a classified failure.
+        ("quad-convex-2d", ["--zeta", "1e-200", "--algo", "inexact"], 3),
+        # s = L_H + eta is so small that s**3 underflows to 0.
+        ("flat-1d", ["--eta", "1e-183"], 0),
+        ("quad-convex-2d", ["--eta", "1e-120"], 0),
+        # theta**3 underflows, so the decrease constant c is 0: no finite envelope.
+        ("quad-convex-2d", ["--theta", "1e-120"], 2),
+        ("quad-convex-2d", ["--theta", "5e-324"], 2),
+        ("rosenbrock-2d", ["--theta", "1e-120"], 2),
+    ],
+)
+def test_run_decrease_constants_at_extreme_values(tmp_path, capsys, problem, flags, code):
+    assert main(["run", "--problem", problem, *flags, "--out", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("error: invalid configuration: the decrease constant c ")
+        assert not list(tmp_path.iterdir())
+    elif code == 3:
+        assert read_report(tmp_path, problem, "inexact")["runs"][0]["status"] == "cg_cap"
+    else:
+        assert err == ""
+
+
 @pytest.mark.parametrize("sub", ["", "x"])
 def test_run_rejects_unusable_out_dir(tmp_path, capsys, sub):
     blocker = tmp_path / "file"
@@ -350,3 +384,48 @@ def test_run_rejects_nonpositive_jobs(tmp_path, capsys, jobs):
     assert exc.value.code == 2
     assert "error: argument --jobs" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+# Flag values validate() sees: zero, subnormals, huge, infinite and nan
+# floats, and integers around the lower bound. ``max_iters`` is always set,
+# and kept small, so that a run that cannot converge still ends quickly.
+FLAG_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, 1e-310, 1e-200, 1e-120, 0.5, 1.0, 1e308, math.inf, -math.inf, math.nan]
+) | st.floats()
+FLAG_VALUES = st.fixed_dictionaries(
+    {},
+    optional={
+        **{name: FLAG_FLOATS for name in ("eps_g", "eps_H", "theta", "eta", "zeta", "delta", "U_H")},
+        "max_ls_steps": st.integers(-1, 2) | st.sampled_from([200, 5000]),
+    },
+)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    problem=st.sampled_from(["quad-convex-2d", "quartic-saddle-2d", "flat-1d", "rosenbrock-2d"]),
+    algo=st.sampled_from(["exact", "exact-local", "inexact"]),
+    values=FLAG_VALUES,
+    max_iters=st.sampled_from([-1, 0, 1, 2, 100]),
+)
+@example(problem="quad-convex-2d", algo="exact", values={"zeta": 1e-200}, max_iters=100)
+@example(problem="quad-convex-2d", algo="inexact", values={"zeta": 1e-200}, max_iters=100)
+@example(problem="flat-1d", algo="exact", values={"eta": 1e-183}, max_iters=100)
+@example(problem="quad-convex-2d", algo="exact", values={"eta": 1e-120}, max_iters=100)
+@example(problem="quad-convex-2d", algo="exact", values={"theta": 1e-120}, max_iters=100)
+@example(problem="quad-convex-2d", algo="exact", values={"theta": 5e-324}, max_iters=100)
+@example(problem="rosenbrock-2d", algo="exact", values={"theta": 1e-120}, max_iters=100)
+# The regularized-Newton backtracking cap's log argument underflows to 0.
+@example(problem="quad-convex-2d", algo="exact", values={"eps_H": 2e-42, "eta": 4e240}, max_iters=100)
+def test_run_flags_never_crash(problem, algo, values, max_iters):
+    flags = [f"--{name.replace('_', '-')}={value!r}" for name, value in values.items()]
+    with tempfile.TemporaryDirectory() as out:
+        argv = ["run", "--problem", problem, "--algo", algo, f"--max-iters={max_iters}",
+                *flags, "--out", out]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejecting a flag
+                assert exc.code == 2
+                return
+    assert code in (0, 1, 2, 3)

@@ -95,13 +95,12 @@ def test_post_line_search_termination_certifies_previous_iterate():
 
 def test_check_termination_cases():
     cfg = SolverConfig(eps_g=1e-3, eps_H=0.5)
-    assert check_termination(0.0, None, 0.0, cfg, "exact")
-    assert check_termination(1e-3, None, -0.25, cfg, "inexact")
-    assert not check_termination(1e-3 * 1.0001, None, 1.0, cfg, "exact")
-    assert check_termination(5.0, 1e-4, 0.0, cfg, "exact")  # pair minimum counts
-    assert not check_termination(1e-4, None, -0.251, cfg, "inexact")
+    assert check_termination(0.0, 0.0, cfg, "exact")
+    assert check_termination(1e-3, -0.25, cfg, "inexact")
+    assert not check_termination(1e-3 * 1.0001, 1.0, cfg, "exact")
+    assert not check_termination(1e-4, -0.251, cfg, "inexact")
     with pytest.raises(ValueError):
-        check_termination(0.0, None, 0.0, cfg, "sideways")
+        check_termination(0.0, 0.0, cfg, "sideways")
 
 
 # --- local phase -----------------------------------------------------------------
@@ -459,6 +458,16 @@ def test_inexact_tolerates_inflated_hessian_bound():
     assert checks["iterations_ok"] and checks["ops_ok"]
     lam = min_eigenpair_exact(obj.dense_hessian(report.certificate.point)).lam
     assert lam >= -cfg.eps_H
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_inexact_converges_at_huge_finite_hessian_bound(seed):
+    p = get_problem("quartic-saddle-50d")
+    obj = p.make_objective()
+    report, _ = run_inexact(obj, p.start_point(), SolverConfig(U_H=1e308, rng_seed=seed))
+    assert report.status == "converged"
+    lam = min_eigenpair_exact(obj.dense_hessian(report.certificate.point)).lam
+    assert lam >= -SolverConfig().eps_H
 
 
 def test_trace_columns_mirror_record_fields():

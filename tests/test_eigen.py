@@ -176,6 +176,15 @@ def test_breakdown_restarts_on_isotropic_hessian():
     assert est.restarts >= 1
 
 
+def test_huge_shift_bound_leaves_breakdown_to_the_recurrence():
+    # M only sets the budget: at M = 1e308 the sweep must not "break down"
+    # after one product, and the full space finds the smallest eigenvalue.
+    H = np.diag(np.linspace(-1.0, 3.0, 10))
+    est = lanczos_min_eig(hv_of(H), 10, M=1e308, eps=1e-3, delta=1e-6, rng=rng_for(0))
+    assert (est.iters, est.restarts) == (10, 0)
+    assert est.lam == pytest.approx(-1.0, abs=1e-12)
+
+
 def test_monte_carlo_failure_rate_within_probability_contract():
     # Fixed matrix class from the module contract: n = 100 diagonal with
     # smallest eigenvalue -2, estimator run at eps = 0.1, delta = 0.01.

@@ -106,8 +106,6 @@ def test_known_minimizers_consistent():
         for m in p.known_minimizers:
             x = np.asarray(m.x)
             assert obj.value(x) == pytest.approx(m.f, abs=1e-10)
-            lam = float(np.linalg.eigvalsh(obj.dense_hessian(x))[0])
-            assert lam == pytest.approx(m.lam_min, abs=1e-10)
 
 
 def test_constants_positive_and_f0_above_floor():
