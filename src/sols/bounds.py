@@ -95,9 +95,11 @@ class ComplexityEnvelope:
     ``K_iter`` bounds iterations to the first certificate on the exact
     path, ``K_eval`` objective evaluations, ``K_hat`` iterations on the
     inexact path, and ``ops_bound`` the gradient evaluations plus
-    Hessian-vector products of the inexact path. ``eval_log_term`` stores
-    the log aggregate of the evaluation bound; it is flagged rather than
-    clamped if it ever comes out negative.
+    Hessian-vector products of the inexact path. ``success_prob`` is the
+    lower bound 1 - K_hat * delta clamped at 0, the vacuous bound it
+    reaches once K_hat * delta >= 1. ``eval_log_term`` stores the log
+    aggregate of the evaluation bound; it is flagged rather than clamped if
+    it ever comes out negative.
     """
 
     K_iter: float
@@ -181,7 +183,7 @@ def iteration_envelope(
         K_eval=K_eval,
         K_hat=K_hat,
         ops_bound=ops_bound,
-        success_prob=1.0 - K_hat * cfg.delta,
+        success_prob=max(0.0, 1.0 - K_hat * cfg.delta),
         max_term=mt,
         eval_log_term=log_term,
         eval_log_term_negative=log_term < 0.0,

@@ -19,15 +19,13 @@ class EigEstimate:
     ``lam`` is the exact smallest eigenvalue on the dense path, and the
     Rayleigh quotient v'Hv of the returned unit vector on the Lanczos path
     (an upper bound on the true minimum in either case). ``iters`` counts
-    Lanczos matrix-vector products, summed across restarts; ``restarts``
-    counts the fresh start vectors drawn after a Krylov breakdown.
+    Lanczos matrix-vector products.
     """
 
     lam: float
     v_unit: Array
     iters: int
     converged_by: str  # "exact", "lanczos_cap", or "full_n"
-    restarts: int = 0
 
 
 def min_eigenpair_exact(H: Array) -> EigEstimate:
@@ -117,85 +115,67 @@ def lanczos_min_eig(
 
     A breakdown means the Krylov space became exactly invariant: a beta at
     most 1e-13 times the recurrence's own scale, the largest of 1 and every
-    |alpha| and beta seen so far in the call. We restart from a fresh
-    random vector at most 3 times, reusing both arrays and sharing the
-    remaining budget so the total product count never exceeds the cap, and
-    keep the best estimate seen. A product that makes the recurrence
-    non-finite raises ``NonFiniteError``.
+    |alpha| and beta seen so far in the call. The iteration stops there,
+    with no restart: the random start has a component in every eigenspace
+    with probability one, so an invariant Krylov space contains an
+    eigenvector for lambda_min(H), and its smallest Ritz value already is
+    lambda_min(H).
+    A product that makes the recurrence non-finite raises
+    ``NonFiniteError``.
     """
     budget = lanczos_iteration_cap(n, M, eps, delta)
     scale = 1.0
     V = np.empty((budget, n))
     HV = np.empty((budget, n))
+    alphas: list[float] = []
+    betas: list[float] = []
 
-    best_lam = math.inf
-    best_v: Array | None = None
-    total_iters = 0
-    sweeps = 0
-
-    while total_iters < budget and sweeps <= 3:
-        sweeps += 1
-        alphas: list[float] = []
-        betas: list[float] = []
-
+    v = rng.standard_normal(n)
+    nv = np.linalg.norm(v)
+    while nv == 0.0:
         v = rng.standard_normal(n)
         nv = np.linalg.norm(v)
-        while nv == 0.0:
-            v = rng.standard_normal(n)
-            nv = np.linalg.norm(v)
-        v = v / nv
+    v = v / nv
 
-        # A sweep ends at the budget or at a breakdown; only the latter
-        # leaves budget for the next sweep.
-        k = 0
-        while True:
-            V[k] = v
-            hvk = HV[k]
-            hvk[:] = hv(v)
-            alpha = float(v @ hvk)
-            if not math.isfinite(alpha):
-                raise NonFiniteError(
-                    f"non-finite Hessian-vector product in Lanczos step {total_iters}"
-                )
-            alphas.append(alpha)
-            # Comparisons, not max(): this runs once per product.
-            if abs(alpha) > scale:
-                scale = abs(alpha)
-            k += 1
-            total_iters += 1
-            if total_iters == budget:
-                # T_k never reads the next beta.
-                break
+    # k counts the products; the loop ends at the budget or at a breakdown.
+    k = 0
+    while True:
+        V[k] = v
+        hvk = HV[k]
+        hvk[:] = hv(v)
+        alpha = float(v @ hvk)
+        if not math.isfinite(alpha):
+            raise NonFiniteError(f"non-finite Hessian-vector product in Lanczos step {k}")
+        alphas.append(alpha)
+        # Comparisons, not max(): this runs once per product.
+        if abs(alpha) > scale:
+            scale = abs(alpha)
+        k += 1
+        if k == budget:
+            # T_k never reads the next beta.
+            break
 
-            w = hvk - alpha * v
-            if k > 1:
-                w -= betas[-1] * V[k - 2]
-            # Full reorthogonalization against the stored basis.
-            Vk = V[:k]
-            w -= Vk.T @ (Vk @ w)
+        w = hvk - alpha * v
+        if k > 1:
+            w -= betas[-1] * V[k - 2]
+        # Full reorthogonalization against the stored basis.
+        Vk = V[:k]
+        w -= Vk.T @ (Vk @ w)
 
-            beta = math.sqrt(float(w @ w))
-            if beta <= 1e-13 * scale:
-                break
-            betas.append(beta)
-            if beta > scale:
-                scale = beta
-            v = w / beta
+        beta = math.sqrt(float(w @ w))
+        if beta <= 1e-13 * scale:
+            break
+        betas.append(beta)
+        if beta > scale:
+            scale = beta
+        v = w / beta
 
-        y = _ritz_min(alphas, betas)
-        v_ritz = y @ V[:k]
-        nv = float(np.linalg.norm(v_ritz))
-        if nv > 0.0:
-            lam = float(v_ritz @ (y @ HV[:k])) / (nv * nv)
-            if lam < best_lam:
-                best_lam = lam
-                best_v = v_ritz / nv
-
-    assert best_v is not None
+    y = _ritz_min(alphas, betas)
+    v_ritz = y @ V[:k]
+    nv = float(np.linalg.norm(v_ritz))
     return EigEstimate(
-        lam=best_lam,
-        v_unit=best_v,
-        iters=total_iters,
-        converged_by="full_n" if total_iters >= n else "lanczos_cap",
-        restarts=sweeps - 1,
+        lam=float(v_ritz @ (y @ HV[:k])) / (nv * nv),
+        v_unit=v_ritz / nv,
+        iters=k,
+        converged_by="full_n" if k >= n else "lanczos_cap",
     )

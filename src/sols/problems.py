@@ -77,14 +77,10 @@ class SuiteProblem:
     def start_point(self) -> Array:
         return np.asarray(self.x0, dtype=float)
 
-    def f0(self) -> float:
-        obj = self.make_objective()
-        return obj.value(self.start_point())
-
 
 def _separable_quartic_constants(
     d: Array, beta: Array, c0: float, x0: Array
-) -> tuple[ProblemConstants, float]:
+) -> ProblemConstants:
     """Closed-form level-set constants for f = sum d_i x_i^2/2 + beta_i x_i^4/4 + c0."""
     if np.any((beta == 0.0) & (d <= 0.0)):
         raise ValueError("coordinates with beta = 0 need d > 0 to stay bounded")
@@ -109,14 +105,13 @@ def _separable_quartic_constants(
     U_g = float(np.sqrt(np.sum((np.abs(d) * B + beta * B**3) ** 2)))
     if U_H <= 0.0 or U_g <= 0.0:
         raise ValueError("degenerate problem: zero curvature and gradient bounds")
-    pc = ProblemConstants(
+    return ProblemConstants(
         L_g=MARGIN * U_H,
         L_H=MARGIN * L_H,
         U_g=MARGIN * U_g,
         U_H=MARGIN * U_H,
         f_low=f_low,
     )
-    return pc, f0
 
 
 def separable_quartic(
@@ -138,7 +133,7 @@ def separable_quartic(
     beta = np.asarray(beta, dtype=float) * np.ones_like(d)
     x0 = np.asarray(x0, dtype=float)
     n = d.size
-    pc, _ = _separable_quartic_constants(d, beta, c0, x0)
+    pc = _separable_quartic_constants(d, beta, c0, x0)
 
     def value(x: Array) -> float:
         return float(0.5 * d @ x**2 + 0.25 * beta @ x**4 + c0)
@@ -256,11 +251,6 @@ def _banded_product(bands: tuple[Array, Array], v: Array) -> Array:
     return out
 
 
-def _rosenbrock_hessian_vector(x: Array, v: Array, a: float) -> Array:
-    """Banded product H v in O(n); never forms the n x n Hessian."""
-    return _banded_product(_rosenbrock_bands(x, a), v)
-
-
 def rosenbrock(
     name: str,
     n: int,
@@ -308,7 +298,7 @@ def rosenbrock(
 
 
 def verify_constants(
-    problem: SuiteProblem, n_points: int = 40, seed: int = 20240 , walk_scale: float = 0.15
+    problem: SuiteProblem, n_points: int = 40, seed: int = 20240
 ) -> None:
     """Check the declared constants by sampling inside the level set.
 
@@ -325,7 +315,7 @@ def verify_constants(
 
     points = [x0]
     x = x0.copy()
-    scale = walk_scale * (1.0 + float(np.max(np.abs(x0))))
+    scale = 0.15 * (1.0 + float(np.max(np.abs(x0))))
     for _ in range(4 * n_points):
         y = x + scale * rng.standard_normal(problem.dim)
         if obj.value(y) <= f0:

@@ -155,9 +155,16 @@ def test_envelope_uses_config_hessian_bound_override():
 
 
 def test_success_probability():
+    # K_hat * delta > 1: the bound 1 - K_hat * delta is vacuous and reads 0.
     cfg = SolverConfig(eps_g=1e-4, eps_H=1e-2, delta=1e-6)
     env = iteration_envelope(PC, cfg, f0=5.0, n=10)
-    assert env.success_prob == pytest.approx(1.0 - env.K_hat * cfg.delta)
+    assert env.K_hat * cfg.delta > 1.0
+    assert env.success_prob == 0.0
+    # K_hat * delta < 1: the formula itself.
+    cfg = SolverConfig(eps_g=0.5, eps_H=0.9, delta=1e-9)
+    env = iteration_envelope(PC, cfg, f0=PC.f_low + 1e-3, n=10)
+    assert env.success_prob == pytest.approx(0.99999998)
+    assert env.success_prob == 1.0 - env.K_hat * cfg.delta
 
 
 def test_envelope_rejects_f0_below_floor():

@@ -543,17 +543,17 @@ def test_nonfinite_product_in_lanczos_is_classified():
 
 
 def test_nonfinite_product_in_cg_is_classified():
-    # Products 1-3 (curvature ratio, two Lanczos steps) are finite; CG's first is not.
+    # Products 1-2 (curvature ratio, one Lanczos step) are finite; CG's first is not.
     calls = []
 
     def hv(x, v):
         calls.append(1)
-        return v.copy() if len(calls) <= 3 else NAN2.copy()
+        return v.copy() if len(calls) <= 2 else NAN2.copy()
 
     report, _ = run_inexact(_nan_objective(hessian_vector=hv), X1, SolverConfig(U_H=2.0))
     assert report.status == "nonfinite"
     assert "CG iteration 1" in report.error
-    assert report.counters.n_hv == 4
+    assert report.counters.n_hv == 3
 
 
 def test_nonfinite_gradient_inexact_is_not_cg_cap():

@@ -159,21 +159,20 @@ def test_estimate_never_increases_with_the_budget():
         eps = M * (log_factor / (k - 0.5)) ** 2
         assert lanczos_iteration_cap(n, M, eps, delta) == k
         est = lanczos_min_eig(hv_of(H), n, M=M, eps=eps, delta=delta, rng=rng_for(6))
-        assert (est.iters, est.restarts) == (k, 0)
+        assert est.iters == k
         lams.append(est.lam)
     tol = 1e-10 * np.linalg.norm(H, 2)
     assert all(b <= a + tol for a, b in zip(lams, lams[1:]))
     assert lams[-1] == pytest.approx(float(np.linalg.eigvalsh(H)[0]), abs=tol)
 
 
-def test_breakdown_restarts_on_isotropic_hessian():
-    # Every vector is an eigenvector of -I: first-step breakdown, and the
-    # estimate is exact however the restarts go.
+def test_breakdown_on_isotropic_hessian_stops_after_one_product():
+    # Every vector is an eigenvector of -I: the first Krylov space is
+    # invariant, so one product gives the exact estimate.
     H = -np.eye(6)
     est = lanczos_min_eig(hv_of(H), 6, M=2.0, eps=0.1, delta=0.01, rng=rng_for(7))
-    assert est.lam == pytest.approx(-1.0, abs=1e-12)
-    assert est.iters <= lanczos_iteration_cap(6, 2.0, 0.1, 0.01)
-    assert est.restarts >= 1
+    assert est.iters == 1
+    assert est.lam == -1.0
 
 
 def test_huge_shift_bound_leaves_breakdown_to_the_recurrence():
@@ -181,7 +180,7 @@ def test_huge_shift_bound_leaves_breakdown_to_the_recurrence():
     # after one product, and the full space finds the smallest eigenvalue.
     H = np.diag(np.linspace(-1.0, 3.0, 10))
     est = lanczos_min_eig(hv_of(H), 10, M=1e308, eps=1e-3, delta=1e-6, rng=rng_for(0))
-    assert (est.iters, est.restarts) == (10, 0)
+    assert est.iters == 10
     assert est.lam == pytest.approx(-1.0, abs=1e-12)
 
 
@@ -228,48 +227,36 @@ def reference_lanczos_min_eig(hv, n, M, eps, delta, rng):
         w, Y = np.linalg.eigh(T)
         return Y[:, -1]
 
-    best_lam, best_v = math.inf, None
-    total_iters = 0
-    restarts = 0
-    while total_iters < budget and restarts <= 3:
-        V, HV, alphas, betas = [], [], [], []
+    V, HV, alphas, betas = [], [], [], []
+    v = rng.standard_normal(n)
+    nv = np.linalg.norm(v)
+    while nv == 0.0:
         v = rng.standard_normal(n)
         nv = np.linalg.norm(v)
-        while nv == 0.0:
-            v = rng.standard_normal(n)
-            nv = np.linalg.norm(v)
-        v = v / nv
-        broke = False
-        while total_iters < budget:
-            hv_v = np.asarray(hv(v), dtype=float)
-            w = M * v - hv_v
-            alpha = float(v @ w)
-            V.append(v)
-            HV.append(hv_v)
-            alphas.append(alpha)
-            total_iters += 1
-            w = w - alpha * v
-            if len(V) > 1:
-                w = w - betas[-1] * V[-2]
-            Vmat = np.column_stack(V)
-            w = w - Vmat @ (Vmat.T @ w)
-            beta = float(np.linalg.norm(w))
-            if beta <= breakdown_tol:
-                broke = True
-                break
-            betas.append(beta)
-            v = w / beta
-        y = ritz_max(alphas, betas)
-        v_ritz = np.column_stack(V) @ y
-        nv = float(np.linalg.norm(v_ritz))
-        if nv > 0.0:
-            lam = float(v_ritz @ (np.column_stack(HV) @ y)) / (nv * nv)
-            if lam < best_lam:
-                best_lam, best_v = lam, v_ritz / nv
-        if not broke:
+    v = v / nv
+    while len(V) < budget:
+        hv_v = np.asarray(hv(v), dtype=float)
+        w = M * v - hv_v
+        alpha = float(v @ w)
+        V.append(v)
+        HV.append(hv_v)
+        alphas.append(alpha)
+        w = w - alpha * v
+        if len(V) > 1:
+            w = w - betas[-1] * V[-2]
+        Vmat = np.column_stack(V)
+        w = w - Vmat @ (Vmat.T @ w)
+        beta = float(np.linalg.norm(w))
+        if beta <= breakdown_tol:
             break
-        restarts += 1
-    return best_lam, best_v, total_iters, "full_n" if total_iters >= n else "lanczos_cap"
+        betas.append(beta)
+        v = w / beta
+    y = ritz_max(alphas, betas)
+    v_ritz = np.column_stack(V) @ y
+    nv = float(np.linalg.norm(v_ritz))
+    lam = float(v_ritz @ (np.column_stack(HV) @ y)) / (nv * nv)
+    iters = len(V)
+    return lam, v_ritz / nv, iters, "full_n" if iters >= n else "lanczos_cap"
 
 
 def _equivalence_cases():
@@ -282,7 +269,7 @@ def _equivalence_cases():
         yield f"random-{trial}-n{n}", H, M, eps, delta, 1000 + trial
     yield "isotropic", -np.eye(6), 2.0, 0.1, 0.01, 7
     # Three distinct eigenvalues, each repeated four times: every Krylov
-    # space is invariant after three steps, so each sweep breaks down.
+    # space is invariant after three steps, so the iteration breaks down.
     A = random_symmetric(np.random.default_rng(12), 3)
     H = np.kron(np.eye(4), A)
     for seed in range(5):
@@ -301,14 +288,7 @@ def test_matches_growing_basis_reference(H, M, eps, delta, seed):
     est = lanczos_min_eig(hv_of(H), n, M=M, eps=eps, delta=delta, rng=rng_for(seed))
     assert (est.iters, est.converged_by) == (iters, converged_by)
     assert abs(est.lam - lam) <= 1e-12 * max(1.0, abs(lam))
-    if est.restarts == 0:
-        assert abs(float(est.v_unit @ v_unit)) >= 1.0 - 1e-10
-    else:
-        # Every sweep finds the same repeated eigenvalue, so which sweep's
-        # vector is kept is decided by rounding; it must still be an
-        # eigenvector for lam.
-        resid = np.linalg.norm(H @ est.v_unit - est.lam * est.v_unit)
-        assert resid <= 1e-10 * max(1.0, np.linalg.norm(H, 2))
+    assert abs(float(est.v_unit @ v_unit)) >= 1.0 - 1e-10
 
 
 def test_repeated_eigenvalues_restart_after_each_breakdown():
@@ -318,7 +298,9 @@ def test_repeated_eigenvalues_restart_after_each_breakdown():
         hv_of(H), 12, M=float(np.linalg.norm(A, 2)) + 1.0, eps=0.05, delta=0.0,
         rng=rng_for(20),
     )
-    assert (est.iters, est.restarts) == (12, 3)
+    # The Krylov space is invariant once it holds one vector per distinct
+    # eigenvalue of A, and it then contains an eigenvector for lambda_min.
+    assert est.iters == 3
     assert est.lam == pytest.approx(float(np.linalg.eigvalsh(A)[0]), abs=1e-10)
 
 

@@ -32,88 +32,88 @@ COLUMNS = ("step_kind", "j", "n_f", "n_grad", "n_hv")
 
 PINNED = {
     "quartic-saddle-50d_inexact_seed7_trace.csv": """
-negative_curvature 0 2 2 4
-scaled_neg_curv_gradient 0 3 3 5
-scaled_neg_curv_gradient 0 4 4 6
-scaled_neg_curv_gradient 0 5 5 7
-scaled_neg_curv_gradient 0 6 6 8
-scaled_neg_curv_gradient 0 7 7 9
-scaled_neg_curv_gradient 0 8 8 10
-scaled_neg_curv_gradient 0 9 9 11
-scaled_neg_curv_gradient 0 10 10 12
-scaled_neg_curv_gradient 0 11 11 13
-scaled_neg_curv_gradient 0 12 12 14
-scaled_neg_curv_gradient 0 13 13 15
-scaled_neg_curv_gradient 0 14 14 16
-scaled_neg_curv_gradient 0 15 15 17
-scaled_neg_curv_gradient 0 16 16 18
-scaled_neg_curv_gradient 0 17 17 19
-scaled_neg_curv_gradient 0 18 18 20
-normalized_gradient 0 19 19 21
-negative_curvature 0 20 20 72
-negative_curvature 0 21 21 123
-negative_curvature 0 22 22 174
-negative_curvature 0 23 23 225
-negative_curvature 0 24 24 276
-negative_curvature 0 25 25 327
-negative_curvature 0 26 26 378
-negative_curvature 0 27 27 429
-negative_curvature 0 28 28 480
-negative_curvature 0 29 29 531
-negative_curvature 0 30 30 582
-negative_curvature 0 31 31 633
-negative_curvature 0 32 32 684
-inexact_newton 4 37 33 751
-inexact_newton 1 39 34 808
-inexact_newton 0 40 35 862
-inexact_newton 0 41 36 915
-inexact_newton 0 42 37 967
+negative_curvature 0 2 2 1
+scaled_neg_curv_gradient 0 3 3 2
+scaled_neg_curv_gradient 0 4 4 3
+scaled_neg_curv_gradient 0 5 5 4
+scaled_neg_curv_gradient 0 6 6 5
+scaled_neg_curv_gradient 0 7 7 6
+scaled_neg_curv_gradient 0 8 8 7
+scaled_neg_curv_gradient 0 9 9 8
+scaled_neg_curv_gradient 0 10 10 9
+scaled_neg_curv_gradient 0 11 11 10
+scaled_neg_curv_gradient 0 12 12 11
+scaled_neg_curv_gradient 0 13 13 12
+scaled_neg_curv_gradient 0 14 14 13
+scaled_neg_curv_gradient 0 15 15 14
+scaled_neg_curv_gradient 0 16 16 15
+scaled_neg_curv_gradient 0 17 17 16
+scaled_neg_curv_gradient 0 18 18 17
+normalized_gradient 0 19 19 18
+negative_curvature 0 20 20 69
+negative_curvature 0 21 21 120
+negative_curvature 0 22 22 171
+negative_curvature 0 23 23 222
+negative_curvature 0 24 24 273
+negative_curvature 0 25 25 324
+negative_curvature 0 26 26 375
+negative_curvature 0 27 27 426
+negative_curvature 0 28 28 477
+negative_curvature 0 29 29 528
+negative_curvature 0 30 30 579
+negative_curvature 0 31 31 630
+negative_curvature 0 32 32 681
+inexact_newton 4 37 33 748
+inexact_newton 1 39 34 805
+inexact_newton 0 40 35 859
+inexact_newton 0 41 36 912
+inexact_newton 0 42 37 964
 """,
     "quartic-saddle-50d_inexact_seed8_trace.csv": """
-negative_curvature 0 2 2 4
-scaled_neg_curv_gradient 0 3 3 5
-scaled_neg_curv_gradient 0 4 4 6
-scaled_neg_curv_gradient 0 5 5 7
-scaled_neg_curv_gradient 0 6 6 8
-scaled_neg_curv_gradient 0 7 7 9
-scaled_neg_curv_gradient 0 8 8 10
-scaled_neg_curv_gradient 0 9 9 11
-scaled_neg_curv_gradient 0 10 10 12
-scaled_neg_curv_gradient 0 11 11 13
-scaled_neg_curv_gradient 0 12 12 14
-scaled_neg_curv_gradient 0 13 13 15
-scaled_neg_curv_gradient 0 14 14 16
-scaled_neg_curv_gradient 0 15 15 17
-scaled_neg_curv_gradient 0 16 16 18
-scaled_neg_curv_gradient 0 17 17 19
-normalized_gradient 0 18 18 20
-negative_curvature 0 19 19 71
-negative_curvature 0 20 20 122
-negative_curvature 0 21 21 173
-negative_curvature 0 22 22 224
-negative_curvature 0 23 23 275
-negative_curvature 0 24 24 326
-negative_curvature 0 25 25 377
-negative_curvature 0 26 26 428
-negative_curvature 0 27 27 479
-negative_curvature 0 28 28 530
-negative_curvature 0 29 29 581
-negative_curvature 0 30 30 632
-negative_curvature 0 31 31 683
-negative_curvature 0 32 32 734
-negative_curvature 0 33 33 785
-negative_curvature 0 34 34 836
-negative_curvature 0 35 35 887
-negative_curvature 0 36 36 938
-negative_curvature 0 37 37 989
-negative_curvature 0 38 38 1040
-negative_curvature 0 39 39 1091
-negative_curvature 0 40 40 1142
-inexact_regularized_newton 5 46 41 1209
-inexact_newton 1 48 42 1268
-inexact_newton 0 49 43 1323
-inexact_newton 0 50 44 1376
-inexact_newton 0 51 45 1428
+negative_curvature 0 2 2 1
+scaled_neg_curv_gradient 0 3 3 2
+scaled_neg_curv_gradient 0 4 4 3
+scaled_neg_curv_gradient 0 5 5 4
+scaled_neg_curv_gradient 0 6 6 5
+scaled_neg_curv_gradient 0 7 7 6
+scaled_neg_curv_gradient 0 8 8 7
+scaled_neg_curv_gradient 0 9 9 8
+scaled_neg_curv_gradient 0 10 10 9
+scaled_neg_curv_gradient 0 11 11 10
+scaled_neg_curv_gradient 0 12 12 11
+scaled_neg_curv_gradient 0 13 13 12
+scaled_neg_curv_gradient 0 14 14 13
+scaled_neg_curv_gradient 0 15 15 14
+scaled_neg_curv_gradient 0 16 16 15
+scaled_neg_curv_gradient 0 17 17 16
+normalized_gradient 0 18 18 17
+negative_curvature 0 19 19 68
+negative_curvature 0 20 20 119
+negative_curvature 0 21 21 170
+negative_curvature 0 22 22 221
+negative_curvature 0 23 23 272
+negative_curvature 0 24 24 323
+negative_curvature 0 25 25 374
+negative_curvature 0 26 26 425
+negative_curvature 0 27 27 476
+negative_curvature 0 28 28 527
+negative_curvature 0 29 29 578
+negative_curvature 0 30 30 629
+negative_curvature 0 31 31 680
+negative_curvature 0 32 32 731
+negative_curvature 0 33 33 782
+negative_curvature 0 34 34 833
+negative_curvature 0 35 35 884
+negative_curvature 0 36 36 935
+negative_curvature 0 37 37 986
+negative_curvature 0 38 38 1037
+negative_curvature 0 39 39 1088
+negative_curvature 0 40 40 1139
+inexact_regularized_newton 5 46 41 1206
+inexact_newton 1 48 42 1265
+inexact_newton 0 49 43 1320
+inexact_newton 0 50 44 1373
+inexact_newton 0 51 45 1425
 """,
     "quartic-convex-4d_exact-local_seed0_trace.csv": """
 main newton 0 2 2 1
