@@ -6,8 +6,6 @@ from .bounds import (
     decrease_constants,
     iteration_envelope,
     local_rate_constants,
-    scalar_root_bound,
-    scalar_root_lhs,
     tolerance_max_term,
 )
 from .cgsolve import CgCapError, CgOutcome, cg_capped, cg_iteration_cap, solve_exact
@@ -87,8 +85,6 @@ __all__ = [
     "rayleigh_quotient",
     "run_exact",
     "run_inexact",
-    "scalar_root_bound",
-    "scalar_root_lhs",
     "scale_eigvector",
     "select_direction_exact",
     "select_direction_inexact",

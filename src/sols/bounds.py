@@ -206,20 +206,3 @@ def local_rate_constants(
     contraction = L_H / (2.0 * mu**2)
     return threshold, contraction
 
-
-def scalar_root_lhs(a: float, b: float, t: float) -> float:
-    """Left side -a + sqrt(a^2 + b t) of the scalar root inequality."""
-    return -a + math.sqrt(a * a + b * t)
-
-
-def scalar_root_bound(a: float, b: float, t: float) -> float:
-    """Lower bound (-a + sqrt(a^2 + b)) min(t, 1) on the scalar root expression.
-
-    Valid for positive a, b and t >= 0; used to turn quadratic growth
-    bounds on the gradient into step-norm lower bounds.
-    """
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError("a and b must be positive")
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    return (-a + math.sqrt(a * a + b)) * min(t, 1.0)

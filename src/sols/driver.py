@@ -14,6 +14,7 @@ from .operators import Array, EvalCounters, NonFiniteError, Objective
 from .steps import (
     ConfigError,
     Direction,
+    IndefiniteSystemError,
     SolverConfig,
     StepKind,
     Terminate,
@@ -23,6 +24,15 @@ from .steps import (
 )
 
 SCHEMA_VERSION = 1
+
+# The solver hard errors that end a run, keeping its rows, and the status
+# each gives the run.
+HARD_ERROR_STATUS = {
+    LineSearchStallError: "ls_stall",
+    CgCapError: "cg_cap",
+    IndefiniteSystemError: "indefinite",
+    NonFiniteError: "nonfinite",
+}
 
 
 @dataclass
@@ -88,7 +98,7 @@ class Certificate:
 class RunReport:
     """Summary of one solver run."""
 
-    status: str  # "converged", "max_iters", "ls_stall", "cg_cap", or "nonfinite"
+    status: str  # "converged", "max_iters", or a value of HARD_ERROR_STATUS
     algo: str
     x_final: Array
     f_final: float
@@ -305,14 +315,8 @@ def _run_loop(
                 status = "converged"
                 break
             phase = "local"
-    except LineSearchStallError as exc:
-        status = "ls_stall"
-        error_msg = str(exc)
-    except CgCapError as exc:
-        status = "cg_cap"
-        error_msg = str(exc)
-    except NonFiniteError as exc:
-        status = "nonfinite"
+    except tuple(HARD_ERROR_STATUS) as exc:
+        status = next(s for cls, s in HARD_ERROR_STATUS.items() if isinstance(exc, cls))
         error_msg = str(exc)
 
     second_order_ok = None

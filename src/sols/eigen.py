@@ -16,10 +16,12 @@ Array = np.ndarray
 class EigEstimate:
     """A minimum-eigenvalue estimate with its unit direction.
 
-    ``lam`` is the exact smallest eigenvalue on the dense path, and the
-    Rayleigh quotient v'Hv of the returned unit vector on the Lanczos path
-    (an upper bound on the true minimum in either case). ``iters`` counts
-    Lanczos matrix-vector products.
+    ``lam`` is the exact smallest eigenvalue on the dense path. On the
+    Lanczos path it is the smallest Ritz value, the quantity the
+    Kuczynski-Wozniakowski bound is stated for, which equals the Rayleigh
+    quotient v'Hv of the returned unit vector up to rounding (an upper bound
+    on the true minimum in either case). ``iters`` counts Lanczos
+    matrix-vector products.
     """
 
     lam: float
@@ -66,13 +68,13 @@ def log_n_over_delta_sq(n: int, delta: float) -> float:
     return math.log(n / d2) if d2 > 0.0 else math.log(n) - 2.0 * math.log(delta)
 
 
-def _ritz_min(alphas: list[float], betas: list[float]) -> Array:
-    """Unit eigenvector for the smallest eigenvalue of the tridiagonal matrix
+def _ritz_min(alphas: list[float], betas: list[float]) -> tuple[float, Array]:
+    """Smallest eigenvalue and its unit eigenvector of the tridiagonal matrix
     with diagonal ``alphas`` and off-diagonal ``betas``, from the two LAPACK
     calls ``eigh_tridiagonal(select="i")`` makes, without its argument checks."""
     k = len(alphas)
     if k == 1:
-        return np.ones(1)
+        return alphas[0], np.ones(1)
     # Imported here, not at module level: only the Lanczos path pays its load time.
     from scipy.linalg.lapack import dstebz, dstein
 
@@ -81,7 +83,7 @@ def _ritz_min(alphas: list[float], betas: list[float]) -> Array:
         y, info = dstein(alphas, betas, w[:m], iblock, isplit)
     if info != 0:
         raise np.linalg.LinAlgError(f"tridiagonal eigensolve failed (info={info})")
-    return y[:, 0]
+    return float(w[0]), y[:, 0]
 
 
 def lanczos_min_eig(
@@ -96,9 +98,10 @@ def lanczos_min_eig(
 
     Runs the Lanczos iteration on H from a start vector drawn uniformly on
     the unit sphere. The caller guarantees ``M >= ||H||``. The returned
-    ``lam`` is the Rayleigh quotient of the returned unit vector, which
-    satisfies lam <= lambda_min(H) + eps with probability at least
-    1 - delta within the iteration budget.
+    ``lam`` is the smallest Ritz value, the quantity the bound below is
+    stated for: lam <= lambda_min(H) + eps with probability at least
+    1 - delta within the iteration budget. It equals the Rayleigh quotient
+    of the returned unit vector up to rounding.
 
     The budget is the Kuczynski-Wozniakowski bound for the largest
     eigenvalue of the positive semidefinite M I - H. That shift is needed
@@ -108,10 +111,8 @@ def lanczos_min_eig(
 
     The basis is fully reorthogonalized (budgets are small at this scale).
     It lives in one preallocated ``(budget, n)`` array, row k holding the
-    k-th Lanczos vector, next to a second one holding the products H v_k,
-    so a call holds ``2 * budget * n`` floats and the Ritz vector's
-    Rayleigh quotient needs no extra product. Only the smallest Ritz pair
-    of the tridiagonal matrix is computed (``_ritz_min``).
+    k-th Lanczos vector, so a call holds ``budget * n`` floats. Only the
+    smallest Ritz pair of the tridiagonal matrix is computed (``_ritz_min``).
 
     A breakdown means the Krylov space became exactly invariant: a beta at
     most 1e-13 times the recurrence's own scale, the largest of 1 and every
@@ -126,7 +127,6 @@ def lanczos_min_eig(
     budget = lanczos_iteration_cap(n, M, eps, delta)
     scale = 1.0
     V = np.empty((budget, n))
-    HV = np.empty((budget, n))
     alphas: list[float] = []
     betas: list[float] = []
 
@@ -141,8 +141,7 @@ def lanczos_min_eig(
     k = 0
     while True:
         V[k] = v
-        hvk = HV[k]
-        hvk[:] = hv(v)
+        hvk = hv(v)
         alpha = float(v @ hvk)
         if not math.isfinite(alpha):
             raise NonFiniteError(f"non-finite Hessian-vector product in Lanczos step {k}")
@@ -170,11 +169,11 @@ def lanczos_min_eig(
             scale = beta
         v = w / beta
 
-    y = _ritz_min(alphas, betas)
+    lam, y = _ritz_min(alphas, betas)
     v_ritz = y @ V[:k]
     nv = float(np.linalg.norm(v_ritz))
     return EigEstimate(
-        lam=float(v_ritz @ (y @ HV[:k])) / (nv * nv),
+        lam=lam,
         v_unit=v_ritz / nv,
         iters=k,
         converged_by="full_n" if k >= n else "lanczos_cap",

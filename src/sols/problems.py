@@ -47,26 +47,21 @@ def _point_memo(coefficients):
 
 
 @dataclass(frozen=True)
-class KnownMinimizer:
-    x: tuple[float, ...]
-    f: float
-
-
-@dataclass(frozen=True)
 class SuiteProblem:
     """An objective family member with certified constants and coverage intent.
 
     ``branch_coverage`` names the step kinds the problem is designed to
     trigger under ``coverage_config``; traces are inspected against it.
-    Objectives carry per-instance counters, so each run must call
-    ``make_objective`` for a fresh instance.
+    ``x_star`` is a known global minimizer, where f equals
+    ``constants.f_low``. Objectives carry per-instance counters, so each run
+    must call ``make_objective`` for a fresh instance.
     """
 
     name: str
     dim: int
     x0: tuple[float, ...]
     constants: ProblemConstants
-    known_minimizers: tuple[KnownMinimizer, ...]
+    x_star: tuple[float, ...]
     branch_coverage: frozenset
     coverage_config: SolverConfig
     _factory: object
@@ -158,13 +153,12 @@ def separable_quartic(
         )
 
     x_star = np.where((d < 0.0) & (beta > 0.0), np.sqrt(np.maximum(-d, 0.0) / np.where(beta > 0, beta, 1.0)), 0.0)
-    minimizer = KnownMinimizer(x=tuple(float(v) for v in x_star), f=pc.f_low)
     problem = SuiteProblem(
         name=name,
         dim=n,
         x0=tuple(float(v) for v in x0),
         constants=pc,
-        known_minimizers=(minimizer,),
+        x_star=tuple(float(v) for v in x_star),
         branch_coverage=frozenset(branch_coverage),
         coverage_config=coverage_config,
         _factory=factory,
@@ -282,13 +276,12 @@ def rosenbrock(
             n, value, gradient, hessian_vector, dense_hessian, constants=pc, name=name
         )
 
-    ones = np.ones(n)
     problem = SuiteProblem(
         name=name,
         dim=n,
         x0=tuple(float(v) for v in x0),
         constants=pc,
-        known_minimizers=(KnownMinimizer(x=tuple(ones), f=0.0),),
+        x_star=(1.0,) * n,
         branch_coverage=frozenset(branch_coverage),
         coverage_config=coverage_config,
         _factory=factory,
@@ -323,7 +316,7 @@ def verify_constants(
             x = y
         if len(points) >= n_points:
             break
-    x_star = np.asarray(problem.known_minimizers[0].x)
+    x_star = np.asarray(problem.x_star)
     for t in (0.25, 0.5, 0.75, 1.0):
         y = x_star + t * (x0 - x_star)
         if obj.value(y) <= f0:

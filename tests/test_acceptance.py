@@ -204,7 +204,7 @@ def test_criterion_07_local_quadratic_convergence():
     ):
         problem = get_problem(name)
         # Half of min(1, smallest Hessian eigenvalue at the limit minimizer).
-        H_star = problem.make_objective().dense_hessian(np.asarray(problem.known_minimizers[0].x))
+        H_star = problem.make_objective().dense_hessian(np.asarray(problem.x_star))
         mu = 0.5 * min(1.0, float(np.linalg.eigvalsh(H_star)[0]))
         threshold, contraction = local_rate_constants(
             problem.constants.L_H, cfg.eta, cfg.eps_g, mu

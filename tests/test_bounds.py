@@ -1,4 +1,4 @@
-"""Decrease constants, envelopes, local rates, and the scalar root bound."""
+"""Decrease constants, envelopes and local rates."""
 
 from __future__ import annotations
 
@@ -17,8 +17,6 @@ from sols import (
     iteration_envelope,
     lanczos_iteration_cap,
     local_rate_constants,
-    scalar_root_bound,
-    scalar_root_lhs,
     tolerance_max_term,
 )
 
@@ -189,30 +187,3 @@ def test_local_rate_rejects_nonpositive_mu():
     with pytest.raises(ValueError):
         local_rate_constants(1.0, 1.0, 0.1, 0.0)
 
-
-# --- scalar root bound ---------------------------------------------------------
-
-def test_scalar_root_equality_at_unit_t():
-    assert scalar_root_bound(1.0, 3.0, 1.0) == pytest.approx(1.0)
-    assert scalar_root_lhs(1.0, 3.0, 1.0) == pytest.approx(1.0)
-
-
-def test_scalar_root_zero_t():
-    assert scalar_root_bound(1.0, 3.0, 0.0) == 0.0
-    assert scalar_root_lhs(1.0, 3.0, 0.0) >= 0.0
-
-
-def test_scalar_root_random_property():
-    rng = np.random.default_rng(99)
-    for _ in range(20_000):
-        a = float(rng.uniform(1e-3, 10.0))
-        b = float(rng.uniform(1e-3, 10.0))
-        t = float(rng.uniform(0.0, 5.0))
-        assert scalar_root_lhs(a, b, t) >= scalar_root_bound(a, b, t)
-
-
-def test_scalar_root_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        scalar_root_bound(0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        scalar_root_bound(1.0, 1.0, -1.0)

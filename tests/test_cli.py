@@ -208,6 +208,20 @@ def test_run_cg_cap_exits_3(tmp_path, capsys, monkeypatch):
     assert "error: seed 0:" in capsys.readouterr().err
 
 
+def test_run_indefinite_system_exits_3(tmp_path, capsys, monkeypatch):
+    def zero_curvature_cg(apply_A, g, m, M, zeta, n):
+        return CgOutcome(d=np.zeros_like(g), iters=1, final_residual_norm=1.0,
+                         status="nonpositive_curvature", p=-g, p_curvature=0.0)
+
+    monkeypatch.setattr(sols.steps, "cg_capped", zero_curvature_cg)
+    code = main(["run", "--problem", "quad-convex-2d", "--algo", "inexact",
+                 "--out", str(tmp_path)])
+    assert code == 3
+    run = read_report(tmp_path, "quad-convex-2d", "inexact")["runs"][0]
+    assert run["status"] == "indefinite"
+    assert "error: seed 0: indefinite-system" in capsys.readouterr().err
+
+
 def test_envelope_marks_failed_run(tmp_path, capsys):
     # The default exact-local run on rosenbrock-10d ends in a line-search
     # stall after certifying; its envelope checks pass, yet the run failed.

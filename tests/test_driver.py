@@ -350,6 +350,30 @@ def test_driver_reports_cg_cap_status(monkeypatch):
     assert "cap" in report.error
 
 
+def test_driver_reports_indefinite_system_status(monkeypatch):
+    # H = diag(2, 0) and a gradient with a component in its null space. The
+    # estimator claims lambda = 10, so CG meets a zero-curvature direction
+    # that cannot become a negative-curvature step.
+    H = np.diag([2.0, 0.0])
+    obj = Objective(
+        dim=2,
+        value=lambda x: float(x[0] ** 2 + x[1]),
+        gradient=lambda x: np.array([2.0 * x[0], 1.0]),
+        hessian_vector=lambda x, v: H @ v,
+        dense_hessian=lambda x: H,
+    )
+
+    def lying_lanczos(hv, n, M, eps, delta, rng):
+        return EigEstimate(lam=10.0, v_unit=np.array([1.0, 0.0]), iters=1,
+                           converged_by="lanczos_cap")
+
+    monkeypatch.setattr(sols.steps, "lanczos_min_eig", lying_lanczos)
+    report, records = run_inexact(obj, np.array([1.0, 0.0]), SolverConfig(U_H=3.0))
+    assert report.status == "indefinite"
+    assert "indefinite-system" in report.error
+    assert report.iterations == len(records)
+
+
 def test_driver_reports_line_search_stall_status(monkeypatch):
     obj = quadratic_objective(np.eye(2))  # no declared constants: budget unchecked
     # A sabotaged solver returns ascent.

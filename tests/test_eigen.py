@@ -322,8 +322,47 @@ def test_ritz_min_matches_eigh_tridiagonal(alphas, betas):
     from scipy.linalg import eigh_tridiagonal
 
     k = len(alphas)
-    _, Y = eigh_tridiagonal(alphas, betas[: k - 1], select="i", select_range=(0, 0))
-    assert np.array_equal(_ritz_min(alphas, betas), Y[:, 0])
+    w, Y = eigh_tridiagonal(alphas, betas[: k - 1], select="i", select_range=(0, 0))
+    theta, y = _ritz_min(alphas, betas)
+    assert np.float64(theta).tobytes() == w[:1].tobytes()
+    assert np.array_equal(y, Y[:, 0])
+
+
+def test_ritz_value_is_the_rayleigh_quotient_up_to_rounding():
+    rng = np.random.default_rng(16)
+    for trial in range(120):
+        n = int(rng.integers(2, 60))
+        if trial % 3 == 0:
+            # Few distinct eigenvalues, each repeated: the sweep breaks down early.
+            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            spectrum = rng.standard_normal(int(rng.integers(1, 4)))
+            H = (Q * rng.choice(spectrum, n)) @ Q.T
+            H = 0.5 * (H + H.T)
+        else:
+            H = random_symmetric(rng, n, scale=float(rng.uniform(0.1, 5.0)))
+        M = float(np.linalg.norm(H, 2)) + 1.0
+        eps, delta = [(0.05, 0.0), (0.3, 0.1), (1e-3, 1e-6)][trial % 3]
+        est = lanczos_min_eig(hv_of(H), n, M=M, eps=eps, delta=delta, rng=rng_for(trial))
+        assert abs(est.lam - float(est.v_unit @ H @ est.v_unit)) <= 1e-13 * M
+
+
+def test_a_call_holds_one_basis_array():
+    import tracemalloc
+
+    n, M, eps, delta = 20_000, 27.5, 0.4, 0.1
+    c = np.linspace(-1.0, 24.0, n)
+    budget = lanczos_iteration_cap(n, M, eps, delta)
+    assert budget == 43
+    # A first call loads scipy outside the traced region.
+    lanczos_min_eig(hv_of(np.diag(c[:5])), 5, M=M, eps=eps, delta=delta, rng=rng_for(0))
+    tracemalloc.start()
+    try:
+        est = lanczos_min_eig(lambda v: c * v, n, M=M, eps=eps, delta=delta, rng=rng_for(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.iters == budget
+    assert peak < 1.5 * budget * n * 8
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -104,9 +104,7 @@ def test_rosenbrock_minimum_and_floor():
 def test_known_minimizers_consistent():
     for p in suite():
         obj = p.make_objective()
-        for m in p.known_minimizers:
-            x = np.asarray(m.x)
-            assert obj.value(x) == pytest.approx(m.f, abs=1e-10)
+        assert obj.value(np.asarray(p.x_star)) == pytest.approx(p.constants.f_low, abs=1e-10)
 
 
 def test_constants_positive_and_f0_above_floor():

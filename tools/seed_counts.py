@@ -1,0 +1,111 @@
+"""Run a benchmark configuration over a seed range and print what each seed did.
+
+Usage:
+    python tools/seed_counts.py {q50,rosen100} FIRST LAST [--src SRC]
+
+Runs ``run_inexact`` once per seed FIRST..LAST (both included) with the
+``sols`` package found in ``SRC`` (default: the ``src`` directory of this
+checkout) and one BLAS thread. Each seed prints one JSON line: its status,
+the counts ``n_f``, ``n_grad`` and ``n_hv``, the iterations, the envelope
+verdict (null when the run has no envelope checks), the dense-oracle verdict
+on its certificate (null without one) and the sha256 of the ``x_final``
+bytes. A last line holds the means over the seeds.
+
+To compare two versions seed by seed, run it on both and diff the outputs,
+for example ``python tools/seed_counts.py q50 101 400 > new.jsonl`` and
+``python tools/seed_counts.py q50 101 400 --src OLD_CHECKOUT/src > old.jsonl``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+from pathlib import Path
+
+# Set before numpy loads, or the BLAS library has already started its threads.
+os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+
+import numpy as np  # noqa: E402
+
+COUNTS = ("n_f", "n_grad", "n_hv", "iterations")
+
+
+def configuration(name: str):
+    """The problem and solver config of a workload.
+
+    Both are copies of ``q50-inexact`` and ``rosen100-inexact`` in
+    ``bench/workloads.py``; a change there must be made here too.
+    """
+    from sols.problems import get_problem, rosenbrock
+    from sols.steps import SolverConfig
+
+    if name == "q50":
+        cfg = SolverConfig(eps_g=1e-4, eps_H=1e-2, theta=0.5, eta=1.0, zeta=0.5, delta=1e-6)
+        return get_problem("quartic-saddle-50d"), cfg
+    n = 100
+    problem = rosenbrock(
+        "rosenbrock-100d",
+        n=n,
+        x0=[-1.2 if i % 2 == 0 else 1.0 for i in range(n)],
+        branch_coverage=[],
+        coverage_config=SolverConfig(),
+    )
+    return problem, SolverConfig()
+
+
+def seed_row(problem, cfg, seed: int) -> dict:
+    from sols import run_inexact
+    from sols.driver import envelope_checks_pass
+
+    obj = problem.make_objective()
+    run_cfg = cfg.with_updates(rng_seed=seed)
+    report, _records = run_inexact(obj, problem.start_point(), run_cfg)
+    checks = report.envelope_checks()
+    cert = report.certificate
+    oracle_ok = None
+    if cert is not None:
+        lam = float(np.linalg.eigvalsh(obj.dense_hessian(cert.point))[0])
+        oracle_ok = lam >= -cfg.eps_H and cert.g_norm_min <= cfg.eps_g
+    c = report.counters
+    return {
+        "seed": seed,
+        "status": report.status,
+        "n_f": c.n_f,
+        "n_grad": c.n_grad,
+        "n_hv": c.n_hv,
+        "iterations": report.iterations,
+        "envelope_ok": envelope_checks_pass(checks) if checks else None,
+        "oracle_ok": oracle_ok,
+        "x_final_sha256": hashlib.sha256(np.ascontiguousarray(report.x_final).tobytes()).hexdigest(),
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("workload", choices=("q50", "rosen100"))
+    parser.add_argument("first", type=int)
+    parser.add_argument("last", type=int)
+    parser.add_argument(
+        "--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
+        help="directory holding the sols package (default: this checkout's src)",
+    )
+    args = parser.parse_args()
+    if args.last < args.first:
+        parser.error("LAST must not be below FIRST")
+    sys.path.insert(0, str(args.src.resolve()))
+
+    problem, cfg = configuration(args.workload)
+    rows = []
+    for seed in range(args.first, args.last + 1):
+        rows.append(seed_row(problem, cfg, seed))
+        print(json.dumps(rows[-1]), flush=True)
+    means = {f"mean_{k}": sum(r[k] for r in rows) / len(rows) for k in COUNTS}
+    print(json.dumps({"seeds": len(rows), **means}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
