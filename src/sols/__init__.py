@@ -5,7 +5,6 @@ from .bounds import (
     DecreaseConstants,
     decrease_constants,
     iteration_envelope,
-    local_rate_constants,
     tolerance_max_term,
 )
 from .cgsolve import CgCapError, CgOutcome, cg_capped, cg_iteration_cap, solve_exact
@@ -28,7 +27,6 @@ from .operators import (
     NonFiniteError,
     Objective,
     ProblemConstants,
-    check_derivatives,
     rayleigh_quotient,
 )
 from .problems import SuiteProblem, get_problem, problem_names, suite
@@ -72,14 +70,12 @@ __all__ = [
     "backtrack",
     "cg_capped",
     "cg_iteration_cap",
-    "check_derivatives",
     "check_termination",
     "decrease_constants",
     "get_problem",
     "iteration_envelope",
     "lanczos_iteration_cap",
     "lanczos_min_eig",
-    "local_rate_constants",
     "min_eigenpair_exact",
     "problem_names",
     "rayleigh_quotient",

@@ -189,20 +189,3 @@ def iteration_envelope(
         eval_log_term_negative=log_term < 0.0,
     )
 
-
-def local_rate_constants(
-    L_H: float, eta: float, eps_g: float, mu: float
-) -> tuple[float, float]:
-    """Entry threshold and quadratic coefficient of the local Newton regime.
-
-    ``mu`` is half of min(1, smallest Hessian eigenvalue at the limit
-    minimizer). Once the gradient norm drops below the returned threshold,
-    unit Newton steps contract it quadratically with the returned
-    coefficient (and by at least the fixed factor 3/8 per step).
-    """
-    if mu <= 0.0:
-        raise ValueError("mu must be positive")
-    threshold = min(3.0 * mu**4 / (L_H + eta), eps_g)
-    contraction = L_H / (2.0 * mu**2)
-    return threshold, contraction
-

@@ -134,7 +134,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             # Imported here: it loads logging too, which single-process runs skip.
             import concurrent.futures
 
-            with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            workers = min(args.jobs, len(seeds))
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 runs = list(pool.map(run_seed, seeds))
         else:
             runs = list(map(run_seed, seeds))

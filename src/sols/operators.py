@@ -1,4 +1,4 @@
-"""Matrix-free objective interface, evaluation counters, and derivative checks."""
+"""Matrix-free objective interface, evaluation counters and the curvature ratio."""
 
 from __future__ import annotations
 
@@ -7,10 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 Array = np.ndarray
-
-
-class DerivativeCheckError(RuntimeError):
-    """Non-finite value or gradient at a finite-difference probe point."""
 
 
 class NonFiniteError(ValueError):
@@ -54,11 +50,6 @@ class EvalCounters:
 
     def snapshot(self) -> EvalCounters:
         return EvalCounters(self.n_f, self.n_grad, self.n_hv)
-
-    def restore(self, other: EvalCounters) -> None:
-        self.n_f = other.n_f
-        self.n_grad = other.n_grad
-        self.n_hv = other.n_hv
 
     @property
     def grad_plus_hv(self) -> int:
@@ -116,77 +107,6 @@ class Objective:
         if self._dense_hessian is None:
             raise ValueError(f"objective {self.name!r} does not provide a dense Hessian")
         return np.asarray(self._dense_hessian(x), dtype=float)
-
-
-@dataclass(frozen=True)
-class DerivativeReport:
-    """Max relative finite-difference errors of the declared derivatives."""
-
-    grad_max_rel_error: float
-    hv_max_rel_error: float
-    h: float
-
-
-def default_fd_step(x: Array) -> float:
-    # Cube root of machine epsilon balances truncation against roundoff
-    # for central differences; scale by the iterate size.
-    return float(np.finfo(float).eps ** (1.0 / 3.0) * (1.0 + np.max(np.abs(x))))
-
-
-def check_derivatives(
-    obj: Objective,
-    x: Array,
-    h: float | None = None,
-    directions: Array | None = None,
-) -> DerivativeReport:
-    """Validate gradient and Hessian-vector callables against central differences.
-
-    The gradient is compared per component with a central difference of the
-    value; the Hessian-vector product is compared with a central difference
-    of the gradient along each column of ``directions`` (coordinate basis by
-    default). Counters are restored afterwards, so the check never perturbs
-    benchmark accounting.
-    """
-    x = np.asarray(x, dtype=float)
-    if h is None:
-        h = default_fd_step(x)
-    if h <= 0.0:
-        raise ValueError("finite-difference step h must be positive")
-    if directions is None:
-        directions = np.eye(obj.dim)
-
-    saved = obj.counters.snapshot()
-    try:
-        g = obj.gradient(x)
-        grad_err = 0.0
-        for i in range(obj.dim):
-            e = np.zeros(obj.dim)
-            e[i] = h
-            fp = obj.value(x + e)
-            fm = obj.value(x - e)
-            if not (np.isfinite(fp) and np.isfinite(fm)):
-                raise DerivativeCheckError(
-                    f"non-finite value at probe for coordinate {i}"
-                )
-            fd = (fp - fm) / (2.0 * h)
-            grad_err = max(grad_err, abs(fd - g[i]) / max(1.0, abs(g[i])))
-
-        hv_err = 0.0
-        for v in np.asarray(directions, dtype=float).T:
-            hv = obj.hessian_vector(x, v)
-            gp = obj.gradient(x + h * v)
-            gm = obj.gradient(x - h * v)
-            if not (np.all(np.isfinite(gp)) and np.all(np.isfinite(gm))):
-                raise DerivativeCheckError("non-finite gradient at probe point")
-            fd = (gp - gm) / (2.0 * h)
-            hv_err = max(
-                hv_err,
-                float(np.max(np.abs(fd - hv))) / max(1.0, float(np.max(np.abs(hv)))),
-            )
-    finally:
-        obj.counters.restore(saved)
-
-    return DerivativeReport(grad_max_rel_error=grad_err, hv_max_rel_error=hv_err, h=h)
 
 
 def rayleigh_quotient(obj: Objective, x: Array, g: Array) -> float:

@@ -45,7 +45,6 @@ class Direction:
     d: Array
     R: float | None = None
     lam: float | None = None
-    residual_norm: float | None = None
     lanczos_iters: int | None = None
     cg_iters: int | None = None
     cg_fallback: bool = False
@@ -281,7 +280,6 @@ def select_direction_inexact(
         outcome.d,
         R=R,
         lam=lam_i,
-        residual_norm=outcome.final_residual_norm,
         lanczos_iters=est.iters,
         cg_iters=outcome.iters,
     )

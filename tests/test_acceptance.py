@@ -19,14 +19,15 @@ from sols import (
     get_problem,
     lanczos_iteration_cap,
     lanczos_min_eig,
-    local_rate_constants,
     run_exact,
     run_inexact,
     tolerance_max_term,
 )
 from sols.cli import main as cli_main
 
-from conftest import cg_iterates, constants_for, decrease_floor, wilson_slack, wilson_upper_zero
+from conftest import (
+    cg_iterates, constants_for, decrease_floor, local_rate_constants, wilson_slack, wilson_upper_zero,
+)
 
 
 def conclude(index: int, name: str, violations: int, detail: str = "") -> None:

@@ -16,9 +16,10 @@ from sols import (
     decrease_constants,
     iteration_envelope,
     lanczos_iteration_cap,
-    local_rate_constants,
     tolerance_max_term,
 )
+
+from conftest import local_rate_constants
 
 
 def test_eigen_constant_frozen_value():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import contextlib
 import csv
 import io
@@ -169,6 +170,29 @@ def test_parallel_jobs_produce_same_report(tmp_path):
     a = (serial / "quartic-offset-2d_inexact_report.json").read_bytes()
     b = (parallel / "quartic-offset-2d_inexact_report.json").read_bytes()
     assert a == b
+
+
+def test_parallel_jobs_pool_bounded_by_seed_count(tmp_path, monkeypatch):
+    # A stand-in pool that records its size and maps serially: no process starts.
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    assert main(["run", "--problem", "quad-convex-2d", "--algo", "inexact", "--seed", "0,1",
+                 "--jobs", "5000", "--out", str(tmp_path)]) == 0
+    assert sizes == [2]
 
 
 @pytest.mark.parametrize(
@@ -415,13 +439,28 @@ FLAG_VALUES = st.fixed_dictionaries(
 )
 
 
-@settings(max_examples=100, derandomize=True, database=None, deadline=None)
-@given(
-    problem=st.sampled_from(["quad-convex-2d", "quartic-saddle-2d", "flat-1d", "rosenbrock-2d"]),
-    algo=st.sampled_from(["exact", "exact-local", "inexact"]),
-    values=FLAG_VALUES,
-    max_iters=st.sampled_from([-1, 0, 1, 2, 100]),
-)
+FUZZ_PROBLEMS = st.sampled_from([
+    "quad-convex-2d", "quartic-saddle-2d", "flat-1d", "rosenbrock-2d",
+    "quad-convex-10d", "rosenbrock-10d", "quartic-saddle-50d",
+])
+FUZZ_ALGOS = st.sampled_from(["exact", "exact-local", "inexact"])
+FUZZ_MAX_ITERS = st.sampled_from([-1, 0, 1, 2, 100])
+
+
+def assert_run_exit_classified(argv: list[str]) -> None:
+    """``sols run`` exits 0-3, or argparse rejects a flag with 2: never a traceback."""
+    with tempfile.TemporaryDirectory() as out:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(["run", *argv, "--out", out])
+            except SystemExit as exc:  # argparse rejecting a flag
+                assert exc.code == 2
+                return
+    assert code in (0, 1, 2, 3)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(problem=FUZZ_PROBLEMS, algo=FUZZ_ALGOS, values=FLAG_VALUES, max_iters=FUZZ_MAX_ITERS)
 @example(problem="quad-convex-2d", algo="exact", values={"zeta": 1e-200}, max_iters=100)
 @example(problem="quad-convex-2d", algo="inexact", values={"zeta": 1e-200}, max_iters=100)
 @example(problem="flat-1d", algo="exact", values={"eta": 1e-183}, max_iters=100)
@@ -431,15 +470,23 @@ FLAG_VALUES = st.fixed_dictionaries(
 @example(problem="rosenbrock-2d", algo="exact", values={"theta": 1e-120}, max_iters=100)
 # The regularized-Newton backtracking cap's log argument underflows to 0.
 @example(problem="quad-convex-2d", algo="exact", values={"eps_H": 2e-42, "eta": 4e240}, max_iters=100)
+# Runs that pass validation on each higher-dimensional problem.
+@example(problem="quad-convex-10d", algo="exact-local", values={"eta": 1e-120}, max_iters=100)
+@example(problem="rosenbrock-10d", algo="inexact", values={"U_H": 1e300}, max_iters=100)
+@example(problem="quartic-saddle-50d", algo="inexact", values={"delta": 5e-324}, max_iters=100)
 def test_run_flags_never_crash(problem, algo, values, max_iters):
     flags = [f"--{name.replace('_', '-')}={value!r}" for name, value in values.items()]
-    with tempfile.TemporaryDirectory() as out:
-        argv = ["run", "--problem", problem, "--algo", algo, f"--max-iters={max_iters}",
-                *flags, "--out", out]
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse rejecting a flag
-                assert exc.code == 2
-                return
-    assert code in (0, 1, 2, 3)
+    assert_run_exit_classified(
+        ["--problem", problem, "--algo", algo, f"--max-iters={max_iters}", *flags]
+    )
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(problem=FUZZ_PROBLEMS, algo=FUZZ_ALGOS, values=FLAG_VALUES, max_iters=FUZZ_MAX_ITERS)
+def test_run_config_file_values_never_crash(tmp_path_factory, problem, algo, values, max_iters):
+    cfg_file = tmp_path_factory.mktemp("cfg") / "solver.cfg"
+    cfg_file.write_text(
+        "".join(f"{name} = {value!r}\n" for name, value in values.items())
+        + f"max_iters = {max_iters}\n"
+    )
+    assert_run_exit_classified(["--problem", problem, "--algo", algo, "--config", str(cfg_file)])

@@ -5,11 +5,13 @@ Usage:
 
 Runs ``run_inexact`` once per seed FIRST..LAST (both included) with the
 ``sols`` package found in ``SRC`` (default: the ``src`` directory of this
-checkout) and one BLAS thread. Each seed prints one JSON line: its status,
-the counts ``n_f``, ``n_grad`` and ``n_hv``, the iterations, the envelope
-verdict (null when the run has no envelope checks), the dense-oracle verdict
-on its certificate (null without one) and the sha256 of the ``x_final``
-bytes. A last line holds the means over the seeds.
+checkout) and one BLAS thread. The problem, the solver config and the
+certificate oracle are those of ``bench/workloads.py`` in this checkout.
+Each seed prints one JSON line: its status, the counts ``n_f``, ``n_grad``
+and ``n_hv``, the iterations, the envelope verdict (null when the run has no
+envelope checks), the dense-oracle verdict on its certificate (null without
+one) and the sha256 of the ``x_final`` bytes. A last line holds the means
+over the seeds.
 
 To compare two versions seed by seed, run it on both and diff the outputs,
 for example ``python tools/seed_counts.py q50 101 400 > new.jsonl`` and
@@ -30,35 +32,25 @@ os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL
 
 import numpy as np  # noqa: E402
 
+ROOT = Path(__file__).resolve().parents[1]
 COUNTS = ("n_f", "n_grad", "n_hv", "iterations")
 
 
 def configuration(name: str):
-    """The problem and solver config of a workload.
-
-    Both are copies of ``q50-inexact`` and ``rosen100-inexact`` in
-    ``bench/workloads.py``; a change there must be made here too.
-    """
-    from sols.problems import get_problem, rosenbrock
+    """The problem and solver config of ``q50-inexact`` or ``rosen100-inexact``."""
+    from sols.problems import get_problem
     from sols.steps import SolverConfig
+    from workloads import MC_CFG, rosenbrock_100d
 
     if name == "q50":
-        cfg = SolverConfig(eps_g=1e-4, eps_H=1e-2, theta=0.5, eta=1.0, zeta=0.5, delta=1e-6)
-        return get_problem("quartic-saddle-50d"), cfg
-    n = 100
-    problem = rosenbrock(
-        "rosenbrock-100d",
-        n=n,
-        x0=[-1.2 if i % 2 == 0 else 1.0 for i in range(n)],
-        branch_coverage=[],
-        coverage_config=SolverConfig(),
-    )
-    return problem, SolverConfig()
+        return get_problem("quartic-saddle-50d"), MC_CFG
+    return rosenbrock_100d(), SolverConfig()
 
 
 def seed_row(problem, cfg, seed: int) -> dict:
     from sols import run_inexact
     from sols.driver import envelope_checks_pass
+    from workloads import certificate_failure
 
     obj = problem.make_objective()
     run_cfg = cfg.with_updates(rng_seed=seed)
@@ -67,8 +59,9 @@ def seed_row(problem, cfg, seed: int) -> dict:
     cert = report.certificate
     oracle_ok = None
     if cert is not None:
-        lam = float(np.linalg.eigvalsh(obj.dense_hessian(cert.point))[0])
-        oracle_ok = lam >= -cfg.eps_H and cert.g_norm_min <= cfg.eps_g
+        oracle_ok = certificate_failure(
+            obj.dense_hessian, cert.point, cert.g_norm_min, cfg.eps_g, cfg.eps_H
+        ) is None
     c = report.counters
     return {
         "seed": seed,
@@ -89,13 +82,14 @@ def main() -> int:
     parser.add_argument("first", type=int)
     parser.add_argument("last", type=int)
     parser.add_argument(
-        "--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
+        "--src", type=Path, default=ROOT / "src",
         help="directory holding the sols package (default: this checkout's src)",
     )
     args = parser.parse_args()
     if args.last < args.first:
         parser.error("LAST must not be below FIRST")
-    sys.path.insert(0, str(args.src.resolve()))
+    # The workload definitions come from this checkout's bench/; sols from SRC.
+    sys.path[:0] = [str(args.src.resolve()), str(ROOT / "bench")]
 
     problem, cfg = configuration(args.workload)
     rows = []
