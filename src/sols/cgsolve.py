@@ -81,44 +81,46 @@ def cg_capped(
     residual test ||A d + g|| <= (zeta/2) min(||g||, m ||d||) is applied.
     The curvature of every search direction is checked; nonpositive
     curvature aborts the solve and surfaces the direction, and a non-finite
-    one raises ``NonFiniteError``.
+    one raises ``NonFiniteError``. ``apply_A`` is passed the search direction,
+    which is then updated in place, so it must not keep its argument.
     """
     g = np.asarray(g, dtype=float)
-    gnorm = float(np.linalg.norm(g))
+    r = g.copy()  # residual of A d + g at d = 0
+    rr = float(r.dot(r))
+    gnorm = math.sqrt(rr)
     if gnorm == 0.0:
         raise ValueError("cg_capped requires a nonzero right-hand side")
 
     cap = cg_iteration_cap(n, m, M, zeta)
     d = np.zeros_like(g)
-    r = g.copy()  # residual of A d + g at d = 0
     p = -r
-    rr = float(r @ r)
     outcome = CgOutcome(d=d, iters=0, final_residual_norm=gnorm, status="cap_reached")
 
     for q in range(1, cap + 1):
         Ap = np.asarray(apply_A(p), dtype=float)
-        pAp = float(p @ Ap)
+        pAp = float(p.dot(Ap))
         if not math.isfinite(pAp):
             raise NonFiniteError(f"non-finite curvature p'Ap in CG iteration {q}")
-        if pAp <= CURVATURE_TOL * float(p @ p):
+        if pAp <= CURVATURE_TOL * float(p.dot(p)):
             outcome.status = "nonpositive_curvature"
             outcome.p = p
             outcome.p_curvature = pAp
             outcome.iters = q
             return outcome
         alpha = rr / pAp
-        d = d + alpha * p
-        r = r + alpha * Ap
-        rr_new = float(r @ r)
+        d += alpha * p
+        r += alpha * Ap
+        rr_new = float(r.dot(r))
         rnorm = math.sqrt(rr_new)
-        dnorm = math.sqrt(float(d @ d))
-        outcome.d = d
+        dnorm = math.sqrt(float(d.dot(d)))
         outcome.iters = q
         outcome.final_residual_norm = rnorm
         if rnorm <= 0.5 * zeta * min(gnorm, m * dnorm):
             outcome.status = "converged"
             return outcome
-        p = -r + (rr_new / rr) * p
+        # t - r, the same IEEE result as -r + t.
+        p *= rr_new / rr
+        p -= r
         rr = rr_new
 
     return outcome

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -10,7 +11,7 @@ from .bounds import ComplexityEnvelope, iteration_envelope
 from .cgsolve import CgCapError, solve_exact
 from .eigen import min_eigenpair_exact
 from .linesearch import LineSearchStallError, backtrack, max_ls_cap
-from .operators import Array, EvalCounters, NonFiniteError, Objective
+from .operators import Array, EvalCounters, NonFiniteError, Objective, norm
 from .steps import (
     ConfigError,
     Direction,
@@ -157,7 +158,7 @@ def local_phase_floor(cfg: SolverConfig) -> float:
 
 
 def _require_finite(value: float, what: str) -> None:
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise NonFiniteError(f"{what} is not finite")
 
 
@@ -191,15 +192,15 @@ def _step(
         phase=phase,
         step_kind=sel.kind,
         f=float(f_x),
-        g_norm=float(np.linalg.norm(g)),
-        x_norm=float(np.linalg.norm(x)),
+        g_norm=norm(g),
+        x_norm=norm(x),
         R=None if sel.R is None else float(sel.R),
         lam=None if sel.lam is None else float(sel.lam),
-        d_norm=float(np.linalg.norm(sel.d)),
+        d_norm=norm(sel.d),
         j=res.j,
         alpha=float(res.alpha),
         decrease=float(res.decrease),
-        g_next_norm=float(np.linalg.norm(g_next)),
+        g_next_norm=norm(g_next),
         lanczos_iters=sel.lanczos_iters,
         cg_iters=sel.cg_iters,
         cg_fallback=sel.cg_fallback,
@@ -264,10 +265,10 @@ def _run_loop(
     phase = "main"
 
     try:
-        _require_finite(np.linalg.norm(g), "the gradient norm at the start point")
+        _require_finite(norm(g), "the gradient norm at the start point")
         while True:
             if phase == "local":
-                g_norm = float(np.linalg.norm(g))
+                g_norm = norm(g)
                 if g_norm <= local_phase_floor(cfg):
                     status = "converged"
                     break
@@ -282,7 +283,7 @@ def _run_loop(
                 reentries += 1
                 continue
             if isinstance(sel, Terminate):
-                point, g_norm_min, lam = x, np.linalg.norm(g), sel.lam
+                point, g_norm_min, lam = x, norm(g), sel.lam
             else:
                 if sel.cg_fallback:
                     fallback_count += 1
@@ -324,14 +325,14 @@ def _run_loop(
         # One extra eigenvalue check classifies whether the final point
         # itself satisfies the pointwise second-order condition.
         est = min_eigenpair_exact(obj.dense_hessian(x))
-        second_order_ok = bool(check_termination(np.linalg.norm(g), est.lam, cfg))
+        second_order_ok = bool(check_termination(norm(g), est.lam, cfg))
 
     report = RunReport(
         status=status,
         algo=algo,
         x_final=x,
         f_final=float(f_x),
-        g_norm_final=float(np.linalg.norm(g)),
+        g_norm_final=norm(g),
         lambda_final=final_lam,
         iterations=len(records),
         reentries=reentries,

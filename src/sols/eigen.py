@@ -68,13 +68,13 @@ def log_n_over_delta_sq(n: int, delta: float) -> float:
     return math.log(n / d2) if d2 > 0.0 else math.log(n) - 2.0 * math.log(delta)
 
 
-def _ritz_min(alphas: list[float], betas: list[float]) -> tuple[float, Array]:
+def _ritz_min(alphas: Array, betas: Array) -> tuple[float, Array]:
     """Smallest eigenvalue and its unit eigenvector of the tridiagonal matrix
     with diagonal ``alphas`` and off-diagonal ``betas``, from the two LAPACK
     calls ``eigh_tridiagonal(select="i")`` makes, without its argument checks."""
     k = len(alphas)
     if k == 1:
-        return alphas[0], np.ones(1)
+        return float(alphas[0]), np.ones(1)
     # Imported here, not at module level: only the Lanczos path pays its load time.
     from scipy.linalg.lapack import dstebz, dstein
 
@@ -111,7 +111,8 @@ def lanczos_min_eig(
 
     The basis is fully reorthogonalized (budgets are small at this scale).
     It lives in one preallocated ``(budget, n)`` array, row k holding the
-    k-th Lanczos vector, so a call holds ``budget * n`` floats. Only the
+    k-th Lanczos vector, so a call holds ``budget * n`` floats. ``hv`` is
+    passed a view of a basis row and must not write into it. Only the
     smallest Ritz pair of the tridiagonal matrix is computed (``_ritz_min``).
 
     A breakdown means the Krylov space became exactly invariant: a beta at
@@ -127,25 +128,27 @@ def lanczos_min_eig(
     budget = lanczos_iteration_cap(n, M, eps, delta)
     scale = 1.0
     V = np.empty((budget, n))
-    alphas: list[float] = []
-    betas: list[float] = []
+    alphas = np.empty(budget)
+    betas = np.empty(budget)
+    # The three-term update writes into these instead of fresh arrays.
+    w = np.empty(n)
+    tmp = np.empty(n)
 
     v = rng.standard_normal(n)
-    nv = np.linalg.norm(v)
+    nv = math.sqrt(float(v.dot(v)))
     while nv == 0.0:
         v = rng.standard_normal(n)
-        nv = np.linalg.norm(v)
-    v = v / nv
+        nv = math.sqrt(float(v.dot(v)))
+    v = np.divide(v, nv, out=V[0])
 
     # k counts the products; the loop ends at the budget or at a breakdown.
     k = 0
     while True:
-        V[k] = v
         hvk = hv(v)
-        alpha = float(v @ hvk)
+        alpha = float(v.dot(hvk))
         if not math.isfinite(alpha):
             raise NonFiniteError(f"non-finite Hessian-vector product in Lanczos step {k}")
-        alphas.append(alpha)
+        alphas[k] = alpha
         # Comparisons, not max(): this runs once per product.
         if abs(alpha) > scale:
             scale = abs(alpha)
@@ -154,24 +157,24 @@ def lanczos_min_eig(
             # T_k never reads the next beta.
             break
 
-        w = hvk - alpha * v
+        np.subtract(hvk, np.multiply(v, alpha, out=tmp), out=w)
         if k > 1:
-            w -= betas[-1] * V[k - 2]
+            w -= np.multiply(V[k - 2], beta, out=tmp)
         # Full reorthogonalization against the stored basis.
         Vk = V[:k]
-        w -= Vk.T @ (Vk @ w)
+        w -= Vk.T.dot(Vk.dot(w))
 
-        beta = math.sqrt(float(w @ w))
+        beta = math.sqrt(float(w.dot(w)))
         if beta <= 1e-13 * scale:
             break
-        betas.append(beta)
+        betas[k - 1] = beta
         if beta > scale:
             scale = beta
-        v = w / beta
+        v = np.divide(w, beta, out=V[k])
 
-    lam, y = _ritz_min(alphas, betas)
-    v_ritz = y @ V[:k]
-    nv = float(np.linalg.norm(v_ritz))
+    lam, y = _ritz_min(alphas[:k], betas[: k - 1])
+    v_ritz = y.dot(V[:k])
+    nv = math.sqrt(float(v_ritz.dot(v_ritz)))
     return EigEstimate(
         lam=lam,
         v_unit=v_ritz / nv,

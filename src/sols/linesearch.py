@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import Array, Objective, ProblemConstants
+from .operators import Array, Objective, ProblemConstants, norm
 from .steps import ConfigError, SolverConfig, StepKind
 
 
@@ -52,7 +52,7 @@ def backtrack(
     exactly j + 1 objective evaluations.
     """
     d = np.asarray(d, dtype=float)
-    dnorm = float(np.linalg.norm(d))
+    dnorm = norm(d)
     if dnorm == 0.0:
         raise ValueError("backtrack requires a nonzero direction")
     base = (cfg.eta / 6.0) * dnorm**3

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,8 +118,15 @@ def rayleigh_quotient(obj: Objective, x: Array, g: Array) -> float:
     branch before any curvature evaluation.
     """
     g = np.asarray(g, dtype=float)
-    gn2 = float(g @ g)
+    gn2 = float(g.dot(g))
     if gn2 == 0.0:
         raise ValueError("rayleigh_quotient requires a nonzero vector")
     hg = obj.hessian_vector(x, g)
-    return float(g @ hg) / gn2
+    return float(g.dot(hg)) / gn2
+
+
+def norm(v: Array) -> float:
+    """``float(np.linalg.norm(v))`` of a float vector, by the same operations
+    without its dispatch: a strided vector is copied first, as numpy does."""
+    v = v.ravel()
+    return math.sqrt(float(v.dot(v)))

@@ -9,7 +9,7 @@ import numpy as np
 
 from .cgsolve import CgCapError, cg_capped, solve_exact
 from .eigen import EigEstimate, lanczos_min_eig, min_eigenpair_exact
-from .operators import Array, NonFiniteError, Objective, rayleigh_quotient
+from .operators import Array, NonFiniteError, Objective, norm, rayleigh_quotient
 
 
 class StepKind:
@@ -135,7 +135,7 @@ def scale_eigvector(v_unit: Array, lam: float, g: Array) -> Array:
     if lam >= 0.0:
         return np.zeros_like(v_unit)
     w = (-lam) * v_unit
-    if float(w @ g) > 0.0:
+    if float(w.dot(g)) > 0.0:
         w = -w
     return w
 
@@ -156,7 +156,7 @@ def _first_order_direction(
     if R < -cfg.eps_H:
         return Direction(StepKind.SCALED_NEG_CURV_GRADIENT, (R / gnorm) * g, R=R), R
     if -cfg.eps_H <= R <= cfg.eps_H and gnorm > cfg.eps_g:
-        return Direction(StepKind.NORMALIZED_GRADIENT, -g / np.sqrt(gnorm), R=R), R
+        return Direction(StepKind.NORMALIZED_GRADIENT, -g / math.sqrt(gnorm), R=R), R
     return None, R
 
 
@@ -168,7 +168,7 @@ def select_direction_exact(
 ) -> Direction | Terminate:
     """Choose the search direction of the exact loop, or certify the iterate."""
     g = np.asarray(g, dtype=float)
-    gnorm = float(np.linalg.norm(g))
+    gnorm = norm(g)
     direction, R = _first_order_direction(obj, x, g, gnorm, cfg)
     if direction is not None:
         return direction
@@ -196,14 +196,14 @@ def _neg_curvature_from_cg(
     The curvature of the unshifted Hessian along p is recovered from the
     already-computed product, so the fallback costs no extra evaluations.
     """
-    pn2 = float(p @ p)
+    pn2 = float(p.dot(p))
     R_p = (p_curvature - shift * pn2) / pn2
     if R_p >= 0.0:
         raise IndefiniteSystemError(
             "indefinite-system encountered: CG curvature direction has "
             f"nonnegative Hessian curvature {R_p:.3e}"
         )
-    d = scale_eigvector(p / np.sqrt(pn2), R_p, g)
+    d = scale_eigvector(p / math.sqrt(pn2), R_p, g)
     return d, R_p
 
 
@@ -225,7 +225,7 @@ def select_direction_inexact(
     report's probability accounting.
     """
     g = np.asarray(g, dtype=float)
-    gnorm = float(np.linalg.norm(g))
+    gnorm = norm(g)
     direction, R = _first_order_direction(obj, x, g, gnorm, cfg)
     if direction is not None:
         return direction

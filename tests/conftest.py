@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from sols import (
@@ -14,10 +16,12 @@ from sols import (
     StepKind,
     cg_capped,
     decrease_constants,
+    get_problem,
     run_exact,
     run_inexact,
     suite,
 )
+from sols.problems import rosenbrock
 
 # Three solver configurations spanning loose and tight tolerances, distinct
 # backtracking ratios, and distinct decrease weights. Every suite problem
@@ -121,3 +125,31 @@ def cg_iterates(apply_A, g, m: float, M: float, zeta: float, iters: int) -> list
         assert out.iters == q
         outs.append(out)
     return outs
+
+
+@functools.cache
+def bench_hessians() -> tuple:
+    """``(id, hv, n, U_H)`` for the Hessians the benchmark's inexact runs
+    see: quartic-saddle-50d and the chained Rosenbrock function at n = 100
+    from its alternating -1.2/1.0 start, each at its start point and at
+    three seeded points near it. ``hv`` goes through
+    ``Objective.hessian_vector``, as in the solver."""
+    rosen100 = rosenbrock(
+        "rosenbrock-100d",
+        n=100,
+        x0=[-1.2 if i % 2 == 0 else 1.0 for i in range(100)],
+        branch_coverage=[],
+        coverage_config=SolverConfig(),
+    )
+    cases = []
+    for problem in (get_problem("quartic-saddle-50d"), rosen100):
+        obj = problem.make_objective()
+        rng = np.random.default_rng(17)
+        x0 = problem.start_point()
+        points = [x0] + [x0 + 0.3 * rng.standard_normal(problem.dim) for _ in range(3)]
+        for i, x in enumerate(points):
+            cases.append(
+                (f"{problem.name}-x{i}", functools.partial(obj.hessian_vector, x),
+                 problem.dim, problem.constants.U_H)
+            )
+    return tuple(cases)

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from sols import NonFiniteError, cg_capped, cg_iteration_cap, solve_exact
+from sols import CgOutcome, NonFiniteError, cg_capped, cg_iteration_cap, solve_exact
+from sols.cgsolve import CURVATURE_TOL
 
-from conftest import cg_iterates
+from conftest import bench_hessians, cg_iterates
 
 
 def reference_cg(A: np.ndarray, g: np.ndarray, tol: float = 1e-14) -> np.ndarray:
@@ -217,3 +220,105 @@ def test_solve_exact_matches_cho_solve_oracle(n, shift):
 def test_solve_exact_shift_below_spectrum_raises():
     with pytest.raises(np.linalg.LinAlgError):
         solve_exact(np.diag([-3.0, 1.0]), np.ones(2), shift=2.0)
+
+
+# --- bitwise equality with the matmul loop ---------------------------------------
+
+def matmul_cg_capped(apply_A, g, m, M, zeta, n):
+    """Capped CG as written with ``@`` and fresh arrays before it moved to
+    ``ndarray.dot`` and in-place updates. The rewrite does the same
+    floating-point operations in the same order, so the two agree bit for bit."""
+    g = np.asarray(g, dtype=float)
+    gnorm = float(np.linalg.norm(g))
+    d = np.zeros_like(g)
+    r = g.copy()
+    p = -r
+    rr = float(r @ r)
+    outcome = CgOutcome(d=d, iters=0, final_residual_norm=gnorm, status="cap_reached")
+    for q in range(1, cg_iteration_cap(n, m, M, zeta) + 1):
+        Ap = np.asarray(apply_A(p), dtype=float)
+        pAp = float(p @ Ap)
+        if pAp <= CURVATURE_TOL * float(p @ p):
+            outcome.status = "nonpositive_curvature"
+            outcome.p = p
+            outcome.p_curvature = pAp
+            outcome.iters = q
+            return outcome
+        alpha = rr / pAp
+        d = d + alpha * p
+        r = r + alpha * Ap
+        rr_new = float(r @ r)
+        rnorm = math.sqrt(rr_new)
+        dnorm = math.sqrt(float(d @ d))
+        outcome.d = d
+        outcome.iters = q
+        outcome.final_residual_norm = rnorm
+        if rnorm <= 0.5 * zeta * min(gnorm, m * dnorm):
+            outcome.status = "converged"
+            return outcome
+        p = -r + (rr_new / rr) * p
+        rr = rr_new
+    return outcome
+
+
+def shifted(hv, shift):
+    """``v -> H v + shift v``, the operator the inexact loop hands CG."""
+    return lambda v: hv(v) if shift == 0.0 else hv(v) + shift * v
+
+
+def _bitwise_cases():
+    """``(id, apply_A, g, m, M, zeta, n)``."""
+    rng = np.random.default_rng(21)
+    for name, hv, n, U_H in bench_hessians():
+        g = rng.standard_normal(n)
+        # Shifts 0 and 2 eps_H as in the inexact loop, then one past -lambda_min.
+        for shift in (0.0, 0.02, U_H):
+            yield f"{name}-shift{shift:g}", shifted(hv, shift), g, 0.01, U_H + shift, 0.5, n
+    for n in (1, 2, 5, 50, 100):
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        spectrum = rng.uniform(0.5, 8.0, n)
+        A = (Q * spectrum) @ Q.T
+        g = rng.standard_normal(n)
+        m, M = float(spectrum.min()), float(spectrum.max())
+        for zeta in (0.5, 1e-3):
+            yield f"spd-n{n}-zeta{zeta:g}", operator(A), g, m, M, zeta, n
+        # A cap of two iterations below the needed count.
+        yield f"spd-n{n}-cap", operator(A), g, m, M, 1e-9, min(n, 2)
+        indefinite = (Q * rng.uniform(-1.0, 8.0, n)) @ Q.T
+        yield f"indefinite-n{n}", operator(indefinite), g, 0.5, 8.0, 0.1, n
+    npc = np.diag([-1.0, 2.0])
+    yield "npc-first-direction", operator(npc), np.array([1.0, 0.0]), 0.5, 2.0, 0.5, 2
+    yield "npc-second-direction", operator(npc), np.array([1.0, 1.0]), 0.5, 2.0, 0.5, 2
+    yield "apply-returns-argument", lambda p: p, rng.standard_normal(7), 1.0, 1.0, 0.5, 7
+
+
+BITWISE_CASES = list(_bitwise_cases())
+
+
+def _same_bytes(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "apply_A, g, m, M, zeta, n", [pytest.param(*c[1:], id=c[0]) for c in BITWISE_CASES]
+)
+def test_bitwise_equal_to_matmul_loop(apply_A, g, m, M, zeta, n):
+    ref = matmul_cg_capped(apply_A, g, m, M, zeta, n)
+    out = cg_capped(apply_A, g, m, M, zeta, n)
+    assert (out.status, out.iters) == (ref.status, ref.iters)
+    assert _same_bytes(out.d, ref.d)
+    assert _same_bytes(out.final_residual_norm, ref.final_residual_norm)
+    assert _same_bytes(out.p, ref.p)
+    assert _same_bytes(out.p_curvature, ref.p_curvature)
+
+
+def test_bitwise_cases_reach_every_exit():
+    exits = set()
+    for _, apply_A, g, m, M, zeta, n in BITWISE_CASES:
+        out = cg_capped(apply_A, g, m, M, zeta, n)
+        exits.add(out.status if out.status != "nonpositive_curvature"
+                  else f"npc-q{min(out.iters, 2)}")
+    assert exits == {"converged", "cap_reached", "npc-q1", "npc-q2"}

@@ -424,27 +424,49 @@ def test_run_rejects_nonpositive_jobs(tmp_path, capsys, jobs):
     assert not list(tmp_path.iterdir())
 
 
-# Flag values validate() sees: zero, subnormals, huge, infinite and nan
+# Each drawn key takes a value from its valid range about nine times in
+# ten, so that most draws pass validation and run a solver, and otherwise
+# an extreme value validate() sees: zero, subnormals, huge, infinite and nan
 # floats, and integers around the lower bound. ``max_iters`` is always set,
 # and kept small, so that a run that cannot converge still ends quickly.
+def mostly(valid, extreme):
+    return st.integers(0, 9).flatmap(lambda i: extreme if i == 9 else valid)
+
+
 FLAG_FLOATS = st.sampled_from(
     [0.0, -0.0, 5e-324, 1e-310, 1e-200, 1e-120, 0.5, 1.0, 1e308, math.inf, -math.inf, math.nan]
 ) | st.floats()
+VALID_FLOATS = {
+    "eps_g": st.floats(1e-12, 1.0, exclude_max=True),
+    "eps_H": st.floats(1e-6, 1.0, exclude_max=True),
+    "theta": st.floats(0.1, 0.9),
+    "eta": st.floats(1e-3, 1e3),
+    "zeta": st.floats(0.0, 1.0, exclude_max=True),
+    "delta": st.floats(0.0, 1.0, exclude_max=True),
+    "U_H": st.floats(1e-3, 1e6),
+}
 FLAG_VALUES = st.fixed_dictionaries(
     {},
     optional={
-        **{name: FLAG_FLOATS for name in ("eps_g", "eps_H", "theta", "eta", "zeta", "delta", "U_H")},
-        "max_ls_steps": st.integers(-1, 2) | st.sampled_from([200, 5000]),
+        **{name: mostly(valid, FLAG_FLOATS) for name, valid in VALID_FLOATS.items()},
+        "max_ls_steps": mostly(
+            st.integers(100, 5000), st.integers(-1, 2) | st.sampled_from([200, 5000])
+        ),
     },
 )
 
 
-FUZZ_PROBLEMS = st.sampled_from([
+PROBLEM_NAMES = (
     "quad-convex-2d", "quartic-saddle-2d", "flat-1d", "rosenbrock-2d",
     "quad-convex-10d", "rosenbrock-10d", "quartic-saddle-50d",
-])
+)
+# Derandomized sampled_from draws bunch up (one problem got 4 of 200); a
+# wide integer taken modulo the count spreads them more evenly.
+FUZZ_PROBLEMS = st.integers(0, 2**32 - 1).map(
+    lambda i: PROBLEM_NAMES[i % len(PROBLEM_NAMES)]
+)
 FUZZ_ALGOS = st.sampled_from(["exact", "exact-local", "inexact"])
-FUZZ_MAX_ITERS = st.sampled_from([-1, 0, 1, 2, 100])
+FUZZ_MAX_ITERS = mostly(st.integers(1, 100), st.sampled_from([-1, 0, 1, 2, 100]))
 
 
 def assert_run_exit_classified(argv: list[str]) -> None:

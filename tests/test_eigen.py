@@ -10,7 +10,7 @@ import pytest
 from sols import lanczos_iteration_cap, lanczos_min_eig, min_eigenpair_exact, suite
 from sols.eigen import _ritz_min
 
-from conftest import wilson_slack
+from conftest import bench_hessians, wilson_slack
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -379,3 +379,102 @@ def test_non_finite_product_raises_value_error(bad):
 
     with pytest.raises(ValueError, match="non-finite Hessian-vector product"):
         lanczos_min_eig(hv, 10, M=10.0, eps=0.1, delta=0.0, rng=rng_for(14))
+
+
+# --- bitwise equality with the matmul loop ---------------------------------------
+
+def matmul_lanczos_min_eig(hv, n, M, eps, delta, rng):
+    """The Lanczos loop as written with ``@``, fresh arrays and Python lists
+    before it moved to ``ndarray.dot`` and in-place ufuncs. The rewrite does
+    the same floating-point operations in the same order, so the two agree
+    bit for bit. Returns ``(lam, v_unit, iters, converged_by)``."""
+    from scipy.linalg.lapack import dstebz, dstein
+
+    budget = lanczos_iteration_cap(n, M, eps, delta)
+    scale = 1.0
+    V = np.empty((budget, n))
+    alphas, betas = [], []
+    v = rng.standard_normal(n)
+    nv = np.linalg.norm(v)
+    while nv == 0.0:
+        v = rng.standard_normal(n)
+        nv = np.linalg.norm(v)
+    v = v / nv
+    k = 0
+    while True:
+        V[k] = v
+        hvk = hv(v)
+        alpha = float(v @ hvk)
+        alphas.append(alpha)
+        scale = max(scale, abs(alpha))
+        k += 1
+        if k == budget:
+            break
+        w = hvk - alpha * v
+        if k > 1:
+            w -= betas[-1] * V[k - 2]
+        Vk = V[:k]
+        w -= Vk.T @ (Vk @ w)
+        beta = math.sqrt(float(w @ w))
+        if beta <= 1e-13 * scale:
+            break
+        betas.append(beta)
+        scale = max(scale, beta)
+        v = w / beta
+    if k == 1:
+        lam, y = alphas[0], np.ones(1)
+    else:
+        m, w, iblock, isplit, info = dstebz(alphas, betas, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+        y, info = dstein(alphas, betas, w[:m], iblock, isplit)
+        lam, y = float(w[0]), y[:, 0]
+    v_ritz = y @ V[:k]
+    nv = float(np.linalg.norm(v_ritz))
+    return lam, v_ritz / nv, k, "full_n" if k >= n else "lanczos_cap"
+
+
+def _bitwise_cases():
+    """``(id, hv, n, M, eps, delta, seed)``."""
+    for name, hv, n, U_H in bench_hessians():
+        # The solver's own accuracy (a full-n budget) and a budget below n.
+        for eps in (0.005, 5.0):
+            yield f"{name}-eps{eps}", hv, n, U_H + 2.0, eps, 1e-6, 31
+    rng = np.random.default_rng(18)
+    for n in (1, 2, 5, 50, 100):
+        for trial in range(3):
+            H = random_symmetric(rng, n, scale=float(rng.uniform(0.1, 5.0)))
+            M = float(np.linalg.norm(H, 2)) + 1.0
+            eps, delta = [(0.05, 0.0), (0.3, 0.1), (1e-3, 1e-6)][trial]
+            yield f"random-n{n}-{trial}", hv_of(H), n, M, eps, delta, 40 + trial
+    yield "minus-identity-breakdown", hv_of(-np.eye(6)), 6, 2.0, 0.1, 0.01, 7
+    yield "budget-one", hv_of(random_symmetric(rng, 20)), 20, 10.0, 1e6, 0.1, 3
+    yield "hv-returns-argument", lambda v: v, 8, 2.0, 0.1, 0.0, 5
+
+
+BITWISE_CASES = list(_bitwise_cases())
+
+
+@pytest.mark.parametrize(
+    "hv, n, M, eps, delta, seed", [pytest.param(*c[1:], id=c[0]) for c in BITWISE_CASES]
+)
+def test_bitwise_equal_to_matmul_loop(hv, n, M, eps, delta, seed):
+    lam, v_unit, iters, converged_by = matmul_lanczos_min_eig(
+        hv, n, M, eps, delta, rng_for(seed)
+    )
+    est = lanczos_min_eig(hv, n, M=M, eps=eps, delta=delta, rng=rng_for(seed))
+    assert type(est.lam) is float
+    assert np.float64(est.lam).tobytes() == np.float64(lam).tobytes()
+    assert est.v_unit.dtype == v_unit.dtype and est.v_unit.tobytes() == v_unit.tobytes()
+    assert (est.iters, est.converged_by) == (iters, converged_by)
+
+
+def test_bitwise_cases_reach_every_exit():
+    exits = set()
+    for _, hv, n, M, eps, delta, seed in BITWISE_CASES:
+        est = lanczos_min_eig(hv, n, M=M, eps=eps, delta=delta, rng=rng_for(seed))
+        budget = lanczos_iteration_cap(n, M, eps, delta)
+        exits.add((est.converged_by, "budget" if est.iters == budget else "breakdown"))
+        if est.iters == 1:
+            exits.add("k=1")
+    assert exits >= {
+        ("full_n", "budget"), ("lanczos_cap", "budget"), ("lanczos_cap", "breakdown"), "k=1"
+    }

@@ -1,0 +1,118 @@
+"""Run the benchmark on two checkouts in alternating pairs and summarise them.
+
+Usage:
+    python tools/bench_pairs.py PARENT_CHECKOUT CHANGE_CHECKOUT --workload W
+        --pairs N --seconds S --out FILE [--trace {0,1}] [--seed BASE] [--what TEXT]
+
+Each pair runs ``bench/run.py --workload W --seed SEED --seconds S --trace T``
+from the root of each checkout, so each side runs its own benchmark code on
+its own ``src/``. The two runs of a pair are back to back on one seed, and
+the side that runs first alternates from pair to pair, starting with the
+parent. Pair i uses seed BASE + 1000 i.
+
+FILE has the layout of ``BENCH_6.json``. An existing FILE is extended, so
+one file can hold several workloads and traced runs:
+``pairs`` and ``trace`` list every run's last JSON line, and ``summary``
+holds, per workload and metric over its ``--trace 0`` pairs, each side's
+q1/median/q3, ``change_wins`` (pairs the change won, by the metric's
+direction in the change's BENCHMARK.json; ties count for neither side), and
+``median_change_rel`` (change median over parent median, minus 1).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """The last JSON line of one ``bench/run.py`` invocation in ``checkout``."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode not in (0, 1):  # 1: a self-check failed, reported as correct=false
+        raise SystemExit(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n{proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def quartiles(values: list[float]) -> list[float]:
+    if len(values) == 1:
+        return values * 3
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [q1, q2, q3]
+
+
+def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
+    """Per-metric comparison of the ``--trace 0`` pairs of one workload."""
+    out: dict = {"pairs": len(pairs)}
+    for name, first in pairs[0]["parent"]["metrics"].items():
+        parent = [p["parent"]["metrics"][name]["value"] for p in pairs]
+        change = [p["change"]["metrics"][name]["value"] for p in pairs]
+        sign = 1.0 if better.get(name, "lower") == "lower" else -1.0
+        wins = sum(sign * (c - p) < 0.0 for p, c in zip(parent, change))
+        ties = sum(c == p for p, c in zip(parent, change))
+        p_med, c_med = statistics.median(parent), statistics.median(change)
+        out[name] = {
+            "unit": first["unit"],
+            "parent_q1_median_q3": quartiles(parent),
+            "change_q1_median_q3": quartiles(change),
+            "change_wins": wins,
+            "ties": ties,
+            "median_change_rel": c_med / p_med - 1.0 if p_med else None,
+        }
+    out["all_correct"] = all(p[side]["correct"] for p in pairs for side in ("parent", "change"))
+    out["failed"] = {side: sum(p[side]["failed"] for p in pairs) for side in ("parent", "change")}
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--what", help="one line on what the change is, stored as 'what'")
+    args = parser.parse_args(argv)
+
+    record = json.loads(args.out.read_text()) if args.out.exists() else {
+        "command": "python3 bench/run.py --workload <w> --seed <seed> --seconds <s> "
+                   "--trace <0|1>, run from the root of a checkout of each side",
+        "pairing": "each pair runs both sides back to back on one seed; the side that "
+                   "runs first alternates from pair to pair",
+        "summary": {}, "pairs": [], "trace": [],
+    }
+    if args.what:
+        record["what"] = args.what
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+
+    runs = record["trace" if args.trace else "pairs"]
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for i in range(args.pairs):
+        seed = args.seed + 1000 * i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {"workload": args.workload, "seed": seed, "first": order[0]}
+        for side in order:
+            pair[side] = bench(sides[side], args.workload, seed, args.seconds, args.trace)
+        runs.append(pair)
+        print(f"{args.workload} seed {seed}: " + ", ".join(
+            f"{side} run_ms_p50 {pair[side]['metrics'].get('run_ms_p50', {}).get('value')}"
+            for side in ("parent", "change")), flush=True)
+
+    untraced = [p for p in record["pairs"] if p["workload"] == args.workload]
+    if untraced:
+        record["summary"][args.workload] = summarise(untraced, better)
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
