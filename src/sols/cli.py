@@ -306,7 +306,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``sols`` argument parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="sols",
         description="Second-order line-search solvers with decrease-law and "

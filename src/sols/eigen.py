@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import NonFiniteError
+from .operators import NonFiniteError, norm
 
 Array = np.ndarray
 
@@ -33,15 +33,15 @@ class EigEstimate:
 def min_eigenpair_exact(H: Array) -> EigEstimate:
     """Smallest eigenpair of a dense symmetric matrix via full eigendecomposition."""
     H = np.asarray(H, dtype=float)
-    scale = float(np.max(np.abs(H))) if H.size else 0.0
+    scale = float(np.abs(H).max()) if H.size else 0.0
     if not math.isfinite(scale):
         raise NonFiniteError("non-finite entry in the dense Hessian")
-    asym = float(np.max(np.abs(H - H.T))) if H.size else 0.0
+    asym = float(np.abs(H - H.T).max()) if H.size else 0.0
     if asym > 1e-10 * max(scale, 1.0):
         raise ValueError(f"matrix is not symmetric: max asymmetry {asym:.3e}")
     w, V = np.linalg.eigh(H)
     v = V[:, 0]
-    v = v / np.linalg.norm(v)
+    v = v / norm(v)
     return EigEstimate(lam=float(w[0]), v_unit=v, iters=0, converged_by="exact")
 
 

@@ -29,9 +29,10 @@ class ConstantsError(RuntimeError):
 def _point_memo(coefficients):
     """One-slot memo of ``coefficients(x)``, keyed on the value of x.
 
-    Every Hessian-vector product at one iterate shares the iterate's Hessian
-    coefficients, so they are computed once per point. The key is the bytes
-    of x, never its identity: a caller may change x in place.
+    Every Hessian-vector product and the dense Hessian at one iterate share
+    the iterate's Hessian coefficients, so they are computed once per point.
+    The key is the bytes of x, never its identity: a caller may change x in
+    place.
     """
     key, value = None, None
 
@@ -131,7 +132,7 @@ def separable_quartic(
     pc = _separable_quartic_constants(d, beta, c0, x0)
 
     def value(x: Array) -> float:
-        return float(0.5 * d @ x**2 + 0.25 * beta @ x**4 + c0)
+        return float((0.5 * d).dot(x**2) + (0.25 * beta).dot(x**4) + c0)
 
     def gradient(x: Array) -> Array:
         return d * x + beta * x**3
@@ -139,14 +140,14 @@ def separable_quartic(
     def curvature(x: Array) -> Array:
         return d + 3.0 * beta * x**2
 
-    def dense_hessian(x: Array) -> Array:
-        return np.diag(curvature(x))
-
     def factory() -> Objective:
         curvature_at = _point_memo(curvature)
 
         def hessian_vector(x: Array, v: Array) -> Array:
             return curvature_at(x) * v
+
+        def dense_hessian(x: Array) -> Array:
+            return np.diag(curvature_at(x))
 
         return Objective(
             n, value, gradient, hessian_vector, dense_hessian, constants=pc, name=name
@@ -206,7 +207,7 @@ def _rosenbrock_constants(n: int, a: float, x0: Array) -> ProblemConstants:
 
 def _rosenbrock_value(x: Array, a: float) -> float:
     r = x[1:] - x[:-1] ** 2
-    return float(a * np.sum(r**2) + np.sum((1.0 - x[:-1]) ** 2))
+    return float(a * (r**2).sum() + ((1.0 - x[:-1]) ** 2).sum())
 
 
 def _rosenbrock_gradient(x: Array, a: float) -> Array:
@@ -226,9 +227,10 @@ def _rosenbrock_bands(x: Array, a: float) -> tuple[Array, Array]:
     return diag, off
 
 
-def _rosenbrock_hessian(x: Array, a: float) -> Array:
-    diag, off = _rosenbrock_bands(x, a)
-    n = x.size
+def _tridiagonal(bands: tuple[Array, Array]) -> Array:
+    """The symmetric tridiagonal matrix ``(diag, off)`` as a fresh dense array."""
+    diag, off = bands
+    n = diag.size
     H = np.zeros((n, n))
     H.flat[:: n + 1] = diag
     H.flat[1 :: n + 1] = off
@@ -263,14 +265,14 @@ def rosenbrock(
     def gradient(x: Array) -> Array:
         return _rosenbrock_gradient(x, a)
 
-    def dense_hessian(x: Array) -> Array:
-        return _rosenbrock_hessian(x, a)
-
     def factory() -> Objective:
         bands_at = _point_memo(lambda x: _rosenbrock_bands(x, a))
 
         def hessian_vector(x: Array, v: Array) -> Array:
             return _banded_product(bands_at(x), v)
+
+        def dense_hessian(x: Array) -> Array:
+            return _tridiagonal(bands_at(x))
 
         return Objective(
             n, value, gradient, hessian_vector, dense_hessian, constants=pc, name=name

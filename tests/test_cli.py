@@ -282,6 +282,36 @@ def test_run_flags_mirror_config_fields():
         assert type(value) is (int if f.type == "int" else float)
 
 
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_reused_parser_carries_nothing_from_one_call_to_the_next(tmp_path, capsys):
+    defaults = {f.name: getattr(SolverConfig(), f.name) for f in fields(SolverConfig)}
+    first = tmp_path / "first"
+    assert main(["run", "--problem", "quad-convex-2d", "--eps-g", "1e-3", "--seed", "3,4",
+                 "--out", str(first)]) == 0
+    report = read_report(first, "quad-convex-2d", "exact")
+    assert report["config"] == {**defaults, "eps_g": 1e-3}
+    assert [r["seed"] for r in report["runs"]] == [3, 4]
+
+    second = tmp_path / "second"
+    assert main(["run", "--problem", "quad-convex-2d", "--out", str(second)]) == 0
+    report = read_report(second, "quad-convex-2d", "exact")
+    assert report["config"] == defaults
+    assert [r["seed"] for r in report["runs"]] == [0]
+
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--problem", "quad-convex-2d", "--eps-g", "1e-3", "--seed", "a,b"])
+    assert exc.value.code == 2
+    third = tmp_path / "third"
+    assert main(["run", "--problem", "quad-convex-2d", "--out", str(third)]) == 0
+    assert read_report(third, "quad-convex-2d", "exact") == read_report(
+        second, "quad-convex-2d", "exact"
+    )
+    capsys.readouterr()
+
+
 def test_config_file_integer_keys(tmp_path, capsys):
     cfg_file = tmp_path / "solver.cfg"
     cfg_file.write_text("max_iters = 500\n")

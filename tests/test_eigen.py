@@ -6,9 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sols import lanczos_iteration_cap, lanczos_min_eig, min_eigenpair_exact, suite
-from sols.eigen import _ritz_min
+from sols.eigen import EigEstimate, _ritz_min
+from sols.operators import NonFiniteError
 
 from conftest import bench_hessians, wilson_slack
 
@@ -478,3 +481,60 @@ def test_bitwise_cases_reach_every_exit():
     assert exits >= {
         ("full_n", "budget"), ("lanczos_cap", "budget"), ("lanczos_cap", "breakdown"), "k=1"
     }
+
+
+# --- bitwise equality of the dense path with its numpy-function form ------------
+
+def numpy_function_min_eigenpair_exact(H):
+    """``min_eigenpair_exact`` written with ``np.max`` and ``np.linalg.norm``
+    instead of ``ndarray.max`` and ``operators.norm``: the same reductions,
+    so the two agree bit for bit."""
+    H = np.asarray(H, dtype=float)
+    scale = float(np.max(np.abs(H))) if H.size else 0.0
+    if not math.isfinite(scale):
+        raise NonFiniteError("non-finite entry in the dense Hessian")
+    asym = float(np.max(np.abs(H - H.T))) if H.size else 0.0
+    if asym > 1e-10 * max(scale, 1.0):
+        raise ValueError(f"matrix is not symmetric: max asymmetry {asym:.3e}")
+    w, V = np.linalg.eigh(H)
+    v = V[:, 0]
+    v = v / np.linalg.norm(v)
+    return EigEstimate(lam=float(w[0]), v_unit=v, iters=0, converged_by="exact")
+
+
+ENTRY_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """A random symmetric matrix with n in {1, 2, 10, 50, 100}, scaled down to
+    subnormal entries or not, with signed zeros and subnormals placed in
+    symmetric pairs."""
+    n = draw(st.sampled_from((1, 2, 10, 50, 100)))
+    scale = draw(st.sampled_from((1.0, 1e3, 1e-5, 1e-310, 0.0)))
+    H = random_symmetric(rng_for(draw(st.integers(0, 2**32 - 1))), n, scale)
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        H[i, j] = H[j, i] = draw(st.sampled_from(ENTRY_SPECIALS))
+    return H
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(symmetric_matrices())
+def test_exact_bitwise_equal_to_numpy_function_form(H):
+    est, ref = min_eigenpair_exact(H), numpy_function_min_eigenpair_exact(H)
+    assert type(est.lam) is float
+    assert np.float64(est.lam).tobytes() == np.float64(ref.lam).tobytes()
+    assert est.v_unit.dtype == ref.v_unit.dtype and est.v_unit.tobytes() == ref.v_unit.tobytes()
+    assert (est.iters, est.converged_by) == (ref.iters, ref.converged_by)
+
+
+@pytest.mark.parametrize("entry, error", [(np.nan, NonFiniteError), (np.inf, NonFiniteError),
+                                          (1e-3, ValueError)])
+def test_exact_rejects_what_the_numpy_function_form_rejects(entry, error):
+    H = random_symmetric(rng_for(5), 10)
+    H[2, 7] = entry  # an asymmetric entry; non-finite ones are caught first
+    for solve in (min_eigenpair_exact, numpy_function_min_eigenpair_exact):
+        with pytest.raises(error) as exc:
+            solve(H)
+        assert type(exc.value) is error

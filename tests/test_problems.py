@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sols import StepKind, get_problem, problem_names, rayleigh_quotient, run_exact, suite
 import sols.problems
@@ -11,7 +15,9 @@ from sols.problems import (
     ConstantsError,
     _banded_product,
     _rosenbrock_bands,
-    _rosenbrock_hessian,
+    _rosenbrock_value,
+    _tridiagonal,
+    rosenbrock,
     separable_quartic,
     verify_constants,
 )
@@ -188,6 +194,18 @@ def test_degenerate_family_parameters_rejected():
 
 # --- Rosenbrock Hessian kernels --------------------------------------------------
 
+def _rosenbrock_hessian(x: np.ndarray, a: float) -> np.ndarray:
+    """The dense Hessian assembled straight from the bands of x, without the
+    objective's per-point memo."""
+    diag, off = _rosenbrock_bands(x, a)
+    n = x.size
+    H = np.zeros((n, n))
+    H.flat[:: n + 1] = diag
+    H.flat[1 :: n + 1] = off
+    H.flat[n :: n + 1] = off
+    return H
+
+
 def _loop_rosenbrock_hessian(x: np.ndarray, a: float) -> np.ndarray:
     """Reference: the Hessian assembled term by term, one chain link at a time."""
     n = x.size
@@ -239,8 +257,10 @@ def test_rosenbrock_hessian_vector_never_builds_dense_matrix(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the matrix-free product built the dense Hessian")
 
-    monkeypatch.setattr(sols.problems, "_rosenbrock_hessian", forbidden)
+    monkeypatch.setattr(sols.problems, "_tridiagonal", forbidden)
     assert np.allclose(obj.hessian_vector(x, v), expected, rtol=1e-13)
+    with pytest.raises(AssertionError, match="built the dense Hessian"):
+        obj.dense_hessian(x)  # the patched assembler is the one the dense path calls
 
 
 # Hessian-vector formulas of suite problems, written out independently of the
@@ -311,3 +331,126 @@ def test_rosenbrock_bands_computed_once_per_point_and_objective(monkeypatch):
     assert np.array_equal(calls[0], xa) and np.array_equal(calls[1], xb)
     a.hessian_vector(xb, v)
     assert len(calls) == 3
+
+
+def test_dense_hessian_shares_the_memo_of_the_products(monkeypatch):
+    calls = []
+    bands = sols.problems._rosenbrock_bands
+
+    def counted(x, a):
+        calls.append(x.copy())
+        return bands(x, a)
+
+    monkeypatch.setattr(sols.problems, "_rosenbrock_bands", counted)
+    obj = get_problem("rosenbrock-10d").make_objective()
+    x = np.linspace(-1.0, 1.0, 10)
+    obj.hessian_vector(x, np.ones(10))
+    obj.dense_hessian(x)
+    obj.dense_hessian(x.copy())  # equal bytes, another array: the same point
+    assert len(calls) == 1
+    obj.dense_hessian(-x)
+    assert len(calls) == 2
+
+
+# --- Bitwise guards: the callbacks against the numpy-function forms ----------------
+#
+# The value callbacks use ndarray methods and the dense Hessians share the
+# per-point memo of the products. These copies keep the forms written with
+# numpy functions and assembled without the memo; every result must match
+# them to the bit, signed zeros and subnormals included.
+
+GUARD_DIMS = (1, 2, 10, 50, 100)
+SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e-200)
+
+
+def _sum_rosenbrock_value(x: np.ndarray, a: float) -> float:
+    r = x[1:] - x[:-1] ** 2
+    return float(a * np.sum(r**2) + np.sum((1.0 - x[:-1]) ** 2))
+
+
+def _matmul_quartic_value(d, beta, c0, x):
+    return float(0.5 * d @ x**2 + 0.25 * beta @ x**4 + c0)
+
+
+@functools.cache
+def _guard_problems(n: int) -> tuple:
+    """``(problem, reference value, reference dense Hessian)`` of each guard
+    objective of dimension n: a separable quartic with mixed-sign curvature
+    and, for n >= 2, the chained Rosenbrock function."""
+    d = np.linspace(-1.0, 2.0, n) if n > 1 else np.array([-0.5])
+    beta = np.linspace(0.5, 1.5, n)
+    quartic = separable_quartic(
+        f"guard-quartic-{n}", d=d, beta=beta, c0=0.25, x0=np.full(n, 0.5),
+        branch_coverage=[], coverage_config=SolverConfig(),
+    )
+    guards = [(quartic, lambda x: _matmul_quartic_value(d, beta, 0.25, x),
+               lambda x: np.diag(d + 3.0 * beta * x**2))]
+    if n >= 2:
+        chain = rosenbrock(
+            f"guard-rosenbrock-{n}", n=n, x0=[-1.2 if i % 2 == 0 else 1.0 for i in range(n)],
+            branch_coverage=[], coverage_config=SolverConfig(),
+        )
+        guards.append((chain, lambda x: _sum_rosenbrock_value(x, 100.0),
+                       lambda x: _rosenbrock_hessian(x, 100.0)))
+    return tuple(guards)
+
+
+def _same_bytes(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def guard_points(draw, count: int = 1):
+    """``count`` points of one dimension n in GUARD_DIMS: seeded normal
+    coordinates at a drawn scale, down to subnormal, with signed zeros and
+    subnormals written over drawn coordinates."""
+    n = draw(st.sampled_from(GUARD_DIMS))
+    points = []
+    for _ in range(count):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        x = draw(st.sampled_from((1.0, 2.0, 1e-160, 1e-310))) * rng.standard_normal(n)
+        for _ in range(draw(st.integers(0, 4))):
+            x[draw(st.integers(0, n - 1))] = draw(st.sampled_from(SPECIALS))
+        points.append(x)
+    return points
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(guard_points(), st.sampled_from([100.0, 1.0, 3.7]))
+def test_value_callbacks_bitwise_equal_to_numpy_function_forms(points, a):
+    (x,) = points
+    assert _same_bytes(_rosenbrock_value(x, a), _sum_rosenbrock_value(x, a))
+    for problem, value_of, _ in _guard_problems(x.size):
+        value = problem.make_objective().value(x)
+        assert type(value) is float
+        assert _same_bytes(value, value_of(x))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(guard_points(), st.sampled_from([100.0, 1.0, 3.7]))
+def test_dense_hessians_bitwise_equal_to_memo_free_assembly(points, a):
+    (x,) = points
+    assert _same_bytes(_tridiagonal(_rosenbrock_bands(x, a)), _rosenbrock_hessian(x, a))
+    for problem, _, hessian_of in _guard_problems(x.size):
+        H = problem.make_objective().dense_hessian(x)
+        assert _same_bytes(H, hessian_of(x))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(guard_points(count=3))
+def test_dense_hessian_and_products_follow_the_point_through_the_memo(points):
+    x, y, v = points
+    for problem, _, hessian_of in _guard_problems(x.size):
+        obj = problem.make_objective()
+        H = obj.dense_hessian(x)
+        assert _same_bytes(H, hessian_of(x))
+        H[:] = 7.0  # the matrix is the caller's; the memo keeps no reference to it
+        hv = obj.hessian_vector(y, v)
+        fresh = problem.make_objective().hessian_vector(y.copy(), v)
+        assert _same_bytes(hv, fresh)
+        assert _same_bytes(obj.dense_hessian(x), hessian_of(x))
+        x[:] = y[::-1]  # same array object, new point
+        assert _same_bytes(obj.dense_hessian(x), hessian_of(x))
+        assert _same_bytes(obj.hessian_vector(x, v),
+                           problem.make_objective().hessian_vector(x.copy(), v))

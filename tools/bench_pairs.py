@@ -17,6 +17,11 @@ holds, per workload and metric over its ``--trace 0`` pairs, each side's
 q1/median/q3, ``change_wins`` (pairs the change won, by the metric's
 direction in the change's BENCHMARK.json; ties count for neither side), and
 ``median_change_rel`` (change median over parent median, minus 1).
+
+After the pairs it prints one gate line per end-to-end metric of the
+workload: both medians, the change's wins, the relative change, and
+``WORSE`` where the change's median is worse than the parent's by more than
+the metric's ``bound`` in BENCHMARK.json, relative to the parent's median.
 """
 
 from __future__ import annotations
@@ -69,6 +74,26 @@ def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
+def gate_lines(workload: str, summary: dict, end_to_end: list[dict]) -> list[str]:
+    """One line per end-to-end metric of ``summary`` against its bound."""
+    lines = []
+    for metric in end_to_end:
+        name = metric["name"]
+        if name not in summary:
+            continue
+        row = summary[name]
+        p_med, c_med = row["parent_q1_median_q3"][1], row["change_q1_median_q3"][1]
+        sign = 1.0 if metric["better"] == "lower" else -1.0
+        worse = sign * (c_med - p_med) > metric["bound"] * abs(p_med)
+        rel = "n/a" if row["median_change_rel"] is None else f"{row['median_change_rel']:+.1%}"
+        lines.append(
+            f"gate {workload} {name}: parent {p_med:.6g} change {c_med:.6g} "
+            f"wins {row['change_wins']}/{summary['pairs']} rel {rel} "
+            f"bound {metric['bound']:g}" + (" WORSE" if worse else "")
+        )
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -103,13 +128,15 @@ def main(argv=None) -> int:
         for side in order:
             pair[side] = bench(sides[side], args.workload, seed, args.seconds, args.trace)
         runs.append(pair)
+        shown = "trace.overhead_ms" if args.trace else "run_ms_p50"
         print(f"{args.workload} seed {seed}: " + ", ".join(
-            f"{side} run_ms_p50 {pair[side]['metrics'].get('run_ms_p50', {}).get('value')}"
+            f"{side} {shown} {pair[side]['metrics'].get(shown, {}).get('value')}"
             for side in ("parent", "change")), flush=True)
 
     untraced = [p for p in record["pairs"] if p["workload"] == args.workload]
     if untraced:
-        record["summary"][args.workload] = summarise(untraced, better)
+        summary = record["summary"][args.workload] = summarise(untraced, better)
+        print("\n".join(gate_lines(args.workload, summary, spec["end_to_end"])))
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
