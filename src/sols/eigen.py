@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +71,46 @@ def log_n_over_delta_sq(n: int, delta: float) -> float:
     return math.log(n / d2) if d2 > 0.0 else math.log(n) - 2.0 * math.log(delta)
 
 
+@functools.cache
+def _lapack():
+    """scipy's compiled LAPACK extension, ``scipy.linalg._flapack``, alone.
+
+    The Ritz solve needs two of its routines, ``dstebz`` and ``dstein``.
+    Importing them through ``scipy.linalg.lapack`` would first run the whole
+    ``scipy.linalg`` package init: 85 modules with scipy 1.17, about 20 MB
+    resident and a quarter of a second. The extension itself needs only
+    numpy, so it is loaded from its file in the scipy package directory,
+    which is found without importing scipy, and registered in
+    ``sys.modules`` under its own name. A later ``import scipy.linalg`` then
+    reuses this module object, and one that scipy loaded earlier is reused
+    here. This relies on scipy shipping ``linalg/_flapack<extension
+    suffix>``, as every scipy from 1.10, the floor in pyproject.toml, does.
+    """
+    import importlib.machinery
+    import importlib.util
+
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    package = importlib.util.find_spec("scipy")
+    if package is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    stem = os.path.join(package.submodule_search_locations[0], "linalg", "_flapack")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(stem + suffix):
+            spec = importlib.util.spec_from_file_location(name, stem + suffix)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            # CPython registers a single-phase-init extension itself, but
+            # not a multi-phase-init (PEP 489) one.
+            sys.modules[name] = module
+            return module
+    raise ImportError(
+        f"no LAPACK extension {stem}<suffix> for any suffix in "
+        f"{importlib.machinery.EXTENSION_SUFFIXES}", name=name, path=stem,
+    )
+
+
 def _ritz_min(alphas: Array, betas: Array) -> tuple[float, Array]:
     """Smallest eigenvalue and its unit eigenvector of the tridiagonal matrix
     with diagonal ``alphas`` and off-diagonal ``betas``, from the two LAPACK
@@ -75,12 +118,10 @@ def _ritz_min(alphas: Array, betas: Array) -> tuple[float, Array]:
     k = len(alphas)
     if k == 1:
         return float(alphas[0]), np.ones(1)
-    # Imported here, not at module level: only the Lanczos path pays its load time.
-    from scipy.linalg.lapack import dstebz, dstein
-
-    m, w, iblock, isplit, info = dstebz(alphas, betas, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    lapack = _lapack()
+    m, w, iblock, isplit, info = lapack.dstebz(alphas, betas, 2, 0.0, 1.0, 1, 1, 0.0, "B")
     if info == 0:
-        y, info = dstein(alphas, betas, w[:m], iblock, isplit)
+        y, info = lapack.dstein(alphas, betas, w[:m], iblock, isplit)
     if info != 0:
         raise np.linalg.LinAlgError(f"tridiagonal eigensolve failed (info={info})")
     return float(w[0]), y[:, 0]

@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sols
 from sols import (
     CgOutcome,
     DecreaseConstants,
@@ -153,3 +158,21 @@ def bench_hessians() -> tuple:
                  problem.dim, problem.constants.U_H)
             )
     return tuple(cases)
+
+
+def run_python(script: str, *args: str) -> list[str]:
+    """The stdout lines of ``script`` run with ``args`` in a fresh
+    interpreter that imports this checkout's ``sols`` and, as ``conftest``,
+    this module. The run must exit 0."""
+    paths = (
+        str(Path(sols.__file__).resolve().parent.parent),
+        str(Path(__file__).resolve().parent),
+        os.environ.get("PYTHONPATH"),
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()

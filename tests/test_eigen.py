@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sols import lanczos_iteration_cap, lanczos_min_eig, min_eigenpair_exact, suite
-from sols.eigen import EigEstimate, _ritz_min
+from sols.eigen import EigEstimate, _lapack, _ritz_min
 from sols.operators import NonFiniteError
 
-from conftest import bench_hessians, wilson_slack
+from conftest import bench_hessians, run_python, wilson_slack
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -331,6 +334,59 @@ def test_ritz_min_matches_eigh_tridiagonal(alphas, betas):
     assert np.array_equal(y, Y[:, 0])
 
 
+# One process per import order. The script hashes every ``_ritz_min`` result
+# of the bench Hessians' Lanczos calls, then imports scipy.linalg (again, on
+# the scipy-first side) and reports which module objects the two paths hold.
+IMPORT_ORDER_SCRIPT = """
+import hashlib, sys
+import numpy as np
+if sys.argv[1] == "scipy-first":
+    import scipy.linalg
+from sols import eigen
+from conftest import bench_hessians
+
+digest = hashlib.sha256()
+ritz_min = eigen._ritz_min
+
+def recording(alphas, betas):
+    lam, y = ritz_min(alphas, betas)
+    digest.update(np.float64(lam).tobytes() + y.tobytes())
+    return lam, y
+
+eigen._ritz_min = recording
+for _, hv, n, U_H in bench_hessians():
+    for eps in (0.005, 5.0):
+        eigen.lanczos_min_eig(hv, n, U_H + 2.0, eps, 1e-6, np.random.default_rng(31))
+print("scipy modules before:", *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+import scipy.linalg
+lapack = eigen._lapack()
+print("reused:", lapack is scipy.linalg.lapack._flapack,
+      lapack.dstebz is scipy.linalg.lapack.dstebz, lapack.dstein is scipy.linalg.lapack.dstein)
+print("digest:", digest.hexdigest())
+"""
+
+
+def test_lapack_loader_reuses_a_scipy_linalg_imported_first():
+    loader_first = run_python(IMPORT_ORDER_SCRIPT, "loader-first")
+    scipy_first = run_python(IMPORT_ORDER_SCRIPT, "scipy-first")
+    assert loader_first[0] == "scipy modules before: scipy.linalg._flapack"
+    assert "scipy.linalg" in scipy_first[0].split()
+    # Either order ends with one extension module, shared by both paths.
+    assert loader_first[1] == scipy_first[1] == "reused: True True True"
+    assert loader_first[2] == scipy_first[2]
+
+
+def test_lapack_loader_names_the_path_it_searched(monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+    with pytest.raises(ImportError, match=r"linalg.?_flapack<suffix>.*\.missing") as info:
+        _lapack.__wrapped__()
+    assert info.value.path.endswith("_flapack")
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ModuleNotFoundError, match="scipy"):
+        _lapack.__wrapped__()
+
+
 def test_ritz_value_is_the_rayleigh_quotient_up_to_rounding():
     rng = np.random.default_rng(16)
     for trial in range(120):
@@ -356,7 +412,7 @@ def test_a_call_holds_one_basis_array():
     c = np.linspace(-1.0, 24.0, n)
     budget = lanczos_iteration_cap(n, M, eps, delta)
     assert budget == 43
-    # A first call loads scipy outside the traced region.
+    # A first call loads the LAPACK extension outside the traced region.
     lanczos_min_eig(hv_of(np.diag(c[:5])), 5, M=M, eps=eps, delta=delta, rng=rng_for(0))
     tracemalloc.start()
     try:

@@ -1,16 +1,11 @@
-"""Cold start: the exact path, envelope and list-problems never load scipy.linalg,
-and no single-seed run loads the process pool."""
+"""Cold start: the exact path, envelope and list-problems never load scipy,
+and no single-seed run loads the process pool. The inexact path loads one
+scipy module, the compiled LAPACK extension ``scipy.linalg._flapack``, and
+not the ``scipy.linalg`` package, whose init would also load the pool module."""
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-import sols
-
-SRC = str(Path(sols.__file__).resolve().parent.parent)
+from conftest import run_python
 
 SCRIPT = """
 import sys
@@ -27,31 +22,21 @@ except SystemExit as exc:
     codes.append(exc.code)
 print("codes", *codes)
 print("concurrent.futures loaded:", "concurrent.futures" in sys.modules)
-print("scipy.linalg loaded:", "scipy.linalg" in sys.modules)
+print("scipy modules:", *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-def run_script(tmp_path: Path, algo: str) -> list[str]:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(tmp_path), algo],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()
-
-
 def test_exact_path_never_loads_scipy_linalg(tmp_path):
-    lines = run_script(tmp_path, "exact")
+    lines = run_python(SCRIPT, str(tmp_path), "exact")
     assert "codes 0 0 0 0" in lines
-    # scipy itself loads the pool module, so this holds only off the Lanczos path.
     assert "concurrent.futures loaded: False" in lines
-    assert lines[-1] == "scipy.linalg loaded: False"
+    assert lines[-1] == "scipy modules:"
 
 
-def test_inexact_path_still_runs(tmp_path):
-    lines = run_script(tmp_path, "inexact")
+def test_inexact_path_loads_only_lapack(tmp_path):
+    lines = run_python(SCRIPT, str(tmp_path), "inexact")
     assert "codes 0 0 0 0" in lines
-    # The Lanczos Ritz solve imports it on first use.
-    assert lines[-1] == "scipy.linalg loaded: True"
+    # The Lanczos Ritz solve loads the extension on first use, and nothing
+    # of scipy around it.
+    assert "concurrent.futures loaded: False" in lines
+    assert lines[-1] == "scipy modules: scipy.linalg._flapack"

@@ -19,9 +19,13 @@ direction in the change's BENCHMARK.json; ties count for neither side), and
 ``median_change_rel`` (change median over parent median, minus 1).
 
 After the pairs it prints one gate line per end-to-end metric of the
-workload: both medians, the change's wins, the relative change, and
-``WORSE`` where the change's median is worse than the parent's by more than
-the metric's ``bound`` in BENCHMARK.json, relative to the parent's median.
+workload: both medians, the change's wins, the relative change, the
+parent's IQR (q3 - q1), ``WORSE`` where the change's median is worse than
+the parent's by more than the metric's ``bound`` in BENCHMARK.json,
+relative to the parent's median, and ``claim-ok`` where the pairs support
+claiming a gain on that metric: at least ten pairs, the change won at least
+nine tenths of them (ties count for neither side), and its median is better
+than the parent's by more than the parent's IQR.
 """
 
 from __future__ import annotations
@@ -77,19 +81,24 @@ def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
 def gate_lines(workload: str, summary: dict, end_to_end: list[dict]) -> list[str]:
     """One line per end-to-end metric of ``summary`` against its bound."""
     lines = []
+    pairs = summary["pairs"]
     for metric in end_to_end:
         name = metric["name"]
         if name not in summary:
             continue
         row = summary[name]
-        p_med, c_med = row["parent_q1_median_q3"][1], row["change_q1_median_q3"][1]
+        p_q1, p_med, p_q3 = row["parent_q1_median_q3"]
+        c_med = row["change_q1_median_q3"][1]
         sign = 1.0 if metric["better"] == "lower" else -1.0
         worse = sign * (c_med - p_med) > metric["bound"] * abs(p_med)
+        claim_ok = (pairs >= 10 and 10 * row["change_wins"] >= 9 * pairs
+                    and sign * (p_med - c_med) > p_q3 - p_q1)
         rel = "n/a" if row["median_change_rel"] is None else f"{row['median_change_rel']:+.1%}"
         lines.append(
             f"gate {workload} {name}: parent {p_med:.6g} change {c_med:.6g} "
-            f"wins {row['change_wins']}/{summary['pairs']} rel {rel} "
+            f"wins {row['change_wins']}/{pairs} rel {rel} parent-iqr {p_q3 - p_q1:.3g} "
             f"bound {metric['bound']:g}" + (" WORSE" if worse else "")
+            + (" claim-ok" if claim_ok else "")
         )
     return lines
 
