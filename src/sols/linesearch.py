@@ -12,7 +12,7 @@ from .steps import ConfigError, SolverConfig, StepKind
 
 
 class LineSearchStallError(RuntimeError):
-    """Backtracking exceeded max_ls_steps; on problems with honestly
+    """Backtracking found no acceptable step; on problems with honestly
     declared constants this must never fire, so it signals misdeclared
     constants or numerical breakdown."""
 
@@ -48,8 +48,17 @@ def backtrack(
 
     The acceptance test is the strict inequality
     f(x + alpha d) < f(x) - (eta/6) alpha^3 ||d||^3; exact equality
-    rejects. ``f_x`` is passed in, never recomputed, so each call consumes
-    exactly j + 1 objective evaluations.
+    rejects. ``f_x`` must be f at ``x``; it is passed in, never recomputed,
+    so an accepted search consumes exactly j + 1 objective evaluations.
+
+    A search stalls, raising ``LineSearchStallError``, in one of two ways:
+    - a trial point after j >= 1 rejections equals ``x`` byte for byte: the
+      step is below float64 resolution at ``x``. Its value would be
+      ``f_x``, which fails the strict test, and rounding is monotone, so
+      every smaller step lands on ``x`` too. Such a trial is not
+      evaluated, and the search has consumed j evaluations;
+    - ``max_ls_steps`` backtracks all fail, after max_ls_steps + 1
+      evaluations.
     """
     d = np.asarray(d, dtype=float)
     dnorm = norm(d)
@@ -57,15 +66,26 @@ def backtrack(
         raise ValueError("backtrack requires a nonzero direction")
     base = (cfg.eta / 6.0) * dnorm**3
     alpha = 1.0
+    x_key = None
     for j in range(cfg.max_ls_steps + 1):
-        f_trial = obj.value(x + alpha * d)
+        trial = x + alpha * d
+        if j and trial.tobytes() == x_key:
+            reason = f"trial point equals x at j={j} (step below float64 resolution)"
+            break
+        f_trial = obj.value(trial)
         if f_trial < f_x - base * alpha**3:
             return LineSearchResult(
                 alpha=alpha, j=j, decrease=f_x - f_trial, probes=j + 1, f_new=f_trial
             )
+        if not j:
+            # Keyed on bytes like the problems' point memo, and taken only
+            # once a probe has failed: a search accepted at j = 0 pays nothing.
+            x_key = np.asarray(x, dtype=float).tobytes()
         alpha *= cfg.theta
+    else:
+        reason = f"no acceptable step within {cfg.max_ls_steps} backtracks"
     raise LineSearchStallError(
-        f"line-search stall: no acceptable step within {cfg.max_ls_steps} backtracks",
+        f"line-search stall: {reason}",
         context={
             "x": np.asarray(x, dtype=float).tolist(),
             "f_x": float(f_x),
@@ -73,6 +93,7 @@ def backtrack(
             "kind": kind,
             "theta": cfg.theta,
             "eta": cfg.eta,
+            "j": j,
         },
     )
 

@@ -308,25 +308,29 @@ def verify_constants(
     pc = problem.constants
     rng = np.random.Generator(np.random.Philox(seed))
 
-    points = [x0]
+    # Each sampled point with its f, kept from the sampling.
+    points, values = [x0], [f0]
     x = x0.copy()
     scale = 0.15 * (1.0 + float(np.max(np.abs(x0))))
     for _ in range(4 * n_points):
         y = x + scale * rng.standard_normal(problem.dim)
-        if obj.value(y) <= f0:
+        f_y = obj.value(y)
+        if f_y <= f0:
             points.append(y)
+            values.append(f_y)
             x = y
         if len(points) >= n_points:
             break
     x_star = np.asarray(problem.x_star)
     for t in (0.25, 0.5, 0.75, 1.0):
         y = x_star + t * (x0 - x_star)
-        if obj.value(y) <= f0:
+        f_y = obj.value(y)
+        if f_y <= f0:
             points.append(y)
+            values.append(f_y)
 
     hessians = [obj.dense_hessian(p) for p in points]
-    for p, H in zip(points, hessians):
-        f_p = obj.value(p)
+    for p, f_p, H in zip(points, values, hessians):
         if f_p < pc.f_low - 1e-12:
             raise ConstantsError(f"{problem.name}: sampled f below declared f_low")
         gn = float(np.linalg.norm(obj.gradient(p)))

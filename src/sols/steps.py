@@ -270,11 +270,19 @@ def select_direction_inexact(
             cg_fallback=True,
         )
     if outcome.status == "cap_reached":
-        raise CgCapError(
+        head = (
             f"CG reached its cap ({outcome.iters} iterations) with residual "
-            f"{outcome.final_residual_norm:.3e}; certified spectrum bounds "
-            "appear to be violated"
+            f"{outcome.final_residual_norm:.3e}"
         )
+        target = 0.5 * cfg.zeta * min(gnorm, cfg.eps_H * norm(outcome.d))
+        # Roughly the smallest residual float64 CG reaches from d = 0.
+        floor = obj.dim * np.finfo(float).eps * gnorm
+        if target < floor:
+            raise CgCapError(
+                f"{head}; its target {target:.3e} is below {floor:.3e} "
+                "(n * eps_mach * ||g||), which float64 CG cannot reach"
+            )
+        raise CgCapError(f"{head}; certified spectrum bounds appear to be violated")
     return Direction(
         kind,
         outcome.d,

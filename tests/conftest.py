@@ -17,6 +17,8 @@ import sols
 from sols import (
     CgOutcome,
     DecreaseConstants,
+    LineSearchResult,
+    LineSearchStallError,
     SolverConfig,
     StepKind,
     cg_capped,
@@ -26,6 +28,7 @@ from sols import (
     run_inexact,
     suite,
 )
+from sols.operators import norm
 from sols.problems import rosenbrock
 
 # Three solver configurations spanning loose and tight tolerances, distinct
@@ -176,3 +179,22 @@ def run_python(script: str, *args: str) -> list[str]:
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
+
+
+def exhaustive_backtrack(obj, x, f_x, d, cfg, kind=None):
+    """The backtracking loop that evaluates every trial point, even one equal
+    to x: a stall always costs max_ls_steps + 1 evaluations. Same arithmetic
+    as ``sols.backtrack`` otherwise, so accepted steps agree bit for bit."""
+    d = np.asarray(d, dtype=float)
+    base = (cfg.eta / 6.0) * norm(d) ** 3
+    alpha = 1.0
+    for j in range(cfg.max_ls_steps + 1):
+        f_trial = obj.value(x + alpha * d)
+        if f_trial < f_x - base * alpha**3:
+            return LineSearchResult(
+                alpha=alpha, j=j, decrease=f_x - f_trial, probes=j + 1, f_new=f_trial
+            )
+        alpha *= cfg.theta
+    raise LineSearchStallError(
+        f"line-search stall: no acceptable step within {cfg.max_ls_steps} backtracks", {}
+    )

@@ -220,16 +220,44 @@ def test_run_rejects_negative_or_empty_seed_list(tmp_path, capsys, seed):
 
 
 def test_run_cg_cap_exits_3(tmp_path, capsys, monkeypatch):
+    # d = -g puts the residual target at (zeta/2) eps_H ||g||, within float64's reach.
     def capped_cg(apply_A, g, m, M, zeta, n):
-        return CgOutcome(d=np.zeros_like(g), iters=n, final_residual_norm=1.0,
-                         status="cap_reached")
+        return CgOutcome(d=-g, iters=n, final_residual_norm=1.0, status="cap_reached")
 
     monkeypatch.setattr(sols.steps, "cg_capped", capped_cg)
     code = main(["run", "--problem", "quad-convex-2d", "--algo", "inexact",
                  "--out", str(tmp_path)])
     assert code == 3
     assert read_report(tmp_path, "quad-convex-2d", "inexact")["runs"][0]["status"] == "cg_cap"
-    assert "error: seed 0:" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: seed 0: CG reached its cap (2 iterations) with residual 1.000e+00; "
+        "certified spectrum bounds appear to be violated\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "problem, flags, iters, residual, target, floor",
+    [
+        ("quad-convex-2d", ["--zeta", "1e-200"], 2, "1.001e-16", "7.071e-203", "9.930e-16"),
+        ("quad-convex-10d", ["--zeta", "0"], 10, "1.926e-06", "0.000e+00", "2.219e-13"),
+        ("rosenbrock-2d", ["--eps-H", "1e-30"], 2, "1.599e-12", "9.537e-32", "1.034e-13"),
+    ],
+)
+def test_run_cg_cap_below_float64_reach_names_the_target(
+    tmp_path, capsys, problem, flags, iters, residual, target, floor
+):
+    # The residual target (zeta/2) min(||g||, eps_H ||d||) lies below what
+    # float64 CG can reach, so CG runs to its cap; the message says so
+    # instead of blaming the declared constants.
+    code = main(["run", "--problem", problem, "--algo", "inexact", *flags,
+                 "--out", str(tmp_path)])
+    assert code == 3
+    assert read_report(tmp_path, problem, "inexact")["runs"][0]["status"] == "cg_cap"
+    assert capsys.readouterr().err == (
+        f"error: seed 0: CG reached its cap ({iters} iterations) with residual {residual}; "
+        f"its target {target} is below {floor} (n * eps_mach * ||g||), "
+        "which float64 CG cannot reach\n"
+    )
 
 
 def test_run_indefinite_system_exits_3(tmp_path, capsys, monkeypatch):

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import sols.driver
 import sols.steps
 from sols import (
     Objective,
@@ -23,6 +24,7 @@ from sols.cgsolve import CgOutcome
 from sols.eigen import EigEstimate
 from sols.steps import ConfigError
 
+from conftest import exhaustive_backtrack
 from test_operators import quadratic_objective
 from sols.problems import separable_quartic
 
@@ -217,6 +219,37 @@ def test_local_phase_stall_keeps_every_accepted_step(name, cfg):
     assert report.iterations == len(records) == report.counters.n_grad - 1
     assert report.g_norm_final == records[-1].g_next_norm
     assert report.f_final == obj.value(report.x_final)
+
+
+@pytest.mark.parametrize(
+    "name, n_f, exhaustive_n_f, j",
+    [("rosenbrock-10d", 76, 251, 26), ("quartic-offset-2d", 28, 210, 19)],
+)
+def test_local_phase_stall_ends_where_float64_absorbs_the_step(
+    name, n_f, exhaustive_n_f, j, monkeypatch
+):
+    # At the coverage config the last local search reaches x itself at
+    # theta**j d. Ending there leaves every row, the final point and value
+    # and the status as the exhaustive loop has them, and saves its
+    # 200 + 1 - j evaluations of x.
+    p = get_problem(name)
+
+    def run():
+        return run_exact(p.make_objective(), p.start_point(), p.coverage_config,
+                         local_phase=True)
+
+    report, records = run()
+    monkeypatch.setattr(sols.driver, "backtrack", exhaustive_backtrack)
+    old_report, old_records = run()
+    assert report.status == old_report.status == "ls_stall"
+    assert [r.to_row() for r in records] == [r.to_row() for r in old_records]
+    assert report.x_final.tobytes() == old_report.x_final.tobytes()
+    assert report.f_final.hex() == old_report.f_final.hex()
+    assert report.counters.n_f == n_f and old_report.counters.n_f == exhaustive_n_f
+    assert exhaustive_n_f - n_f == 200 + 1 - j
+    assert report.error == (
+        f"line-search stall: trial point equals x at j={j} (step below float64 resolution)"
+    )
 
 
 def test_local_phase_reentry_resumes_main_loop(monkeypatch):

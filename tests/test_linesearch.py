@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sols import (
     LineSearchStallError,
+    Objective,
     ProblemConstants,
     SolverConfig,
     StepKind,
@@ -17,6 +21,7 @@ from sols import (
 )
 from sols.linesearch import ls_cap_exponent
 
+from conftest import exhaustive_backtrack
 from test_operators import quadratic_objective
 
 
@@ -126,6 +131,96 @@ def test_stall_raises_with_context():
     with pytest.raises(LineSearchStallError) as excinfo:
         backtrack(obj, x, obj.value(x), np.array([1.0, 0.0]), cfg, kind="ascent")
     assert excinfo.value.context["kind"] == "ascent"
+    assert excinfo.value.context["j"] == 5
+    assert str(excinfo.value) == "line-search stall: no acceptable step within 5 backtracks"
+    assert obj.counters.n_f == 1 + 6
+
+
+@pytest.mark.parametrize("step, j", [(1e-15, 4), (1e-20, 1)])
+def test_step_below_float64_resolution_ends_the_search(step, j):
+    # ulp(1) = 2**-52 ~ 2.2e-16: 1e-15 moves x[0] for the halvings j = 0..3
+    # (the last rounds 0.56 ulp up to one), and j = 4 lands on x; 1e-20 lands
+    # on x at once. The ascent direction rejects every evaluated trial.
+    obj = quadratic_objective(np.eye(2))
+    x = np.array([1.0, -2.0])
+    cfg = SolverConfig(theta=0.5, max_ls_steps=10_000)
+    f_x = obj.value(x)
+    with pytest.raises(LineSearchStallError) as excinfo:
+        backtrack(obj, x, f_x, np.array([step, 0.0]), cfg)
+    assert str(excinfo.value) == (
+        f"line-search stall: trial point equals x at j={j} (step below float64 resolution)"
+    )
+    assert excinfo.value.context["j"] == j
+    assert obj.counters.n_f - 1 == j
+
+
+def probed_objective(c: np.ndarray, s: np.ndarray) -> tuple[Objective, list[bytes]]:
+    """f(y) = sum c_i y_i^2 / 2 + s'y, logging the bytes of every point it is evaluated at."""
+    seen: list[bytes] = []
+
+    def value(y):
+        seen.append(y.tobytes())
+        return 0.5 * float(c.dot(y * y)) + float(s.dot(y))
+
+    return Objective(c.size, value, lambda y: c * y + s, lambda y, v: c * v), seen
+
+
+def probe_run(search, obj, seen, x, d, cfg):
+    """The search's result (None on a stall), its probe points and its f evaluations."""
+    f_x = obj.value(x)
+    del seen[:]
+    n_f = obj.counters.n_f
+    try:
+        res = search(obj, x, f_x, d, cfg)
+    except LineSearchStallError:
+        res = None
+    return res, list(seen), obj.counters.n_f - n_f
+
+
+def result_bits(res) -> tuple:
+    return tuple(v.hex() if isinstance(v, float) else v for v in astuple(res))
+
+
+COORDS = st.lists(st.tuples(
+    st.floats(-1e8, 1e8),  # x_i
+    st.floats(-20.0, 3.0).map(lambda e: 10.0**e) | st.just(0.0),  # |d_i|
+    st.booleans(),  # sign of d_i
+    st.floats(-1.0, 1.0),  # c_i
+    st.floats(-10.0, 10.0),  # s_i
+), min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(coords=COORDS, theta=st.floats(0.05, 0.95), eta=st.floats(0.01, 10.0),
+       max_ls_steps=st.integers(1, 120))
+# Accepts at j = 0; stalls on x at j = 1; stalls on x at j = 4; stalls at the cap.
+@example([(1.0, 1.0, False, 1.0, 0.0)], 0.5, 1.0, 200)
+@example([(1.0, 1e-20, True, 1.0, 0.0)], 0.5, 1.0, 200)
+@example([(1.0, 1e-15, True, 1.0, 0.0)], 0.5, 1.0, 200)
+@example([(1.0, 1.0, True, 1.0, 0.0)], 0.5, 1.0, 5)
+def test_search_matches_the_exhaustive_loop(coords, theta, eta, max_ls_steps):
+    # An accepted search is the exhaustive loop's, bit for bit and probe for
+    # probe. A stalled one evaluates a prefix of its probe points, and every
+    # point it leaves out is x itself.
+    x = np.array([t[0] for t in coords])
+    d = np.array([t[1] if t[2] else -t[1] for t in coords])
+    if not d.any():
+        return
+    c = np.array([t[3] for t in coords])
+    s = np.array([t[4] for t in coords])
+    cfg = SolverConfig(theta=theta, eta=eta, max_ls_steps=max_ls_steps)
+    new = probe_run(backtrack, *probed_objective(c, s), x, d, cfg)
+    old = probe_run(exhaustive_backtrack, *probed_objective(c, s), x, d, cfg)
+    res, seen, n_f = new
+    old_res, old_seen, old_n_f = old
+    assert n_f == len(seen) and old_n_f == len(old_seen)
+    if old_res is not None:
+        assert res is not None and result_bits(res) == result_bits(old_res)
+        assert seen == old_seen and n_f == old_n_f
+    else:
+        assert res is None
+        assert seen == old_seen[:n_f] and n_f <= old_n_f
+        assert set(old_seen[n_f:]) <= {x.tobytes()}
 
 
 # --- theoretical caps ---------------------------------------------------------

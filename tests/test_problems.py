@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sols import StepKind, get_problem, problem_names, rayleigh_quotient, run_exact, suite
+from sols import (
+    Objective, StepKind, get_problem, problem_names, rayleigh_quotient, run_exact, suite
+)
 import sols.problems
 from sols.problems import (
     ConstantsError,
@@ -123,6 +125,24 @@ def test_constants_positive_and_f0_above_floor():
 def test_sampling_verifier_accepts_declared_constants():
     for p in suite():
         verify_constants(p, n_points=60, seed=777)
+
+
+def test_sampling_verifier_keeps_f_from_the_sampling(monkeypatch):
+    # The checks run on the Hessians of the sampled points; f of each point
+    # was kept when it was sampled, so no f evaluation follows a Hessian.
+    calls = []
+    for name in ("value", "dense_hessian"):
+        real = getattr(Objective, name)
+        monkeypatch.setattr(
+            Objective, name,
+            lambda self, x, real=real, name=name: calls.append(name) or real(self, x),
+        )
+    for p in suite():
+        calls.clear()
+        verify_constants(p, n_points=60, seed=777)
+        first_hessian = calls.index("dense_hessian")
+        assert "value" in calls[:first_hessian]
+        assert "value" not in calls[first_hessian:]
 
 
 def test_sampling_verifier_rejects_misdeclared_constants():

@@ -2,6 +2,7 @@
 
 Usage:
     python tools/seed_counts.py {q50,rosen100} FIRST LAST [--src SRC]
+    python tools/seed_counts.py rosen10 [--src SRC]
 
 Runs ``run_inexact`` once per seed FIRST..LAST (both included) with the
 ``sols`` package found in ``SRC`` (default: the ``src`` directory of this
@@ -12,6 +13,12 @@ and ``n_hv``, the iterations, the envelope verdict (null when the run has no
 envelope checks), the dense-oracle verdict on its certificate (null without
 one) and the sha256 of the ``x_final`` bytes. A last line holds the means
 over the seeds.
+
+``rosen10`` runs ``rosenbrock-10d`` with the tolerances of the
+``rosen10-cli`` workload through ``run_exact``, once as ``exact`` and once
+as ``exact-local``, and prints one such line for each, keyed by ``algo``
+instead of ``seed``. The exact loops draw no random numbers, so there is no
+seed range.
 
 To compare two versions seed by seed, run it on both and diff the outputs,
 for example ``python tools/seed_counts.py q50 101 400 > new.jsonl`` and
@@ -37,24 +44,25 @@ COUNTS = ("n_f", "n_grad", "n_hv", "iterations")
 
 
 def configuration(name: str):
-    """The problem and solver config of ``q50-inexact`` or ``rosen100-inexact``."""
+    """The problem and solver config of a workload: ``q50-inexact``,
+    ``rosen100-inexact`` or ``rosen10-cli``."""
     from sols.problems import get_problem
     from sols.steps import SolverConfig
-    from workloads import MC_CFG, rosenbrock_100d
+    from workloads import MC_CFG, CliWorkload, rosenbrock_100d
 
     if name == "q50":
         return get_problem("quartic-saddle-50d"), MC_CFG
+    if name == "rosen10":
+        tolerances = SolverConfig(eps_g=CliWorkload.eps_g, eps_H=CliWorkload.eps_H)
+        return get_problem(CliWorkload.problem_name), tolerances
     return rosenbrock_100d(), SolverConfig()
 
 
-def seed_row(problem, cfg, seed: int) -> dict:
-    from sols import run_inexact
+def outcome(obj, cfg, report) -> dict:
+    """What one run did: status, counts, verdicts and the ``x_final`` hash."""
     from sols.driver import envelope_checks_pass
     from workloads import certificate_failure
 
-    obj = problem.make_objective()
-    run_cfg = cfg.with_updates(rng_seed=seed)
-    report, _records = run_inexact(obj, problem.start_point(), run_cfg)
     checks = report.envelope_checks()
     cert = report.certificate
     oracle_ok = None
@@ -64,7 +72,6 @@ def seed_row(problem, cfg, seed: int) -> dict:
         ) is None
     c = report.counters
     return {
-        "seed": seed,
         "status": report.status,
         "n_f": c.n_f,
         "n_grad": c.n_grad,
@@ -76,22 +83,52 @@ def seed_row(problem, cfg, seed: int) -> dict:
     }
 
 
+def seed_row(problem, cfg, seed: int) -> dict:
+    from sols import run_inexact
+
+    obj = problem.make_objective()
+    run_cfg = cfg.with_updates(rng_seed=seed)
+    report, _records = run_inexact(obj, problem.start_point(), run_cfg)
+    return {"seed": seed, **outcome(obj, cfg, report)}
+
+
+def algo_row(problem, cfg, algo: str) -> dict:
+    from sols import run_exact
+
+    obj = problem.make_objective()
+    report, _records = run_exact(
+        obj, problem.start_point(), cfg, local_phase=algo == "exact-local"
+    )
+    return {"algo": algo, **outcome(obj, cfg, report)}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("workload", choices=("q50", "rosen100"))
-    parser.add_argument("first", type=int)
-    parser.add_argument("last", type=int)
+    parser.add_argument("workload", choices=("q50", "rosen100", "rosen10"))
+    parser.add_argument("first", type=int, nargs="?")
+    parser.add_argument("last", type=int, nargs="?")
     parser.add_argument(
         "--src", type=Path, default=ROOT / "src",
         help="directory holding the sols package (default: this checkout's src)",
     )
     args = parser.parse_args()
-    if args.last < args.first:
+    seeded = args.workload != "rosen10"
+    if seeded and (args.first is None or args.last is None):
+        parser.error(f"{args.workload} needs FIRST and LAST")
+    if not seeded and args.first is not None:
+        parser.error("rosen10 takes no seed range")
+    if seeded and args.last < args.first:
         parser.error("LAST must not be below FIRST")
     # The workload definitions come from this checkout's bench/; sols from SRC.
     sys.path[:0] = [str(args.src.resolve()), str(ROOT / "bench")]
 
     problem, cfg = configuration(args.workload)
+    if not seeded:
+        from workloads import CliWorkload
+
+        for algo in CliWorkload.algos:
+            print(json.dumps(algo_row(problem, cfg, algo)), flush=True)
+        return 0
     rows = []
     for seed in range(args.first, args.last + 1):
         rows.append(seed_row(problem, cfg, seed))
