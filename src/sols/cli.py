@@ -6,6 +6,7 @@ import argparse
 import csv
 import functools
 import json
+import operator
 import os
 import sys
 from dataclasses import asdict, fields
@@ -31,6 +32,10 @@ DEFAULT_OUT_ENV = "SOLS_OUT_DIR"
 # SolverConfig field except ``rng_seed``, which ``--seed`` sets per run.
 _CONFIG_TYPES = {f.name: int if f.type == "int" else float for f in fields(SolverConfig)}
 _RUN_FLAGS = tuple(name for name in _CONFIG_TYPES if name != "rng_seed")
+
+# One trace row per record. csv.writer writes None as "", a float by repr()
+# and an int by str().
+_trace_row = operator.attrgetter(*TRACE_COLUMNS)
 
 
 def _parse_config_file(path: str) -> dict:
@@ -101,8 +106,7 @@ def _run_one(
     with open(Path(out_dir) / trace_name, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRACE_COLUMNS)
-        for rec in records:
-            writer.writerow(rec.to_row())
+        writer.writerows(map(_trace_row, records))
     return _report_run_dict(report, seed, trace_name)
 
 

@@ -55,24 +55,10 @@ class IterationRecord:
     g_next_norm: float
     lanczos_iters: int | None
     cg_iters: int | None
-    cg_fallback: bool
+    cg_fallback: int  # 1 when CG's nonpositive curvature gave the step, else 0
     n_f: int
     n_grad: int
     n_hv: int
-
-    def to_row(self) -> list[str]:
-        out = []
-        for name in TRACE_COLUMNS:
-            v = getattr(self, name)
-            if v is None:
-                out.append("")
-            elif isinstance(v, bool):
-                out.append("1" if v else "0")
-            elif isinstance(v, float):
-                out.append(repr(v))
-            else:
-                out.append(str(v))
-        return out
 
 
 TRACE_COLUMNS = tuple(f.name for f in fields(IterationRecord))
@@ -203,7 +189,7 @@ def _step(
         g_next_norm=norm(g_next),
         lanczos_iters=sel.lanczos_iters,
         cg_iters=sel.cg_iters,
-        cg_fallback=sel.cg_fallback,
+        cg_fallback=int(sel.cg_fallback),
         n_f=obj.counters.n_f,
         n_grad=obj.counters.n_grad,
         n_hv=obj.counters.n_hv,
@@ -239,9 +225,9 @@ def _run_loop(
     select,
     strict_second_order: bool,
 ) -> tuple[RunReport, list[IterationRecord]]:
-    mode = "inexact" if algo == "inexact" else "exact"
+    inexact = algo == "inexact"
     cfg.validate()
-    _check_ls_budget(obj, cfg, inexact=(mode == "inexact"))
+    _check_ls_budget(obj, cfg, inexact)
     x = np.asarray(x0, dtype=float)
     f_x = obj.value(x)
     # A non-finite start value is a bad input and raises; a non-finite
@@ -299,7 +285,7 @@ def _run_loop(
                     phase == "local"
                     or strict_second_order
                     or sel.kind not in StepKind.NEWTON_LIKE
-                    or not check_termination(rec.g_next_norm, lam, cfg, mode)
+                    or not check_termination(rec.g_next_norm, lam, cfg, inexact)
                 ):
                     continue
 
@@ -321,9 +307,10 @@ def _run_loop(
         error_msg = str(exc)
 
     second_order_ok = None
-    if status == "converged" and mode == "exact" and obj.has_dense_hessian:
+    if status == "converged" and not inexact:
         # One extra eigenvalue check classifies whether the final point
-        # itself satisfies the pointwise second-order condition.
+        # itself satisfies the pointwise second-order condition. A converged
+        # exact run has a certificate, so it has used the dense Hessian.
         est = min_eigenpair_exact(obj.dense_hessian(x))
         second_order_ok = bool(check_termination(norm(g), est.lam, cfg))
 

@@ -24,13 +24,16 @@ class EigEstimate:
     Kuczynski-Wozniakowski bound is stated for, which equals the Rayleigh
     quotient v'Hv of the returned unit vector up to rounding (an upper bound
     on the true minimum in either case). ``iters`` counts Lanczos
-    matrix-vector products.
+    matrix-vector products. ``converged_by`` says where the estimate
+    stopped: "exact" on the dense path; on the Lanczos path "full_n" after
+    n products, "lanczos_cap" at a budget below n, and "breakdown" where the
+    Krylov space became invariant before the budget.
     """
 
     lam: float
     v_unit: Array
     iters: int
-    converged_by: str  # "exact", "lanczos_cap", or "full_n"
+    converged_by: str
 
 
 def min_eigenpair_exact(H: Array) -> EigEstimate:
@@ -220,5 +223,5 @@ def lanczos_min_eig(
         lam=lam,
         v_unit=v_ritz / nv,
         iters=k,
-        converged_by="full_n" if k >= n else "lanczos_cap",
+        converged_by="breakdown" if k < budget else "full_n" if k >= n else "lanczos_cap",
     )

@@ -18,23 +18,22 @@ class NonFiniteError(ValueError):
 class ProblemConstants:
     """Smoothness and level-set constants declared by a problem.
 
-    ``L_g`` and ``L_H`` are Lipschitz constants of the gradient and Hessian,
-    ``U_g`` and ``U_H`` bound the gradient and Hessian norms on the level set
-    of the canonical start point, and ``f_low`` bounds the objective from
-    below on that level set. Constants are declared, never estimated: all
-    cap and envelope checks are stated in terms of them, so estimation error
-    must not leak into those checks.
+    ``L_H`` is a Lipschitz constant of the Hessian, ``U_g`` and ``U_H``
+    bound the gradient and Hessian norms on the level set of the canonical
+    start point, and ``f_low`` bounds the objective from below on that level
+    set. Constants are declared, never estimated: all cap and envelope
+    checks are stated in terms of them, so estimation error must not leak
+    into those checks.
     """
 
-    L_g: float
     L_H: float
     U_g: float
     U_H: float
     f_low: float
 
     def __post_init__(self) -> None:
-        if self.L_g < 0.0 or self.L_H < 0.0:
-            raise ValueError("Lipschitz constants must be nonnegative")
+        if self.L_H < 0.0:
+            raise ValueError("L_H must be nonnegative")
         if self.U_g <= 0.0 or self.U_H <= 0.0:
             raise ValueError("U_g and U_H must be positive")
         if not np.isfinite(self.f_low):
@@ -87,10 +86,6 @@ class Objective:
         self.constants = constants
         self.name = name
         self.counters = EvalCounters()
-
-    @property
-    def has_dense_hessian(self) -> bool:
-        return self._dense_hessian is not None
 
     def value(self, x: Array) -> float:
         self.counters.n_f += 1

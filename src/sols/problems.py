@@ -1,6 +1,6 @@
 """Synthetic problems with analytically certified smoothness constants.
 
-Every problem declares (L_g, L_H, U_g, U_H, f_low) valid on the level set
+Every problem declares (L_H, U_g, U_H, f_low) valid on the level set
 of its canonical start point. The declarations come from closed-form
 bounds over a coordinate box enclosing the level set, inflated by a safety
 margin, and are re-checked by sampling at construction. Overestimates are
@@ -102,11 +102,7 @@ def _separable_quartic_constants(
     if U_H <= 0.0 or U_g <= 0.0:
         raise ValueError("degenerate problem: zero curvature and gradient bounds")
     return ProblemConstants(
-        L_g=MARGIN * U_H,
-        L_H=MARGIN * L_H,
-        U_g=MARGIN * U_g,
-        U_H=MARGIN * U_H,
-        f_low=f_low,
+        L_H=MARGIN * L_H, U_g=MARGIN * U_g, U_H=MARGIN * U_H, f_low=f_low
     )
 
 
@@ -129,6 +125,8 @@ def separable_quartic(
     beta = np.asarray(beta, dtype=float) * np.ones_like(d)
     x0 = np.asarray(x0, dtype=float)
     n = d.size
+    if x0.shape != (n,):
+        raise ValueError(f"{name}: x0 has shape {x0.shape}, but d has {n} entries")
     pc = _separable_quartic_constants(d, beta, c0, x0)
 
     def value(x: Array) -> float:
@@ -200,9 +198,7 @@ def _rosenbrock_constants(n: int, a: float, x0: Array) -> ProblemConstants:
     U_H = float(np.max(rowsum))
 
     L_H = math.sqrt(float(np.sum((24.0 * a * B[: n - 1]) ** 2 + 3.0 * (4.0 * a) ** 2)))
-    return ProblemConstants(
-        L_g=MARGIN * U_H, L_H=MARGIN * L_H, U_g=MARGIN * U_g, U_H=MARGIN * U_H, f_low=0.0
-    )
+    return ProblemConstants(L_H=MARGIN * L_H, U_g=MARGIN * U_g, U_H=MARGIN * U_H, f_low=0.0)
 
 
 def _rosenbrock_value(x: Array, a: float) -> float:
@@ -257,6 +253,8 @@ def rosenbrock(
 ) -> SuiteProblem:
     """Chained Rosenbrock valley in n dimensions with factor ``a``."""
     x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (n,):
+        raise ValueError(f"{name}: x0 has shape {x0.shape}, but n = {n}")
     pc = _rosenbrock_constants(n, a, x0)
 
     def value(x: Array) -> float:

@@ -109,20 +109,18 @@ class SolverConfig:
 
 
 def check_termination(
-    g_norm: float, lambda_estimate: float, cfg: SolverConfig, mode: str = "exact"
+    g_norm: float, lam: float, cfg: SolverConfig, inexact: bool = False
 ) -> bool:
     """Approximate second-order criticality: a small gradient norm and a
     certified eigenvalue estimate.
 
-    Exact mode accepts eigenvalue estimates down to -eps_H; the inexact
-    mode tightens the eigenvalue threshold to -eps_H/2 so that the
+    The exact loops accept eigenvalue estimates down to -eps_H; the inexact
+    loop tightens the eigenvalue threshold to -eps_H/2 so that the
     estimator's eps_H/2 slack still certifies -eps_H. Both inequalities
     are closed.
     """
-    if mode not in ("exact", "inexact"):
-        raise ValueError(f"unknown mode {mode!r}")
-    floor = -cfg.eps_H if mode == "exact" else -0.5 * cfg.eps_H
-    return g_norm <= cfg.eps_g and lambda_estimate >= floor
+    floor = -0.5 * cfg.eps_H if inexact else -cfg.eps_H
+    return g_norm <= cfg.eps_g and lam >= floor
 
 
 def scale_eigvector(v_unit: Array, lam: float, g: Array) -> Array:
@@ -176,7 +174,7 @@ def select_direction_exact(
     H = obj.dense_hessian(x)
     est = min_eigenpair_exact(H)
     lam = est.lam
-    if check_termination(gnorm, lam, cfg, "exact"):
+    if check_termination(gnorm, lam, cfg):
         return Terminate(lam=lam)
     if lam < -cfg.eps_H:
         d = scale_eigvector(est.v_unit, lam, g)
@@ -236,7 +234,7 @@ def select_direction_inexact(
     M_shift = U_H + 2.0
     est: EigEstimate = lanczos_min_eig(hv, obj.dim, M_shift, cfg.eps_H / 2.0, cfg.delta, rng)
     lam_i = est.lam
-    if check_termination(gnorm, lam_i, cfg, "inexact"):
+    if check_termination(gnorm, lam_i, cfg, inexact=True):
         return Terminate(lam=lam_i)
     if lam_i < -0.5 * cfg.eps_H:
         d = scale_eigvector(est.v_unit, lam_i, g)

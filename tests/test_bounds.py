@@ -69,7 +69,7 @@ def test_constants_reject_bad_inputs():
 
 # --- envelopes --------------------------------------------------------------
 
-PC = ProblemConstants(L_g=5.0, L_H=2.0, U_g=10.0, U_H=5.0, f_low=0.0)
+PC = ProblemConstants(L_H=2.0, U_g=10.0, U_H=5.0, f_low=0.0)
 
 
 def test_max_term_balanced_tolerances():

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sols.cli
 import sols.steps
 from sols import Objective, SolverConfig
 from sols.cgsolve import CgOutcome
@@ -104,6 +105,18 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     assert code == 2
 
 
+def test_config_file_skips_comments_and_blank_lines_and_rejects_a_bare_line(tmp_path, capsys):
+    cfg_file = tmp_path / "solver.cfg"
+    cfg_file.write_text("# tolerances\n\neps_g 1e-5\n")
+    code = main(["run", "--problem", "quad-convex-2d", "--config", str(cfg_file),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: invalid configuration: {cfg_file}:3: expected 'key = value', "
+        "got 'eps_g 1e-5'\n"
+    )
+
+
 def test_default_out_dir_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("SOLS_OUT_DIR", str(tmp_path / "env-out"))
     code = main(["run", "--problem", "quad-convex-2d"])
@@ -120,6 +133,18 @@ def test_envelope_command_reports_ratios(tmp_path, capsys):
     assert "quad-convex-2d" in out
     assert "ok" in out
     assert "K_iter" in out
+
+
+def test_envelope_command_reports_ops_of_inexact_runs(tmp_path, capsys):
+    main(["run", "--problem", "quad-convex-2d", "--algo", "inexact", "--out", str(tmp_path)])
+    run = read_report(tmp_path, "quad-convex-2d", "inexact")["runs"][0]
+    checks = run["envelope_checks"]
+    capsys.readouterr()
+    assert main(["envelope", "--in", str(tmp_path)]) == 0
+    row = next(line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("quad-convex-2d"))
+    assert f"{checks['observed_ops']}/{checks['ops_bound']:.3g} ops" in row
+    assert row.split()[-1] == "ok"
 
 
 def test_envelope_missing_directory(tmp_path, capsys):
@@ -258,6 +283,17 @@ def test_run_cg_cap_below_float64_reach_names_the_target(
         f"its target {target} is below {floor} (n * eps_mach * ||g||), "
         "which float64 CG cannot reach\n"
     )
+
+
+def test_run_runtime_error_exits_3_as_solver_failure(tmp_path, capsys, monkeypatch):
+    def failing_run(*args, **kwargs):
+        raise RuntimeError("stub failure")
+
+    monkeypatch.setattr(sols.cli, "run_exact", failing_run)
+    code = main(["run", "--problem", "quad-convex-2d", "--out", str(tmp_path)])
+    assert code == 3
+    assert capsys.readouterr().err == "error: solver failure: stub failure\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_run_indefinite_system_exits_3(tmp_path, capsys, monkeypatch):
@@ -473,7 +509,7 @@ def test_run_rejects_unusable_out_dir(tmp_path, capsys, sub):
     assert list(tmp_path.iterdir()) == [blocker]
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("jobs", ["0", "-3", "abc"])
 def test_run_rejects_nonpositive_jobs(tmp_path, capsys, jobs):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--problem", "quad-convex-2d", f"--jobs={jobs}", "--out", str(tmp_path)])

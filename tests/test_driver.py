@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -21,12 +23,19 @@ from sols import (
     suite,
 )
 from sols.cgsolve import CgOutcome
+from sols.driver import TRACE_COLUMNS
 from sols.eigen import EigEstimate
+from sols.operators import EvalCounters
 from sols.steps import ConfigError
 
 from conftest import exhaustive_backtrack
 from test_operators import quadratic_objective
 from sols.problems import separable_quartic
+
+
+def trace_rows(records):
+    """The records' trace fields, each by repr, so -0.0 and 0.0 differ."""
+    return [tuple(map(repr, attrgetter(*TRACE_COLUMNS)(r))) for r in records]
 
 
 def test_quadratic_converges_in_one_newton_iteration():
@@ -83,6 +92,28 @@ def test_rosenbrock_exact_regression():
     assert report.iterations == 20
 
 
+@pytest.mark.parametrize("algo", ["exact", "inexact"])
+def test_all_envelope_checks_pass_reads_every_ok_flag(algo):
+    p = get_problem("quad-convex-2d")
+    run = run_inexact if algo == "inexact" else run_exact
+    report, _ = run(p.make_objective(), p.start_point(), p.coverage_config)
+    assert report.all_envelope_checks_pass()
+    cert, checks = report.certificate, report.envelope_checks()
+    # One past each bound; the cost bound is on n_f or on n_grad + n_hv.
+    cost_bound, cost_ok = ("ops_bound", "ops_ok") if algo == "inexact" else (
+        "f_eval_bound", "f_evals_ok")
+    over_iters = math.ceil(checks["iteration_bound"]) + 1
+    over_cost = math.ceil(checks[cost_bound]) + 1
+    for bad_cert, failed in [
+        (replace(cert, steps=over_iters), ["iterations_ok"]),
+        (replace(cert, counters=EvalCounters(over_cost, over_cost, 0)), [cost_ok]),
+    ]:
+        bad = replace(report, certificate=bad_cert)
+        flags = bad.envelope_checks().items()
+        assert [k for k, v in flags if k.endswith("_ok") and not v] == failed
+        assert not bad.all_envelope_checks_pass()
+
+
 def test_post_line_search_termination_certifies_previous_iterate():
     p = get_problem("quad-convex-2d")
     obj = p.make_objective()
@@ -97,12 +128,12 @@ def test_post_line_search_termination_certifies_previous_iterate():
 
 def test_check_termination_cases():
     cfg = SolverConfig(eps_g=1e-3, eps_H=0.5)
-    assert check_termination(0.0, 0.0, cfg, "exact")
-    assert check_termination(1e-3, -0.25, cfg, "inexact")
-    assert not check_termination(1e-3 * 1.0001, 1.0, cfg, "exact")
-    assert not check_termination(1e-4, -0.251, cfg, "inexact")
-    with pytest.raises(ValueError):
-        check_termination(0.0, 0.0, cfg, "sideways")
+    assert check_termination(0.0, 0.0, cfg)
+    assert check_termination(1e-3, -0.5, cfg)
+    assert check_termination(1e-3, -0.25, cfg, inexact=True)
+    assert not check_termination(1e-3 * 1.0001, 1.0, cfg)
+    assert not check_termination(1e-4, -0.501, cfg)
+    assert not check_termination(1e-4, -0.251, cfg, inexact=True)
 
 
 # --- local phase -----------------------------------------------------------------
@@ -242,7 +273,7 @@ def test_local_phase_stall_ends_where_float64_absorbs_the_step(
     monkeypatch.setattr(sols.driver, "backtrack", exhaustive_backtrack)
     old_report, old_records = run()
     assert report.status == old_report.status == "ls_stall"
-    assert [r.to_row() for r in records] == [r.to_row() for r in old_records]
+    assert trace_rows(records) == trace_rows(old_records)
     assert report.x_final.tobytes() == old_report.x_final.tobytes()
     assert report.f_final.hex() == old_report.f_final.hex()
     assert report.counters.n_f == n_f and old_report.counters.n_f == exhaustive_n_f
@@ -341,7 +372,7 @@ def test_inexact_seed_determinism_and_variation():
     for seed in (1, 1, 2):
         obj = p.make_objective()
         report, records = run_inexact(obj, p.start_point(), cfg.with_updates(rng_seed=seed))
-        runs.setdefault(seed, []).append([r.to_row() for r in records])
+        runs.setdefault(seed, []).append(trace_rows(records))
     assert runs[1][0] == runs[1][1]
     assert runs[1][0] != runs[2][0]
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sols.eigen
 from sols import lanczos_iteration_cap, lanczos_min_eig, min_eigenpair_exact, suite
 from sols.eigen import EigEstimate, _lapack, _ritz_min
 from sols.operators import NonFiniteError
@@ -262,7 +263,8 @@ def reference_lanczos_min_eig(hv, n, M, eps, delta, rng):
     nv = float(np.linalg.norm(v_ritz))
     lam = float(v_ritz @ (np.column_stack(HV) @ y)) / (nv * nv)
     iters = len(V)
-    return lam, v_ritz / nv, iters, "full_n" if iters >= n else "lanczos_cap"
+    converged_by = "breakdown" if iters < budget else "full_n" if iters >= n else "lanczos_cap"
+    return lam, v_ritz / nv, iters, converged_by
 
 
 def _equivalence_cases():
@@ -440,6 +442,46 @@ def test_non_finite_product_raises_value_error(bad):
         lanczos_min_eig(hv, 10, M=10.0, eps=0.1, delta=0.0, rng=rng_for(14))
 
 
+def test_zero_start_vector_is_redrawn():
+    class ZeroFirst:
+        """Draws zero vectors ``zeros`` times, then from ``rng``."""
+
+        def __init__(self, rng, zeros):
+            self.rng, self.zeros = rng, zeros
+
+        def standard_normal(self, n):
+            if self.zeros:
+                self.zeros -= 1
+                return np.zeros(n)
+            return self.rng.standard_normal(n)
+
+    H = random_symmetric(np.random.default_rng(19), 12)
+    stubbed = lanczos_min_eig(hv_of(H), 12, M=20.0, eps=0.1, delta=0.0,
+                              rng=ZeroFirst(rng_for(20), zeros=2))
+    plain = lanczos_min_eig(hv_of(H), 12, M=20.0, eps=0.1, delta=0.0, rng=rng_for(20))
+    assert stubbed.lam == plain.lam and stubbed.iters == plain.iters == 12
+    assert np.array_equal(stubbed.v_unit, plain.v_unit)
+
+
+@pytest.mark.parametrize("failing", ["dstebz", "dstein"])
+def test_ritz_solve_failure_raises_linalg_error(monkeypatch, failing):
+    real = _lapack()
+
+    class Stub:
+        def dstebz(self, *args):
+            *out, info = real.dstebz(*args)
+            return (*out, 3 if failing == "dstebz" else info)
+
+        def dstein(self, *args):
+            y, info = real.dstein(*args)
+            return y, -1 if failing == "dstein" else info
+
+    monkeypatch.setattr(sols.eigen, "_lapack", Stub)
+    code = 3 if failing == "dstebz" else -1
+    with pytest.raises(np.linalg.LinAlgError, match=rf"tridiagonal eigensolve failed \(info={code}\)"):
+        _ritz_min(np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.5]))
+
+
 # --- bitwise equality with the matmul loop ---------------------------------------
 
 def matmul_lanczos_min_eig(hv, n, M, eps, delta, rng):
@@ -488,7 +530,7 @@ def matmul_lanczos_min_eig(hv, n, M, eps, delta, rng):
         lam, y = float(w[0]), y[:, 0]
     v_ritz = y @ V[:k]
     nv = float(np.linalg.norm(v_ritz))
-    return lam, v_ritz / nv, k, "full_n" if k >= n else "lanczos_cap"
+    return lam, v_ritz / nv, k, "breakdown" if k < budget else "full_n" if k >= n else "lanczos_cap"
 
 
 def _bitwise_cases():
@@ -534,8 +576,8 @@ def test_bitwise_cases_reach_every_exit():
         exits.add((est.converged_by, "budget" if est.iters == budget else "breakdown"))
         if est.iters == 1:
             exits.add("k=1")
-    assert exits >= {
-        ("full_n", "budget"), ("lanczos_cap", "budget"), ("lanczos_cap", "breakdown"), "k=1"
+    assert exits == {
+        ("full_n", "budget"), ("lanczos_cap", "budget"), ("breakdown", "breakdown"), "k=1"
     }
 
 

@@ -226,7 +226,7 @@ def test_search_matches_the_exhaustive_loop(coords, theta, eta, max_ls_steps):
 # --- theoretical caps ---------------------------------------------------------
 
 def constants(L_H=2.0, U_g=10.0) -> ProblemConstants:
-    return ProblemConstants(L_g=1.0, L_H=L_H, U_g=U_g, U_H=1.0, f_low=0.0)
+    return ProblemConstants(L_H=L_H, U_g=U_g, U_H=1.0, f_low=0.0)
 
 
 def test_cap_log_of_one_gives_one():

@@ -194,14 +194,24 @@ def test_counters_monotone_and_snapshot_independent():
 
 
 def test_problem_constants_validation():
-    with pytest.raises(ValueError):
-        ProblemConstants(L_g=1.0, L_H=1.0, U_g=0.0, U_H=1.0, f_low=0.0)
-    with pytest.raises(ValueError):
-        ProblemConstants(L_g=-1.0, L_H=1.0, U_g=1.0, U_H=1.0, f_low=0.0)
+    valid = {"L_H": 1.0, "U_g": 1.0, "U_H": 1.0, "f_low": 0.0}
+    ProblemConstants(**valid)
+    for bad, match in [
+        ({"U_g": 0.0}, "U_g and U_H must be positive"),
+        ({"L_H": -1.0}, "L_H must be nonnegative"),
+        ({"f_low": np.nan}, "f_low must be finite"),
+        ({"f_low": -np.inf}, "f_low must be finite"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            ProblemConstants(**{**valid, **bad})
+
+
+def test_objective_rejects_nonpositive_dim():
+    with pytest.raises(ValueError, match="dim must be a positive integer"):
+        Objective(0, lambda x: 0.0, lambda x: x, lambda x, v: v)
 
 
 def test_missing_dense_hessian_raises():
     obj = Objective(2, lambda x: 0.0, lambda x: np.zeros(2), lambda x, v: np.zeros(2))
-    assert not obj.has_dense_hessian
     with pytest.raises(ValueError):
         obj.dense_hessian(np.zeros(2))

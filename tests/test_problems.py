@@ -118,7 +118,7 @@ def test_known_minimizers_consistent():
 def test_constants_positive_and_f0_above_floor():
     for p in suite():
         pc = p.constants
-        assert pc.U_g > 0 and pc.U_H > 0 and pc.L_H >= 0 and pc.L_g >= 0
+        assert pc.U_g > 0 and pc.U_H > 0 and pc.L_H >= 0
         assert p.make_objective().value(p.start_point()) >= pc.f_low
 
 
@@ -163,6 +163,43 @@ def test_sampling_verifier_rejects_misdeclared_constants():
     )
     with pytest.raises(ConstantsError):
         verify_constants(lying)
+
+
+@pytest.mark.parametrize(
+    "field, value, match",
+    [
+        ("f_low", lambda f0: f0, "sampled f below declared f_low"),
+        ("U_H", lambda f0: 1e-6, "Hessian norm .* exceeds U_H"),
+        ("L_H", lambda f0: 1e-9, "Hessian variation .* exceeds L_H"),
+    ],
+)
+def test_sampling_verifier_names_each_lying_constant(field, value, match):
+    import dataclasses
+
+    honest = get_problem("quartic-offset-2d")
+    f0 = honest.make_objective().value(honest.start_point())
+    lying = dataclasses.replace(
+        honest, constants=dataclasses.replace(honest.constants, **{field: value(f0)})
+    )
+    with pytest.raises(ConstantsError, match=match):
+        verify_constants(lying)
+
+
+def test_sampling_verifier_skips_a_repeated_point():
+    # Started at its minimizer, the double-well accepts no random-walk move,
+    # and every blend toward x_star is x0 again: consecutive sampled points
+    # coincide, and the Lipschitz check skips those pairs.
+    p = separable_quartic(
+        "at-minimizer",
+        d=[-1.0],
+        beta=1.0,
+        c0=0.25,
+        x0=[1.0],
+        branch_coverage=[],
+        coverage_config=SolverConfig(),
+    )
+    assert p.x_star == p.x0 == (1.0,)
+    verify_constants(p)
 
 
 def test_branch_coverage_under_documented_configs():
@@ -210,6 +247,23 @@ def test_degenerate_family_parameters_rejected():
             branch_coverage=[],
             coverage_config=SolverConfig(),
         )
+
+
+@pytest.mark.parametrize(
+    "family, kwargs, match",
+    [
+        (separable_quartic, {"d": [1.0, 1.0], "beta": [0.0, -1.0], "c0": 0.0, "x0": [1.0, 1.0]},
+         "beta must be nonnegative"),
+        (separable_quartic, {"d": [1.0], "beta": 0.0, "c0": 0.0, "x0": [0.0]},
+         "degenerate problem"),
+        (separable_quartic, {"d": [1.0, 2.0], "beta": 0.0, "c0": 0.0, "x0": [1.0, 1.0, 1.0]},
+         r"x0 has shape \(3,\), but d has 2 entries"),
+        (rosenbrock, {"n": 5, "x0": np.zeros(10)}, r"x0 has shape \(10,\), but n = 5"),
+    ],
+)
+def test_family_rejects_bad_parameters(family, kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        family("bad", branch_coverage=[], coverage_config=SolverConfig(), **kwargs)
 
 
 # --- Rosenbrock Hessian kernels --------------------------------------------------
