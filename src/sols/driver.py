@@ -105,7 +105,7 @@ class RunReport:
         return self.status == "converged"
 
     def envelope_checks(self) -> dict:
-        """Observed-versus-bound numbers for the run, empty without constants."""
+        """Observed-versus-bound numbers for the run, empty without constants or a certificate."""
         if self.envelope is None or self.certificate is None:
             return {}
         env = self.envelope
@@ -133,8 +133,9 @@ class RunReport:
 
 
 def envelope_checks_pass(checks: dict) -> bool:
-    """Whether every ``*_ok`` flag of an ``envelope_checks`` dict holds."""
-    return all(v for k, v in checks.items() if k.endswith("_ok"))
+    """Whether ``checks`` holds ``*_ok`` flags and all of them hold; no checks is no pass."""
+    flags = [v for k, v in checks.items() if k.endswith("_ok")]
+    return bool(flags) and all(flags)
 
 
 def local_phase_floor(cfg: SolverConfig) -> float:
@@ -240,7 +241,6 @@ def _run_loop(
 
     records: list[IterationRecord] = []
     reentries = 0
-    fallback_count = 0
     cert: Certificate | None = None
     status = "max_iters"
     final_lam: float | None = None
@@ -271,8 +271,6 @@ def _run_loop(
             if isinstance(sel, Terminate):
                 point, g_norm_min, lam = x, norm(g), sel.lam
             else:
-                if sel.cg_fallback:
-                    fallback_count += 1
                 rec, x_next, f_next, g_next = _step(
                     obj, cfg, sel, x, f_x, g, len(records), phase
                 )
@@ -323,7 +321,7 @@ def _run_loop(
         lambda_final=final_lam,
         iterations=len(records),
         reentries=reentries,
-        fallback_count=fallback_count,
+        fallback_count=sum(r.cg_fallback for r in records),
         counters=obj.counters.snapshot(),
         certificate=cert,
         envelope=envelope,

@@ -106,6 +106,53 @@ def _separable_quartic_constants(
     )
 
 
+def _float_vector(name: str, label: str, a, n: int, expected: str) -> Array:
+    """``a`` as a float array of shape (n,); otherwise a ValueError naming both lengths."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != (n,):
+        raise ValueError(f"{name}: {label} has shape {a.shape}, but {expected}")
+    return a
+
+
+def _suite_problem(
+    name: str, x0: Array, x_star: Array, constants: ProblemConstants, value, gradient,
+    coefficients, product, dense, branch_coverage, coverage_config: SolverConfig,
+) -> SuiteProblem:
+    """A verified suite problem whose Hessian at x is given by ``coefficients(x)``.
+
+    ``product(c, v)`` is the Hessian-vector product and ``dense(c)`` the dense
+    Hessian for the coefficients ``c`` of one point; each objective computes
+    them once per point through its own memo.
+    """
+
+    def factory() -> Objective:
+        coefficients_at = _point_memo(coefficients)
+
+        def hessian_vector(x: Array, v: Array) -> Array:
+            return product(coefficients_at(x), v)
+
+        def dense_hessian(x: Array) -> Array:
+            return dense(coefficients_at(x))
+
+        return Objective(
+            x0.size, value, gradient, hessian_vector, dense_hessian,
+            constants=constants, name=name,
+        )
+
+    problem = SuiteProblem(
+        name=name,
+        dim=x0.size,
+        x0=tuple(float(v) for v in x0),
+        constants=constants,
+        x_star=tuple(float(v) for v in x_star),
+        branch_coverage=frozenset(branch_coverage),
+        coverage_config=coverage_config,
+        _factory=factory,
+    )
+    verify_constants(problem)
+    return problem
+
+
 def separable_quartic(
     name: str,
     d,
@@ -119,51 +166,24 @@ def separable_quartic(
 
     Covers convex quadratics (beta = 0), bounded indefinite saddles
     (d_i < 0 with a confining quartic), and the separable double-well with
-    its saddle at the origin.
+    its saddle at the origin. ``beta`` is a scalar or one entry per
+    coordinate.
     """
     d = np.asarray(d, dtype=float)
-    beta = np.asarray(beta, dtype=float) * np.ones_like(d)
-    x0 = np.asarray(x0, dtype=float)
     n = d.size
-    if x0.shape != (n,):
-        raise ValueError(f"{name}: x0 has shape {x0.shape}, but d has {n} entries")
-    pc = _separable_quartic_constants(d, beta, c0, x0)
-
-    def value(x: Array) -> float:
-        return float((0.5 * d).dot(x**2) + (0.25 * beta).dot(x**4) + c0)
-
-    def gradient(x: Array) -> Array:
-        return d * x + beta * x**3
-
-    def curvature(x: Array) -> Array:
-        return d + 3.0 * beta * x**2
-
-    def factory() -> Objective:
-        curvature_at = _point_memo(curvature)
-
-        def hessian_vector(x: Array, v: Array) -> Array:
-            return curvature_at(x) * v
-
-        def dense_hessian(x: Array) -> Array:
-            return np.diag(curvature_at(x))
-
-        return Objective(
-            n, value, gradient, hessian_vector, dense_hessian, constants=pc, name=name
-        )
-
+    if np.ndim(beta):
+        beta = _float_vector(name, "beta", beta, n, f"d has {n} entries")
+    beta = np.asarray(beta, dtype=float) * np.ones_like(d)
+    x0 = _float_vector(name, "x0", x0, n, f"d has {n} entries")
     x_star = np.where((d < 0.0) & (beta > 0.0), np.sqrt(np.maximum(-d, 0.0) / np.where(beta > 0, beta, 1.0)), 0.0)
-    problem = SuiteProblem(
-        name=name,
-        dim=n,
-        x0=tuple(float(v) for v in x0),
-        constants=pc,
-        x_star=tuple(float(v) for v in x_star),
-        branch_coverage=frozenset(branch_coverage),
-        coverage_config=coverage_config,
-        _factory=factory,
+    # The Hessian is diagonal: its coefficients at x are the curvatures d + 3 beta x^2.
+    return _suite_problem(
+        name, x0, x_star, _separable_quartic_constants(d, beta, c0, x0),
+        lambda x: float((0.5 * d).dot(x**2) + (0.25 * beta).dot(x**4) + c0),
+        lambda x: d * x + beta * x**3,
+        lambda x: d + 3.0 * beta * x**2, np.multiply, np.diag,
+        branch_coverage, coverage_config,
     )
-    verify_constants(problem)
-    return problem
 
 
 def _rosenbrock_constants(n: int, a: float, x0: Array) -> ProblemConstants:
@@ -252,42 +272,13 @@ def rosenbrock(
     a: float = 100.0,
 ) -> SuiteProblem:
     """Chained Rosenbrock valley in n dimensions with factor ``a``."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (n,):
-        raise ValueError(f"{name}: x0 has shape {x0.shape}, but n = {n}")
-    pc = _rosenbrock_constants(n, a, x0)
-
-    def value(x: Array) -> float:
-        return _rosenbrock_value(x, a)
-
-    def gradient(x: Array) -> Array:
-        return _rosenbrock_gradient(x, a)
-
-    def factory() -> Objective:
-        bands_at = _point_memo(lambda x: _rosenbrock_bands(x, a))
-
-        def hessian_vector(x: Array, v: Array) -> Array:
-            return _banded_product(bands_at(x), v)
-
-        def dense_hessian(x: Array) -> Array:
-            return _tridiagonal(bands_at(x))
-
-        return Objective(
-            n, value, gradient, hessian_vector, dense_hessian, constants=pc, name=name
-        )
-
-    problem = SuiteProblem(
-        name=name,
-        dim=n,
-        x0=tuple(float(v) for v in x0),
-        constants=pc,
-        x_star=(1.0,) * n,
-        branch_coverage=frozenset(branch_coverage),
-        coverage_config=coverage_config,
-        _factory=factory,
+    x0 = _float_vector(name, "x0", x0, n, f"n = {n}")
+    return _suite_problem(
+        name, x0, np.ones(n), _rosenbrock_constants(n, a, x0),
+        lambda x: _rosenbrock_value(x, a), lambda x: _rosenbrock_gradient(x, a),
+        lambda x: _rosenbrock_bands(x, a), _banded_product, _tridiagonal,
+        branch_coverage, coverage_config,
     )
-    verify_constants(problem)
-    return problem
 
 
 def verify_constants(
@@ -353,112 +344,96 @@ def verify_constants(
             )
 
 
-def _entry(family, name: str, **kwargs) -> tuple:
-    return name, functools.partial(family, name, **kwargs)
-
-
 # Problem builders in suite order. A problem is built, and its constants
 # verified, the first time it is looked up.
-_BUILDERS = dict(
-    [
-        _entry(
-            separable_quartic,
-            "quad-convex-2d",
-            d=[1.0, 2.0],
-            beta=0.0,
-            c0=0.0,
-            x0=[1.0, 1.0],
-            branch_coverage=[StepKind.NEWTON],
-            coverage_config=SolverConfig(eps_g=1e-6, eps_H=0.5),
-        ),
-        _entry(
-            separable_quartic,
-            "quad-convex-10d",
-            d=np.logspace(0.0, 2.0, 10),
-            beta=0.0,
-            c0=0.0,
-            x0=np.full(10, 0.8),
-            branch_coverage=[StepKind.NEWTON],
-            coverage_config=SolverConfig(eps_g=1e-6, eps_H=0.5),
-        ),
-        _entry(
-            separable_quartic,
-            "quartic-saddle-2d",
-            d=[-1.0, -1.0],
-            beta=1.0,
-            c0=0.5,
-            x0=[0.0, 0.0],
-            branch_coverage=[StepKind.NEGATIVE_CURVATURE],
-            coverage_config=SolverConfig(eps_g=1e-5, eps_H=0.1),
-        ),
-        _entry(
-            separable_quartic,
-            "quartic-offset-2d",
-            d=[-1.0, -1.0],
-            beta=1.0,
-            c0=0.5,
-            x0=[0.5, 0.4],
-            branch_coverage=[StepKind.SCALED_NEG_CURV_GRADIENT, StepKind.NEWTON],
-            coverage_config=SolverConfig(eps_g=1e-5, eps_H=0.1),
-        ),
-        _entry(
-            separable_quartic,
-            "quartic-saddle-50d",
-            d=np.full(50, -1.0),
-            beta=1.0,
-            c0=12.5,
-            x0=np.zeros(50),
-            branch_coverage=[StepKind.NEGATIVE_CURVATURE],
-            coverage_config=SolverConfig(eps_g=1e-4, eps_H=1e-2),
-        ),
-        _entry(
-            separable_quartic,
-            "quartic-convex-4d",
-            d=np.ones(4),
-            beta=1.0,
-            c0=0.0,
-            x0=np.full(4, 1.5),
-            branch_coverage=[StepKind.NEWTON],
-            coverage_config=SolverConfig(eps_g=1e-3, eps_H=0.5),
-        ),
-        _entry(
-            separable_quartic,
-            "reg-newton-2d",
-            d=[1.0, -0.05],
-            beta=[0.0, 0.05],
-            c0=0.0125,
-            x0=[1.0, 0.9],
-            branch_coverage=[StepKind.REGULARIZED_NEWTON],
-            coverage_config=SolverConfig(eps_g=1e-4, eps_H=0.5),
-        ),
-        _entry(
-            separable_quartic,
-            "flat-1d",
-            d=[0.05],
-            beta=0.0,
-            c0=0.0,
-            x0=[10.0],
-            branch_coverage=[StepKind.NORMALIZED_GRADIENT],
-            coverage_config=SolverConfig(eps_g=1e-3, eps_H=0.1),
-        ),
-        _entry(
-            rosenbrock,
-            "rosenbrock-2d",
-            n=2,
-            x0=[-1.2, 1.0],
-            branch_coverage=[StepKind.NEWTON],
-            coverage_config=SolverConfig(eps_g=1e-5, eps_H=1e-3),
-        ),
-        _entry(
-            rosenbrock,
-            "rosenbrock-10d",
-            n=10,
-            x0=[-1.2 if i % 2 == 0 else 1.0 for i in range(10)],
-            branch_coverage=[StepKind.NEWTON],
-            coverage_config=SolverConfig(eps_g=1e-5, eps_H=1e-2),
-        ),
-    ]
-)
+_BUILDERS = {
+    "quad-convex-2d": functools.partial(
+        separable_quartic,
+        d=[1.0, 2.0],
+        beta=0.0,
+        c0=0.0,
+        x0=[1.0, 1.0],
+        branch_coverage=[StepKind.NEWTON],
+        coverage_config=SolverConfig(eps_g=1e-6, eps_H=0.5),
+    ),
+    "quad-convex-10d": functools.partial(
+        separable_quartic,
+        d=np.logspace(0.0, 2.0, 10),
+        beta=0.0,
+        c0=0.0,
+        x0=np.full(10, 0.8),
+        branch_coverage=[StepKind.NEWTON],
+        coverage_config=SolverConfig(eps_g=1e-6, eps_H=0.5),
+    ),
+    "quartic-saddle-2d": functools.partial(
+        separable_quartic,
+        d=[-1.0, -1.0],
+        beta=1.0,
+        c0=0.5,
+        x0=[0.0, 0.0],
+        branch_coverage=[StepKind.NEGATIVE_CURVATURE],
+        coverage_config=SolverConfig(eps_g=1e-5, eps_H=0.1),
+    ),
+    "quartic-offset-2d": functools.partial(
+        separable_quartic,
+        d=[-1.0, -1.0],
+        beta=1.0,
+        c0=0.5,
+        x0=[0.5, 0.4],
+        branch_coverage=[StepKind.SCALED_NEG_CURV_GRADIENT, StepKind.NEWTON],
+        coverage_config=SolverConfig(eps_g=1e-5, eps_H=0.1),
+    ),
+    "quartic-saddle-50d": functools.partial(
+        separable_quartic,
+        d=np.full(50, -1.0),
+        beta=1.0,
+        c0=12.5,
+        x0=np.zeros(50),
+        branch_coverage=[StepKind.NEGATIVE_CURVATURE],
+        coverage_config=SolverConfig(eps_g=1e-4, eps_H=1e-2),
+    ),
+    "quartic-convex-4d": functools.partial(
+        separable_quartic,
+        d=np.ones(4),
+        beta=1.0,
+        c0=0.0,
+        x0=np.full(4, 1.5),
+        branch_coverage=[StepKind.NEWTON],
+        coverage_config=SolverConfig(eps_g=1e-3, eps_H=0.5),
+    ),
+    "reg-newton-2d": functools.partial(
+        separable_quartic,
+        d=[1.0, -0.05],
+        beta=[0.0, 0.05],
+        c0=0.0125,
+        x0=[1.0, 0.9],
+        branch_coverage=[StepKind.REGULARIZED_NEWTON],
+        coverage_config=SolverConfig(eps_g=1e-4, eps_H=0.5),
+    ),
+    "flat-1d": functools.partial(
+        separable_quartic,
+        d=[0.05],
+        beta=0.0,
+        c0=0.0,
+        x0=[10.0],
+        branch_coverage=[StepKind.NORMALIZED_GRADIENT],
+        coverage_config=SolverConfig(eps_g=1e-3, eps_H=0.1),
+    ),
+    "rosenbrock-2d": functools.partial(
+        rosenbrock,
+        n=2,
+        x0=[-1.2, 1.0],
+        branch_coverage=[StepKind.NEWTON],
+        coverage_config=SolverConfig(eps_g=1e-5, eps_H=1e-3),
+    ),
+    "rosenbrock-10d": functools.partial(
+        rosenbrock,
+        n=10,
+        x0=[-1.2 if i % 2 == 0 else 1.0 for i in range(10)],
+        branch_coverage=[StepKind.NEWTON],
+        coverage_config=SolverConfig(eps_g=1e-5, eps_H=1e-2),
+    ),
+}
 
 
 @functools.cache
@@ -468,7 +443,7 @@ def get_problem(name: str) -> SuiteProblem:
         build = _BUILDERS[name]
     except KeyError:
         raise KeyError(f"unknown problem {name!r}") from None
-    return build()
+    return build(name)
 
 
 def suite() -> list[SuiteProblem]:

@@ -327,6 +327,22 @@ def test_envelope_marks_failed_run(tmp_path, capsys):
     assert row.split()[-1] == "FAILED"
 
 
+def test_run_without_a_certificate_does_not_pass_its_envelope_checks(tmp_path, capsys):
+    code = main(["run", "--problem", "rosenbrock-2d", "--max-iters", "1",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    report = read_report(tmp_path, "rosenbrock-2d", "exact")
+    run = report["runs"][0]
+    assert run["status"] == "max_iters" and run["certificate"] is None
+    assert run["envelope_checks"] == {}
+    assert report["all_envelope_checks_passed"] is False
+    capsys.readouterr()
+    assert main(["envelope", "--in", str(tmp_path)]) == 0
+    row = next(line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("rosenbrock-2d"))
+    assert row.split()[-1] == "FAILED"
+
+
 def test_run_flags_mirror_config_fields():
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

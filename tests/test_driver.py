@@ -114,6 +114,23 @@ def test_all_envelope_checks_pass_reads_every_ok_flag(algo):
         assert not bad.all_envelope_checks_pass()
 
 
+def test_a_run_without_envelope_checks_does_not_pass_them():
+    # No certificate: one iteration is too few for rosenbrock-2d.
+    p = get_problem("rosenbrock-2d")
+    cfg = p.coverage_config.with_updates(max_iters=1)
+    report, _ = run_exact(p.make_objective(), p.start_point(), cfg)
+    assert report.status == "max_iters" and report.certificate is None
+    assert report.envelope is not None and report.envelope_checks() == {}
+    assert not report.all_envelope_checks_pass()
+    # No constants: a certified run without an envelope.
+    obj = quadratic_objective(np.diag([1.0, 2.0]))
+    report, _ = run_exact(obj, np.array([1.0, 1.0]), SolverConfig())
+    assert report.converged and report.certificate is not None and report.envelope is None
+    assert report.envelope_checks() == {}
+    assert not report.all_envelope_checks_pass()
+    assert not sols.driver.envelope_checks_pass({"observed_iterations": 3})
+
+
 def test_post_line_search_termination_certifies_previous_iterate():
     p = get_problem("quad-convex-2d")
     obj = p.make_objective()
@@ -395,9 +412,9 @@ def test_driver_counts_cg_fallback_events(monkeypatch):
     obj = prob.make_objective()
     monkeypatch.setattr(sols.steps, "lanczos_min_eig", lying_lanczos)
     report, records = run_inexact(obj, prob.start_point(), prob.coverage_config)
-    assert report.fallback_count >= 1
     fallback_rows = [r for r in records if r.cg_fallback]
     assert fallback_rows
+    assert report.fallback_count == len(fallback_rows)
     assert all(r.step_kind == StepKind.NEGATIVE_CURVATURE for r in fallback_rows)
 
 

@@ -259,6 +259,8 @@ def test_degenerate_family_parameters_rejected():
         (separable_quartic, {"d": [1.0, 2.0], "beta": 0.0, "c0": 0.0, "x0": [1.0, 1.0, 1.0]},
          r"x0 has shape \(3,\), but d has 2 entries"),
         (rosenbrock, {"n": 5, "x0": np.zeros(10)}, r"x0 has shape \(10,\), but n = 5"),
+        (separable_quartic, {"d": [1.0, 2.0], "beta": [1.0, 2.0, 3.0], "c0": 0.0, "x0": [1.0, 1.0]},
+         r"beta has shape \(3,\), but d has 2 entries"),
     ],
 )
 def test_family_rejects_bad_parameters(family, kwargs, match):
@@ -323,18 +325,29 @@ def test_rosenbrock_banded_product_matches_dense(n):
 
 
 def test_rosenbrock_hessian_vector_never_builds_dense_matrix(monkeypatch):
-    obj = get_problem("rosenbrock-10d").make_objective()
+    # A problem takes its dense assembler when it is built, so build one
+    # under a counting assembler.
+    assembled = []
+
+    def counting(bands):
+        assembled.append(bands)
+        return _tridiagonal(bands)
+
+    monkeypatch.setattr(sols.problems, "_tridiagonal", counting)
+    p = rosenbrock(
+        "counted-assembler", n=10, x0=get_problem("rosenbrock-10d").x0,
+        branch_coverage=[], coverage_config=SolverConfig(),
+    )
+    assert assembled  # verify_constants built its Hessians with it
+    obj = p.make_objective()
     x = np.linspace(-1.0, 1.5, 10)
     v = np.ones(10)
-    expected = obj.dense_hessian(x) @ v
-
-    def forbidden(*args):
-        raise AssertionError("the matrix-free product built the dense Hessian")
-
-    monkeypatch.setattr(sols.problems, "_tridiagonal", forbidden)
+    expected = _rosenbrock_hessian(x, 100.0) @ v
+    assembled.clear()
     assert np.allclose(obj.hessian_vector(x, v), expected, rtol=1e-13)
-    with pytest.raises(AssertionError, match="built the dense Hessian"):
-        obj.dense_hessian(x)  # the patched assembler is the one the dense path calls
+    assert assembled == []  # the matrix-free product never built the dense Hessian
+    obj.dense_hessian(x)
+    assert len(assembled) == 1  # the counted assembler is the one the dense path calls
 
 
 # Hessian-vector formulas of suite problems, written out independently of the

@@ -58,6 +58,10 @@ def run_specs(problems: list[str]):
     yield "quad-convex-2d_inexact_huge-U-H", [
         "--problem", "quad-convex-2d", "--algo", "inexact", "--U-H", "1e308",
     ]
+    # Stops before any certificate, so its envelope checks are empty.
+    yield "rosenbrock-2d_exact_max-iters1", [
+        "--problem", "rosenbrock-2d", "--algo", "exact", "--max-iters", "1",
+    ]
 
 
 def sols(out_dir: Path, env: dict, name: str, args: list[str]) -> str:
