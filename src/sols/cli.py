@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .driver import (
-    HARD_ERROR_STATUS,
     SCHEMA_VERSION,
     TRACE_COLUMNS,
     RunReport,
@@ -152,7 +151,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     all_converged = all(r["status"] == "converged" for r in runs)
     all_envelopes = all(envelope_checks_pass(r["envelope_checks"]) for r in runs)
-    hard_errors = [r for r in runs if r["status"] in HARD_ERROR_STATUS.values()]
+    hard_errors = [r for r in runs if r["error"] is not None]
     report = {
         "schema_version": SCHEMA_VERSION,
         "problem": problem.name,

@@ -230,6 +230,8 @@ def _run_loop(
     cfg.validate()
     _check_ls_budget(obj, cfg, inexact)
     x = np.asarray(x0, dtype=float)
+    if x.shape != (obj.dim,):
+        raise ValueError(f"x0 has shape {x.shape}, but the objective has dim = {obj.dim}")
     f_x = obj.value(x)
     # A non-finite start value is a bad input and raises; a non-finite
     # derivative from here on ends the run with status "nonfinite".

@@ -98,10 +98,6 @@ def backtrack(
     )
 
 
-def _pospart(v: float) -> float:
-    return max(v, 0.0)
-
-
 def _log_base_theta(z: float, theta: float) -> float:
     if z == 0.0:
         # z underflowed: its true value is positive but below every float.
@@ -119,18 +115,18 @@ def ls_cap_exponent(kind: str, constants: ProblemConstants, cfg: SolverConfig) -
     L_H, U_g = constants.L_H, constants.U_g
     eps_g, eps_H, zeta = cfg.eps_g, cfg.eps_H, cfg.zeta
     if kind in StepKind.CUBIC_CURVATURE:
-        return _pospart(_log_base_theta(3.0 / (L_H + eta), th))
+        return max(_log_base_theta(3.0 / (L_H + eta), th), 0.0)
     if kind == StepKind.NORMALIZED_GRADIENT:
         arg = min(5.0 / 3.0, math.sqrt(1.0 / (L_H + eta))) * min(
             math.sqrt(eps_g) / eps_H, 1.0
         )
-        return _pospart(_log_base_theta(arg, th))
+        return max(_log_base_theta(arg, th), 0.0)
     if kind == StepKind.NEWTON:
         arg = math.sqrt(3.0 / (L_H + eta)) * eps_H / math.sqrt(U_g)
-        return _pospart(_log_base_theta(arg, th))
+        return max(_log_base_theta(arg, th), 0.0)
     if kind == StepKind.REGULARIZED_NEWTON:
         arg = 6.0 / (L_H + eta) * eps_H**2 / U_g
-        return _pospart(_log_base_theta(arg, th))
+        return max(_log_base_theta(arg, th), 0.0)
     if kind in (StepKind.INEXACT_NEWTON, StepKind.INEXACT_REGULARIZED_NEWTON):
         arg = (
             3.0
@@ -139,7 +135,7 @@ def ls_cap_exponent(kind: str, constants: ProblemConstants, cfg: SolverConfig) -
             * eps_H**2
             / (U_g * math.sqrt(1.0 + zeta**2 / 4.0))
         )
-        return _pospart(0.5 * _log_base_theta(arg, th))
+        return max(0.5 * _log_base_theta(arg, th), 0.0)
     raise ValueError(f"unknown direction kind {kind!r}")
 
 
@@ -154,17 +150,5 @@ def theoretical_ls_cap(constants: ProblemConstants, cfg: SolverConfig, kind: str
 
 def max_ls_cap(constants: ProblemConstants, cfg: SolverConfig, inexact: bool) -> int:
     """Largest cap over the direction kinds a loop can produce."""
-    if inexact:
-        kinds = (
-            StepKind.SCALED_NEG_CURV_GRADIENT,
-            StepKind.NORMALIZED_GRADIENT,
-            StepKind.INEXACT_NEWTON,
-        )
-    else:
-        kinds = (
-            StepKind.SCALED_NEG_CURV_GRADIENT,
-            StepKind.NORMALIZED_GRADIENT,
-            StepKind.NEWTON,
-            StepKind.REGULARIZED_NEWTON,
-        )
+    kinds = StepKind.INEXACT if inexact else StepKind.EXACT
     return max(theoretical_ls_cap(constants, cfg, k) for k in kinds)

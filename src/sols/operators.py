@@ -32,10 +32,12 @@ class ProblemConstants:
     f_low: float
 
     def __post_init__(self) -> None:
-        if self.L_H < 0.0:
-            raise ValueError("L_H must be nonnegative")
-        if self.U_g <= 0.0 or self.U_H <= 0.0:
-            raise ValueError("U_g and U_H must be positive")
+        if not 0.0 <= self.L_H < math.inf:
+            raise ValueError(f"L_H must be nonnegative and finite, got {self.L_H}")
+        if not (0.0 < self.U_g < math.inf and 0.0 < self.U_H < math.inf):
+            raise ValueError(
+                f"U_g and U_H must be positive and finite, got {self.U_g} and {self.U_H}"
+            )
         if not np.isfinite(self.f_low):
             raise ValueError("f_low must be finite")
 

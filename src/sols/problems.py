@@ -170,6 +170,8 @@ def separable_quartic(
     coordinate.
     """
     d = np.asarray(d, dtype=float)
+    if d.ndim != 1 or not d.size:
+        raise ValueError(f"{name}: d has shape {d.shape}, but must be a nonempty 1-D array")
     n = d.size
     if np.ndim(beta):
         beta = _float_vector(name, "beta", beta, n, f"d has {n} entries")
@@ -271,7 +273,9 @@ def rosenbrock(
     coverage_config: SolverConfig,
     a: float = 100.0,
 ) -> SuiteProblem:
-    """Chained Rosenbrock valley in n dimensions with factor ``a``."""
+    """Chained Rosenbrock valley in n >= 2 dimensions with factor ``a``."""
+    if n < 2:
+        raise ValueError(f"{name}: a chain needs n >= 2, got n = {n}")
     x0 = _float_vector(name, "x0", x0, n, f"n = {n}")
     return _suite_problem(
         name, x0, np.ones(n), _rosenbrock_constants(n, a, x0),

@@ -26,6 +26,9 @@ class StepKind:
     # Kinds whose scaling makes d'Hd = -||d||^3 hold by construction.
     CUBIC_CURVATURE = (SCALED_NEG_CURV_GRADIENT, NEGATIVE_CURVATURE)
     NEWTON_LIKE = (NEWTON, REGULARIZED_NEWTON, INEXACT_NEWTON, INEXACT_REGULARIZED_NEWTON)
+    # The kinds each loop can produce; the exact-local phase makes a subset of EXACT.
+    EXACT = (*CUBIC_CURVATURE, NORMALIZED_GRADIENT, NEWTON, REGULARIZED_NEWTON)
+    INEXACT = (*CUBIC_CURVATURE, NORMALIZED_GRADIENT, INEXACT_NEWTON, INEXACT_REGULARIZED_NEWTON)
 
 
 class IndefiniteSystemError(RuntimeError):

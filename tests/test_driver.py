@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 from operator import attrgetter
 
@@ -21,14 +22,16 @@ from sols import (
     run_exact,
     run_inexact,
     suite,
+    theoretical_ls_cap,
 )
 from sols.cgsolve import CgOutcome
 from sols.driver import TRACE_COLUMNS
 from sols.eigen import EigEstimate
+from sols.linesearch import max_ls_cap
 from sols.operators import EvalCounters
 from sols.steps import ConfigError
 
-from conftest import exhaustive_backtrack
+from conftest import LAW_CONFIGS, exhaustive_backtrack
 from test_operators import quadratic_objective
 from sols.problems import separable_quartic
 
@@ -502,6 +505,19 @@ def test_nonfinite_start_rejected():
     del obj
 
 
+@pytest.mark.parametrize("x0", [[1.0, 2.0, 3.0], [[1.0, 2.0]], 1.0], ids=["long", "row", "scalar"])
+@pytest.mark.parametrize("algo", ["exact", "inexact"])
+def test_start_point_of_the_wrong_shape_rejected(algo, x0):
+    obj = quadratic_objective(np.eye(2))
+    match = re.escape(f"x0 has shape {np.shape(x0)}, but the objective has dim = 2")
+    with pytest.raises(ValueError, match=match):
+        if algo == "exact":
+            run_exact(obj, x0, SolverConfig())
+        else:
+            run_inexact(obj, x0, SolverConfig(U_H=1.0))
+    assert obj.counters == EvalCounters()
+
+
 def test_counters_match_trace_accounting(law_corpus):
     for run in law_corpus:
         rows = run.records
@@ -583,24 +599,40 @@ def test_trace_columns_mirror_record_fields():
     assert tuple(f.name for f in dataclasses.fields(IterationRecord)) == TRACE_COLUMNS
 
 
+# The step kinds each loop may produce, written out here rather than read
+# from StepKind, so the tests below check StepKind against a list of their own.
+EXACT_KINDS = {
+    StepKind.SCALED_NEG_CURV_GRADIENT,
+    StepKind.NORMALIZED_GRADIENT,
+    StepKind.NEGATIVE_CURVATURE,
+    StepKind.NEWTON,
+    StepKind.REGULARIZED_NEWTON,
+}
+INEXACT_KINDS = {
+    StepKind.SCALED_NEG_CURV_GRADIENT,
+    StepKind.NORMALIZED_GRADIENT,
+    StepKind.NEGATIVE_CURVATURE,
+    StepKind.INEXACT_NEWTON,
+    StepKind.INEXACT_REGULARIZED_NEWTON,
+}
+
+
 def test_trace_step_kinds_legal_per_mode(law_corpus):
-    exact_kinds = {
-        StepKind.SCALED_NEG_CURV_GRADIENT,
-        StepKind.NORMALIZED_GRADIENT,
-        StepKind.NEGATIVE_CURVATURE,
-        StepKind.NEWTON,
-        StepKind.REGULARIZED_NEWTON,
-    }
-    inexact_kinds = {
-        StepKind.SCALED_NEG_CURV_GRADIENT,
-        StepKind.NORMALIZED_GRADIENT,
-        StepKind.NEGATIVE_CURVATURE,
-        StepKind.INEXACT_NEWTON,
-        StepKind.INEXACT_REGULARIZED_NEWTON,
-    }
     for run in law_corpus:
-        legal = exact_kinds if run.mode == "exact" else inexact_kinds
+        legal = EXACT_KINDS if run.mode == "exact" else INEXACT_KINDS
         assert {r.step_kind for r in run.records} <= legal
+
+
+@pytest.mark.parametrize("inexact", [False, True])
+def test_ls_budget_is_the_largest_cap_over_the_loops_kinds(inexact):
+    kinds = INEXACT_KINDS if inexact else EXACT_KINDS
+    # A kind whose cap never attains the max (newton beside regularized_newton)
+    # leaves the caps unmoved when dropped, so the kinds are compared too.
+    assert set(StepKind.INEXACT if inexact else StepKind.EXACT) == kinds
+    for problem in suite():
+        for cfg in LAW_CONFIGS:
+            caps = [theoretical_ls_cap(problem.constants, cfg, k) for k in kinds]
+            assert max_ls_cap(problem.constants, cfg, inexact) == max(caps)
 
 
 @pytest.mark.parametrize("name", ["rosenbrock-10d", "quartic-saddle-50d"])

@@ -299,7 +299,7 @@ def test_matches_growing_basis_reference(H, M, eps, delta, seed):
     assert abs(float(est.v_unit @ v_unit)) >= 1.0 - 1e-10
 
 
-def test_repeated_eigenvalues_restart_after_each_breakdown():
+def test_repeated_eigenvalues_stop_at_the_first_breakdown():
     A = random_symmetric(np.random.default_rng(12), 3)
     H = np.kron(np.eye(4), A)
     est = lanczos_min_eig(

@@ -30,7 +30,7 @@ def _independent_rosenbrock_gradient(x: np.ndarray) -> np.ndarray:
     return np.array([df_dx1, df_dx2])
 
 
-def test_check_derivatives_rosenbrock():
+def test_rosenbrock_gradient_matches_an_independent_derivation():
     problem = next(p for p in suite() if p.name == "rosenbrock-2d")
     obj = problem.make_objective()
     x = np.array([-1.2, 1.0])
@@ -199,6 +199,13 @@ def test_problem_constants_validation():
     for bad, match in [
         ({"U_g": 0.0}, "U_g and U_H must be positive"),
         ({"L_H": -1.0}, "L_H must be nonnegative"),
+        ({"L_H": np.nan}, "L_H must be nonnegative and finite, got nan"),
+        ({"L_H": np.inf}, "L_H must be nonnegative and finite, got inf"),
+        ({"U_g": np.nan}, "U_g and U_H must be positive and finite, got nan and 1.0"),
+        ({"U_g": np.inf}, "U_g and U_H must be positive and finite, got inf and 1.0"),
+        ({"U_H": np.nan}, "U_g and U_H must be positive and finite, got 1.0 and nan"),
+        ({"U_H": np.inf}, "U_g and U_H must be positive and finite, got 1.0 and inf"),
+        ({"U_H": -np.inf}, "U_g and U_H must be positive and finite, got 1.0 and -inf"),
         ({"f_low": np.nan}, "f_low must be finite"),
         ({"f_low": -np.inf}, "f_low must be finite"),
     ]:

@@ -261,6 +261,14 @@ def test_degenerate_family_parameters_rejected():
         (rosenbrock, {"n": 5, "x0": np.zeros(10)}, r"x0 has shape \(10,\), but n = 5"),
         (separable_quartic, {"d": [1.0, 2.0], "beta": [1.0, 2.0, 3.0], "c0": 0.0, "x0": [1.0, 1.0]},
          r"beta has shape \(3,\), but d has 2 entries"),
+        (rosenbrock, {"n": 0, "x0": []}, "bad: a chain needs n >= 2, got n = 0"),
+        (rosenbrock, {"n": 1, "x0": [0.0]}, "bad: a chain needs n >= 2, got n = 1"),
+        (separable_quartic, {"d": 2.0, "beta": 0.0, "c0": 0.0, "x0": [1.0]},
+         r"bad: d has shape \(\), but must be a nonempty 1-D array"),
+        (separable_quartic, {"d": [[1.0, 2.0]], "beta": 0.0, "c0": 0.0, "x0": [1.0, 1.0]},
+         r"bad: d has shape \(1, 2\), but must be a nonempty 1-D array"),
+        (separable_quartic, {"d": [], "beta": 0.0, "c0": 0.0, "x0": []},
+         r"bad: d has shape \(0,\), but must be a nonempty 1-D array"),
     ],
 )
 def test_family_rejects_bad_parameters(family, kwargs, match):

@@ -62,6 +62,12 @@ def run_specs(problems: list[str]):
     yield "rosenbrock-2d_exact_max-iters1", [
         "--problem", "rosenbrock-2d", "--algo", "exact", "--max-iters", "1",
     ]
+    # Below the backtracking cap the declared constants imply: exit 2, and
+    # stderr names the largest cap over the loop's direction kinds.
+    for algo in ("exact", "inexact"):
+        yield f"rosenbrock-2d_{algo}_max-ls-steps2", [
+            "--problem", "rosenbrock-2d", "--algo", algo, "--max-ls-steps", "2",
+        ]
 
 
 def sols(out_dir: Path, env: dict, name: str, args: list[str]) -> str:
