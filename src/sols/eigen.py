@@ -28,12 +28,18 @@ class EigEstimate:
     stopped: "exact" on the dense path; on the Lanczos path "full_n" after
     n products, "lanczos_cap" at a budget below n, and "breakdown" where the
     Krylov space became invariant before the budget.
+
+    On a "full_n" estimate ``basis`` holds the n orthonormal Lanczos vectors
+    as rows, Q, and ``bands`` the diagonal and off-diagonal of the
+    tridiagonal T = Q H Q'; both are None otherwise.
     """
 
     lam: float
     v_unit: Array
     iters: int
     converged_by: str
+    basis: Array | None = None
+    bands: tuple[Array, Array] | None = None
 
 
 def min_eigenpair_exact(H: Array) -> EigEstimate:
@@ -159,6 +165,14 @@ def lanczos_min_eig(
     passed a view of a basis row and must not write into it. Only the
     smallest Ritz pair of the tridiagonal matrix is computed (``_ritz_min``).
 
+    A call that makes n products without a breakdown ("full_n") returns that
+    basis Q, an orthogonal n x n matrix, with the bands of its tridiagonal T.
+    Then Q H Q' = T, and a caller may solve with H + shift I in the basis,
+    through T, without further products. That identity holds to working
+    precision only because every vector is reorthogonalized against the whole
+    basis: a cheaper scheme that lets orthogonality drift must keep it on
+    full-n calls, or return no basis.
+
     A breakdown means the Krylov space became exactly invariant: a beta at
     most 1e-13 times the recurrence's own scale, the largest of 1 and every
     |alpha| and beta seen so far in the call. The iteration stops there,
@@ -219,9 +233,12 @@ def lanczos_min_eig(
     lam, y = _ritz_min(alphas[:k], betas[: k - 1])
     v_ritz = y.dot(V[:k])
     nv = math.sqrt(float(v_ritz.dot(v_ritz)))
-    return EigEstimate(
+    est = EigEstimate(
         lam=lam,
         v_unit=v_ritz / nv,
         iters=k,
         converged_by="breakdown" if k < budget else "full_n" if k >= n else "lanczos_cap",
     )
+    if est.converged_by == "full_n":
+        est.basis, est.bands = V, (alphas, betas[: n - 1])
+    return est

@@ -1,4 +1,5 @@
-"""Matrix-free objective interface, evaluation counters and the curvature ratio."""
+"""Matrix-free objective interface, evaluation counters, the curvature ratio
+and the symmetric tridiagonal product."""
 
 from __future__ import annotations
 
@@ -127,3 +128,13 @@ def norm(v: Array) -> float:
     without its dispatch: a strided vector is copied first, as numpy does."""
     v = v.ravel()
     return math.sqrt(float(v.dot(v)))
+
+
+def banded_product(bands: tuple[Array, Array], v: Array) -> Array:
+    """Product of the symmetric tridiagonal matrix ``(diag, off)`` with v, as a
+    fresh array."""
+    diag, off = bands
+    out = diag * v
+    out[:-1] += off * v[1:]
+    out[1:] += off * v[:-1]
+    return out

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import Array, Objective, ProblemConstants
+from .operators import Array, Objective, ProblemConstants, banded_product
 from .steps import SolverConfig, StepKind
 
 MARGIN = 1.1
@@ -106,12 +106,24 @@ def _separable_quartic_constants(
     )
 
 
+def _finite(name: str, label: str, a) -> Array:
+    """``a`` as a float array; a ValueError naming ``label`` at its first
+    entry that is not finite."""
+    a = np.asarray(a, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(a))
+    if bad.size:
+        at = f" at index {bad[0]}" if a.ndim else ""
+        raise ValueError(f"{name}: {label} must be finite, got {a.flat[bad[0]]}{at}")
+    return a
+
+
 def _float_vector(name: str, label: str, a, n: int, expected: str) -> Array:
-    """``a`` as a float array of shape (n,); otherwise a ValueError naming both lengths."""
+    """``a`` as a finite float array of shape (n,); otherwise a ValueError
+    naming both lengths, or the entry that is not finite."""
     a = np.asarray(a, dtype=float)
     if a.shape != (n,):
         raise ValueError(f"{name}: {label} has shape {a.shape}, but {expected}")
-    return a
+    return _finite(name, label, a)
 
 
 def _suite_problem(
@@ -173,9 +185,11 @@ def separable_quartic(
     if d.ndim != 1 or not d.size:
         raise ValueError(f"{name}: d has shape {d.shape}, but must be a nonempty 1-D array")
     n = d.size
+    d = _finite(name, "d", d)
     if np.ndim(beta):
         beta = _float_vector(name, "beta", beta, n, f"d has {n} entries")
-    beta = np.asarray(beta, dtype=float) * np.ones_like(d)
+    beta = _finite(name, "beta", beta) * np.ones_like(d)
+    c0 = float(_finite(name, "c0", c0))
     x0 = _float_vector(name, "x0", x0, n, f"d has {n} entries")
     x_star = np.where((d < 0.0) & (beta > 0.0), np.sqrt(np.maximum(-d, 0.0) / np.where(beta > 0, beta, 1.0)), 0.0)
     # The Hessian is diagonal: its coefficients at x are the curvatures d + 3 beta x^2.
@@ -256,15 +270,6 @@ def _tridiagonal(bands: tuple[Array, Array]) -> Array:
     return H
 
 
-def _banded_product(bands: tuple[Array, Array], v: Array) -> Array:
-    """Product of the symmetric tridiagonal matrix ``(diag, off)`` with v."""
-    diag, off = bands
-    out = diag * v
-    out[:-1] += off * v[1:]
-    out[1:] += off * v[:-1]
-    return out
-
-
 def rosenbrock(
     name: str,
     n: int,
@@ -276,11 +281,16 @@ def rosenbrock(
     """Chained Rosenbrock valley in n >= 2 dimensions with factor ``a``."""
     if n < 2:
         raise ValueError(f"{name}: a chain needs n >= 2, got n = {n}")
+    if not 0.0 < a < math.inf:
+        raise ValueError(f"{name}: a must be positive and finite, got {a}")
     x0 = _float_vector(name, "x0", x0, n, f"n = {n}")
+    if np.all(x0 == 1.0):
+        # f(x0) = 0: the level set is the single point x0.
+        raise ValueError(f"{name}: the start point is the minimizer (1, ..., 1)")
     return _suite_problem(
         name, x0, np.ones(n), _rosenbrock_constants(n, a, x0),
         lambda x: _rosenbrock_value(x, a), lambda x: _rosenbrock_gradient(x, a),
-        lambda x: _rosenbrock_bands(x, a), _banded_product, _tridiagonal,
+        lambda x: _rosenbrock_bands(x, a), banded_product, _tridiagonal,
         branch_coverage, coverage_config,
     )
 

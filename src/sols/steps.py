@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -9,7 +10,7 @@ import numpy as np
 
 from .cgsolve import CgCapError, cg_capped, solve_exact
 from .eigen import EigEstimate, lanczos_min_eig, min_eigenpair_exact
-from .operators import Array, NonFiniteError, Objective, norm, rayleigh_quotient
+from .operators import Array, NonFiniteError, Objective, banded_product, norm, rayleigh_quotient
 
 
 class StepKind:
@@ -219,11 +220,15 @@ def select_direction_inexact(
     """Choose the search direction of the inexact loop, or certify the iterate.
 
     The eigenvalue estimate targets accuracy eps_H/2 with shift U_H + 2;
-    CG solves run with curvature floor m = eps_H. If CG uncovers
-    nonpositive curvature (a low-probability estimator failure), the
-    violating direction is rescaled into a negative-curvature step so the
-    cubic decrease law still applies; the event is flagged for the run
-    report's probability accounting.
+    CG solves run with curvature floor m = eps_H, one Hessian-vector product
+    per iteration. When the Lanczos call spanned R^n, CG instead runs in its
+    basis Q on (T + shift I) z = -Q g and the step is d = Q'z: Q is
+    orthonormal, so every norm CG tests and the curvature of every search
+    direction equal those of the solve in x, and T answers the products at no
+    evaluation cost. If CG uncovers nonpositive curvature (a low-probability
+    estimator failure), the violating direction is rescaled into a
+    negative-curvature step so the cubic decrease law still applies; the
+    event is flagged for the run report's probability accounting.
     """
     g = np.asarray(g, dtype=float)
     gnorm = norm(g)
@@ -254,11 +259,21 @@ def select_direction_inexact(
             U_H + 2.0 * cfg.eps_H,
         )
 
-    def apply_A(v: Array) -> Array:
-        hvv = obj.hessian_vector(x, v)
-        return hvv if shift == 0.0 else hvv + shift * v
+    Q = est.basis
+    if Q is None:
+        product, rhs = hv, g
+    else:
+        product, rhs = functools.partial(banded_product, est.bands), Q.dot(g)
 
-    outcome = cg_capped(apply_A, g, cfg.eps_H, M_cg, cfg.zeta, obj.dim)
+    def apply_A(v: Array) -> Array:
+        av = product(v)
+        return av if shift == 0.0 else av + shift * v
+
+    outcome = cg_capped(apply_A, rhs, cfg.eps_H, M_cg, cfg.zeta, obj.dim)
+    if Q is not None:
+        outcome.d = outcome.d.dot(Q)
+        if outcome.p is not None:
+            outcome.p = outcome.p.dot(Q)
     if outcome.status == "nonpositive_curvature":
         d, R_p = _neg_curvature_from_cg(outcome.p, outcome.p_curvature, shift, g)
         return Direction(

@@ -263,10 +263,11 @@ def test_run_cg_cap_exits_3(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "problem, flags, iters, residual, target, floor",
     [
-        ("quad-convex-2d", ["--zeta", "1e-200"], 2, "1.001e-16", "7.071e-203", "9.930e-16"),
-        ("quad-convex-10d", ["--zeta", "0"], 10, "1.926e-06", "0.000e+00", "2.219e-13"),
-        ("rosenbrock-2d", ["--eps-H", "1e-30"], 2, "1.599e-12", "9.537e-32", "1.034e-13"),
+        ("quad-convex-2d", ["--zeta", "1e-200"], 2, "1.241e-16", "7.071e-203", "9.930e-16"),
+        ("quad-convex-10d", ["--zeta", "0"], 10, "2.056e-05", "0.000e+00", "2.219e-13"),
+        ("rosenbrock-2d", ["--eps-H", "1e-30"], 2, "4.658e-13", "9.537e-32", "1.034e-13"),
     ],
+    ids=["quad-convex-2d-zeta-1e-200", "quad-convex-10d-zeta-0", "rosenbrock-2d-eps-H-1e-30"],
 )
 def test_run_cg_cap_below_float64_reach_names_the_target(
     tmp_path, capsys, problem, flags, iters, residual, target, floor

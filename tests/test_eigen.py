@@ -216,6 +216,32 @@ def test_determinism_same_seed_same_estimate():
     assert np.array_equal(a.v_unit, b.v_unit)
 
 
+def test_full_space_call_returns_its_basis_and_tridiagonal():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 7, 40):
+        H = random_symmetric(rng, n, scale=3.0)
+        M = float(np.linalg.norm(H, 2)) + 1.0
+        est = lanczos_min_eig(hv_of(H), n, M=M, eps=0.1, delta=0.0, rng=rng_for(n))
+        assert est.converged_by == "full_n"
+        Q, (alphas, betas) = est.basis, est.bands
+        assert Q.shape == (n, n) and alphas.shape == (n,) and betas.shape == (n - 1,)
+        T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        assert np.abs(Q @ Q.T - np.eye(n)).max() <= 1e-13
+        assert np.abs(Q @ H @ Q.T - T).max() <= 1e-13 * M
+
+
+def test_partial_space_calls_return_no_basis():
+    # A breakdown at 2 of 6 products, and a budget of 13 of 50 products.
+    broke = lanczos_min_eig(hv_of(np.diag([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])), 6, M=4.0,
+                            eps=0.1, delta=0.0, rng=rng_for(3))
+    capped = lanczos_min_eig(hv_of(np.diag(np.linspace(1.0, 2.0, 50))), 50, M=4.0,
+                             eps=0.25, delta=0.1, rng=rng_for(3))
+    assert (broke.converged_by, broke.iters) == ("breakdown", 2)
+    assert (capped.converged_by, capped.iters) == ("lanczos_cap", 13)
+    for est in (broke, capped):
+        assert est.basis is None and est.bands is None
+
+
 # --- equivalence with the growing-basis reference ------------------------------
 
 def reference_lanczos_min_eig(hv, n, M, eps, delta, rng):

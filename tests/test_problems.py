@@ -15,7 +15,6 @@ from sols import (
 import sols.problems
 from sols.problems import (
     ConstantsError,
-    _banded_product,
     _rosenbrock_bands,
     _rosenbrock_value,
     _tridiagonal,
@@ -23,6 +22,7 @@ from sols.problems import (
     separable_quartic,
     verify_constants,
 )
+from sols.operators import banded_product
 from sols.steps import SolverConfig
 
 from test_operators import quadratic_objective
@@ -269,6 +269,30 @@ def test_degenerate_family_parameters_rejected():
          r"bad: d has shape \(1, 2\), but must be a nonempty 1-D array"),
         (separable_quartic, {"d": [], "beta": 0.0, "c0": 0.0, "x0": []},
          r"bad: d has shape \(0,\), but must be a nonempty 1-D array"),
+        (rosenbrock, {"n": 2, "x0": [0.0, 0.0], "a": 0.0},
+         "bad: a must be positive and finite, got 0.0"),
+        (rosenbrock, {"n": 2, "x0": [0.0, 0.0], "a": -1.0},
+         "bad: a must be positive and finite, got -1.0"),
+        (rosenbrock, {"n": 2, "x0": [1.0, 1.0]},
+         r"bad: the start point is the minimizer \(1, \.\.\., 1\)"),
+        (separable_quartic, {"d": [1.0, np.nan], "beta": 0.0, "c0": 0.0, "x0": [1.0, 1.0]},
+         "bad: d must be finite, got nan at index 1"),
+        (separable_quartic, {"d": [1.0, 1.0], "beta": 0.0, "c0": 0.0, "x0": [np.nan, 1.0]},
+         "bad: x0 must be finite, got nan at index 0"),
+        (separable_quartic, {"d": [1.0, 1.0], "beta": [0.0, np.nan], "c0": 0.0, "x0": [1.0, 1.0]},
+         "bad: beta must be finite, got nan at index 1"),
+        (separable_quartic, {"d": [1.0, 1.0], "beta": np.nan, "c0": 0.0, "x0": [1.0, 1.0]},
+         "bad: beta must be finite, got nan$"),
+        (separable_quartic, {"d": [1.0, 1.0], "beta": 0.0, "c0": np.nan, "x0": [1.0, 1.0]},
+         "bad: c0 must be finite, got nan$"),
+        (separable_quartic, {"d": [1.0, np.inf], "beta": 0.0, "c0": 0.0, "x0": [1.0, 1.0]},
+         "bad: d must be finite, got inf at index 1"),
+        (rosenbrock, {"n": 2, "x0": [0.0, 0.0], "a": np.nan},
+         "bad: a must be positive and finite, got nan"),
+        (rosenbrock, {"n": 2, "x0": [0.0, np.nan]},
+         "bad: x0 must be finite, got nan at index 1"),
+        (rosenbrock, {"n": 2, "x0": [0.0, 0.0], "a": np.inf},
+         "bad: a must be positive and finite, got inf"),
     ],
 )
 def test_family_rejects_bad_parameters(family, kwargs, match):
@@ -328,7 +352,7 @@ def test_rosenbrock_banded_product_matches_dense(n):
         v = rng.standard_normal(n)
         H = _rosenbrock_hessian(x, a)
         # Componentwise: the three-term sums round within a few ulp of |H| |v|.
-        err = np.abs(_banded_product(_rosenbrock_bands(x, a), v) - H @ v)
+        err = np.abs(banded_product(_rosenbrock_bands(x, a), v) - H @ v)
         assert np.all(err <= 1e-13 * (np.abs(H) @ np.abs(v)))
 
 
@@ -361,8 +385,8 @@ def test_rosenbrock_hessian_vector_never_builds_dense_matrix(monkeypatch):
 # Hessian-vector formulas of suite problems, written out independently of the
 # objectives' per-point memo.
 HV_FORMULAS = {
-    "rosenbrock-2d": lambda x, v: _banded_product(_rosenbrock_bands(x, 100.0), v),
-    "rosenbrock-10d": lambda x, v: _banded_product(_rosenbrock_bands(x, 100.0), v),
+    "rosenbrock-2d": lambda x, v: banded_product(_rosenbrock_bands(x, 100.0), v),
+    "rosenbrock-10d": lambda x, v: banded_product(_rosenbrock_bands(x, 100.0), v),
     "quartic-saddle-50d": lambda x, v: (np.full(50, -1.0) + 3.0 * np.ones(50) * x**2) * v,
     "reg-newton-2d": lambda x, v: (
         np.array([1.0, -0.05]) + 3.0 * np.array([0.0, 0.05]) * x**2

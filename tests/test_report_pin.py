@@ -111,13 +111,13 @@ PINNED = {
         "runs/0/certificate/lambda": 2.000148737888157,
         "runs/0/certificate/n_f": 8,
         "runs/0/certificate/n_grad": 7,
-        "runs/0/certificate/n_hv": 23,
+        "runs/0/certificate/n_hv": 16,
         "runs/0/certificate/point/0": -1.0000247893407705,
         "runs/0/certificate/point/1": -1.0004704270531164,
         "runs/0/certificate/steps": 6,
         "runs/0/counters/n_f": 8,
         "runs/0/counters/n_grad": 7,
-        "runs/0/counters/n_hv": 23,
+        "runs/0/counters/n_hv": 16,
         "runs/0/envelope/K_eval": 23115311557.656815,
         "runs/0/envelope/K_hat": 81106063998.60814,
         "runs/0/envelope/K_iter": 1267282249.9782522,
@@ -129,7 +129,7 @@ PINNED = {
         "runs/0/envelope_checks/iteration_bound": 81106063998.60814,
         "runs/0/envelope_checks/iterations_ok": True,
         "runs/0/envelope_checks/observed_iterations": 6,
-        "runs/0/envelope_checks/observed_ops": 30,
+        "runs/0/envelope_checks/observed_ops": 23,
         "runs/0/envelope_checks/ops_bound": 486636383991.6488,
         "runs/0/envelope_checks/ops_ok": True,
         "runs/0/error": None,

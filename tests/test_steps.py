@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+import sols.driver
 import sols.steps
 from sols import (
     CgCapError,
@@ -13,12 +16,17 @@ from sols import (
     SolverConfig,
     StepKind,
     Terminate,
+    get_problem,
+    lanczos_min_eig,
+    run_inexact,
     scale_eigvector,
     select_direction_exact,
     select_direction_inexact,
+    suite,
 )
 from sols.cgsolve import CgOutcome
 from sols.eigen import EigEstimate
+from sols.operators import norm
 from sols.steps import ConfigError
 
 from test_operators import quadratic_objective
@@ -253,6 +261,143 @@ def test_cg_cap_reached_raises(monkeypatch):
     monkeypatch.setattr(sols.steps, "cg_capped", capped_cg)
     with pytest.raises(CgCapError):
         select_direction_inexact(obj, np.zeros(2), g, CFG, rng_for(5), U_H=2.0)
+
+
+# --- Newton CG in the Lanczos basis -----------------------------------------
+
+# The CG shift of each Newton kind, in units of eps_H.
+NEWTON_SHIFT = {StepKind.INEXACT_NEWTON: 0.0, StepKind.INEXACT_REGULARIZED_NEWTON: 2.0}
+
+
+@dataclass
+class SpiedRun:
+    problem: object
+    cfg: SolverConfig
+    records: list
+    # (x, g, Lanczos estimate or None, selection) of every selector call.
+    calls: list
+
+
+@pytest.fixture(scope="module")
+def spied_runs() -> list[SpiedRun]:
+    """Inexact runs of every suite problem at its coverage config, of q50 at
+    seeds 7 and 8, and of q50 at a Lanczos budget of 32 < n, with the inputs,
+    the Lanczos estimate and the result of every direction selection."""
+    q50 = get_problem("quartic-saddle-50d")
+    specs = [(p, p.coverage_config) for p in suite()]
+    specs += [(q50, q50.coverage_config.with_updates(rng_seed=s)) for s in (7, 8)]
+    specs.append((q50, q50.coverage_config.with_updates(eps_H=0.5, delta=0.1)))
+    real_lanczos, real_select = sols.steps.lanczos_min_eig, sols.driver.select_direction_inexact
+    calls, ests = [], []
+
+    def lanczos(*args):
+        ests.append(real_lanczos(*args))
+        return ests[-1]
+
+    def select(obj, x, g, cfg, rng, U_H):
+        ests.clear()
+        sel = real_select(obj, x, g, cfg, rng, U_H)
+        calls.append((np.array(x), np.array(g), ests[0] if ests else None, sel))
+        return sel
+
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sols.steps, "lanczos_min_eig", lanczos)
+        mp.setattr(sols.driver, "select_direction_inexact", select)
+        for problem, cfg in specs:
+            calls = []
+            _, records = run_inexact(problem.make_objective(), problem.start_point(), cfg)
+            runs.append(SpiedRun(problem, cfg, records, calls))
+    return runs
+
+
+def test_newton_cg_after_a_full_span_lanczos_call_costs_no_products(spied_runs):
+    # Each row's products: the curvature ratio, then Lanczos, then CG unless
+    # Lanczos spanned R^n.
+    paths = set()
+    for run in spied_runs:
+        n_hv = 0
+        for row in run.records:
+            expected = (row.R is not None) + (row.lanczos_iters or 0)
+            if row.cg_iters is not None:
+                full_span = row.lanczos_iters == run.problem.dim
+                paths.add(full_span)
+                expected += 0 if full_span else row.cg_iters
+            assert row.n_hv - n_hv == expected, (run.problem.name, row.k)
+            n_hv = row.n_hv
+    assert paths == {True, False}
+
+
+def test_newton_steps_in_the_lanczos_basis_meet_the_cg_target_in_x(spied_runs):
+    checked = 0
+    for run in spied_runs:
+        cfg, obj = run.cfg, run.problem.make_objective()
+        for x, g, est, sel in run.calls:
+            if getattr(sel, "kind", None) not in NEWTON_SHIFT or est.basis is None:
+                continue
+            Q, n = est.basis, obj.dim
+            assert np.abs(Q @ Q.T - np.eye(n)).max() <= 1e-12
+            A = obj.dense_hessian(x) + NEWTON_SHIFT[sel.kind] * cfg.eps_H * np.eye(n)
+            target = 0.5 * cfg.zeta * min(norm(g), cfg.eps_H * norm(sel.d))
+            assert norm(A @ sel.d + g) <= target * (1.0 + 1e-6), (run.problem.name, x)
+            checked += 1
+    assert checked >= 20
+
+
+@pytest.mark.parametrize(
+    "H, cfg, converged_by",
+    [
+        # Two distinct eigenvalues: the Krylov space is invariant after 2 of 6.
+        (np.diag([1.0, 1.0, 1.0, 2.0, 2.0, 2.0]), SolverConfig(eps_g=0.5, eps_H=0.25),
+         "breakdown"),
+        # log(50 / 0.1^2) / (2 sqrt 2) sqrt(4 / 0.25) gives a budget of 13 < 50.
+        (np.diag(np.linspace(1.0, 2.0, 50)), SolverConfig(eps_g=0.5, eps_H=0.5, delta=0.1),
+         "lanczos_cap"),
+        (np.diag(np.linspace(1.0, 2.0, 50)), SolverConfig(eps_g=0.5, eps_H=0.5, delta=0.0),
+         "full_n"),
+    ],
+)
+def test_newton_cg_pays_products_unless_lanczos_spanned_the_space(H, cfg, converged_by):
+    obj = quadratic_objective(H)
+    x = np.ones(H.shape[0])
+    ests = []
+
+    def lanczos(*args):
+        ests.append(lanczos_min_eig(*args))
+        return ests[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sols.steps, "lanczos_min_eig", lanczos)
+        sel = select_direction_inexact(obj, x, obj.gradient(x), cfg, rng_for(3), U_H=2.0)
+    assert sel.kind == StepKind.INEXACT_NEWTON and sel.cg_iters >= 1
+    assert np.allclose(H @ sel.d, -obj.gradient(x), rtol=0.0, atol=cfg.zeta * norm(H @ x))
+    assert ests[0].converged_by == converged_by
+    cg_products = 0 if converged_by == "full_n" else sel.cg_iters
+    assert obj.counters.n_hv == 1 + sel.lanczos_iters + cg_products
+
+
+def test_basis_cg_nonpositive_curvature_maps_back_to_x(monkeypatch):
+    # The estimator lies about definiteness, but hands over a true basis:
+    # CG finds the negative curvature in Lanczos coordinates, and the step
+    # has the unshifted curvature -||d|| along d in x.
+    H = np.diag([2.0, -1.0, 3.0, 0.5])
+    obj = quadratic_objective(H)
+    g = np.array([1.0, 1.0, 1.0, 1.0])
+
+    def lying_lanczos(*args):
+        est = lanczos_min_eig(*args)
+        assert est.basis is not None
+        est.lam = 10.0
+        return est
+
+    monkeypatch.setattr(sols.steps, "lanczos_min_eig", lying_lanczos)
+    sel = select_direction_inexact(obj, np.zeros(4), g, CFG, rng_for(3), U_H=3.0)
+    assert sel.kind == StepKind.NEGATIVE_CURVATURE and sel.cg_fallback
+    assert obj.counters.n_hv == 1 + 4
+    dnorm = norm(sel.d)
+    assert float(sel.d @ H @ sel.d) / dnorm**2 == pytest.approx(-dnorm, rel=1e-10)
+    assert sel.lam == pytest.approx(float(sel.d @ H @ sel.d) / dnorm**2, rel=1e-10)
+    assert float(sel.d @ g) <= 0.0
 
 
 # --- config validation -------------------------------------------------------

@@ -23,6 +23,9 @@ SPECS = {
     "r10": ["--problem", "rosenbrock-10d", "--algo", "exact", "--seed", "0"],
     # The banded product, Lanczos and capped CG together.
     "r10-inexact": ["--problem", "rosenbrock-10d", "--algo", "inexact", "--seed", "0"],
+    # A Lanczos budget of 32 < n = 50: its Newton steps run CG on oracle products.
+    "q50-budget": ["--problem", "quartic-saddle-50d", "--algo", "inexact",
+                   "--eps-H", "0.5", "--delta", "0.1"],
     # Four main-loop Newton steps to the certificate, then one local step.
     "c4-local": ["--problem", "quartic-convex-4d", "--algo", "exact-local",
                  "--eps-g", "1e-2", "--eps-H", "0.5", "--seed", "0"],
@@ -63,11 +66,11 @@ negative_curvature 0 29 29 528
 negative_curvature 0 30 30 579
 negative_curvature 0 31 31 630
 negative_curvature 0 32 32 681
-inexact_newton 4 37 33 748
-inexact_newton 1 39 34 805
-inexact_newton 0 40 35 859
-inexact_newton 0 41 36 912
-inexact_newton 0 42 37 964
+inexact_newton 4 37 33 732
+inexact_newton 1 39 34 783
+inexact_newton 0 40 35 834
+inexact_newton 0 41 36 885
+inexact_newton 0 42 37 936
 """,
     "quartic-saddle-50d_inexact_seed8_trace.csv": """
 negative_curvature 0 2 2 1
@@ -109,11 +112,28 @@ negative_curvature 0 37 37 986
 negative_curvature 0 38 38 1037
 negative_curvature 0 39 39 1088
 negative_curvature 0 40 40 1139
-inexact_regularized_newton 5 46 41 1206
-inexact_newton 1 48 42 1265
-inexact_newton 0 49 43 1320
-inexact_newton 0 50 44 1373
-inexact_newton 0 51 45 1425
+inexact_regularized_newton 5 46 41 1190
+inexact_newton 1 48 42 1241
+inexact_newton 0 49 43 1292
+inexact_newton 0 50 44 1343
+inexact_newton 0 51 45 1394
+""",
+    "quartic-saddle-50d_inexact_seed0_trace.csv": """
+negative_curvature 0 2 2 1
+scaled_neg_curv_gradient 0 3 3 2
+scaled_neg_curv_gradient 0 4 4 3
+normalized_gradient 0 5 5 4
+normalized_gradient 0 6 6 5
+normalized_gradient 0 7 7 6
+normalized_gradient 0 8 8 7
+normalized_gradient 0 9 9 8
+negative_curvature 0 10 10 41
+negative_curvature 0 11 11 74
+negative_curvature 0 12 12 107
+negative_curvature 0 13 13 140
+inexact_newton 0 14 14 175
+inexact_newton 0 15 15 209
+inexact_newton 0 16 16 243
 """,
     "quartic-convex-4d_exact-local_seed0_trace.csv": """
 main newton 0 2 2 1
@@ -150,31 +170,31 @@ newton 0 31 25 24
 newton 0 32 26 25
 """,
     "rosenbrock-10d_inexact_seed0_trace.csv": """
-inexact_newton 0 2 2 21
-inexact_newton 0 3 3 42
-inexact_newton 0 4 4 63
-inexact_newton 0 5 5 84
-negative_curvature 3 9 6 95
-inexact_newton 0 10 7 113
-inexact_newton 0 11 8 132
-inexact_newton 1 13 9 151
-inexact_newton 0 14 10 171
-inexact_newton 1 16 11 190
-inexact_newton 0 17 12 211
-inexact_newton 0 18 13 232
-inexact_newton 0 19 14 253
-inexact_newton 0 20 15 274
-inexact_newton 0 21 16 295
-inexact_newton 0 22 17 316
-inexact_newton 0 23 18 337
-inexact_newton 1 25 19 358
-inexact_newton 0 26 20 379
-inexact_newton 0 27 21 400
-inexact_newton 0 28 22 421
-inexact_newton 0 29 23 442
-inexact_newton 0 30 24 463
-inexact_newton 0 31 25 484
-inexact_newton 0 32 26 505
+inexact_newton 0 2 2 11
+inexact_newton 0 3 3 22
+inexact_newton 0 4 4 33
+inexact_newton 0 5 5 44
+negative_curvature 3 9 6 55
+inexact_newton 0 10 7 66
+inexact_newton 0 11 8 77
+inexact_newton 1 13 9 88
+inexact_newton 0 14 10 99
+inexact_newton 1 16 11 110
+inexact_newton 0 17 12 121
+inexact_newton 0 18 13 132
+inexact_newton 0 19 14 143
+inexact_newton 0 20 15 154
+inexact_newton 0 21 16 165
+inexact_newton 0 22 17 176
+inexact_newton 0 23 18 187
+inexact_newton 1 25 19 198
+inexact_newton 0 26 20 209
+inexact_newton 0 27 21 220
+inexact_newton 0 28 22 231
+inexact_newton 0 29 23 242
+inexact_newton 0 30 24 253
+inexact_newton 0 31 25 264
+inexact_newton 0 32 26 275
 """,
 }
 

@@ -49,6 +49,10 @@ def run_specs(problems: list[str]):
         "--problem", "quartic-saddle-50d", "--algo", "inexact",
         "--eps-g", "1e-4", "--eps-H", "1e-2", "--seed", "7,8",
     ]
+    # A Lanczos budget below n: CG runs on Hessian-vector products.
+    yield "quartic-saddle-50d_inexact_budget32", [
+        "--problem", "quartic-saddle-50d", "--algo", "inexact", "--eps-H", "0.5", "--delta", "0.1",
+    ]
     yield "quartic-offset-2d_inexact_jobs2", [
         "--problem", "quartic-offset-2d", "--algo", "inexact", "--seed", "0,1,2", "--jobs", "2",
     ]
