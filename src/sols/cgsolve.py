@@ -7,9 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import NonFiniteError
-
-Array = np.ndarray
+from .operators import Array, NonFiniteError
 
 CURVATURE_TOL = 1e-14  # p'Ap <= tol * ||p||^2 counts as nonpositive curvature
 

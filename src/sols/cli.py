@@ -87,6 +87,14 @@ def _report_run_dict(report: RunReport, seed: int, trace_file: str) -> dict:
     return run
 
 
+class OutputError(Exception):
+    """An output file that cannot be written, from its path and the OSError."""
+
+    def __str__(self) -> str:
+        path, exc = self.args
+        return f"cannot write {path}: {exc.strerror or exc}"
+
+
 def _run_one(
     problem_name: str, algo: str, cfg: SolverConfig, strict: bool, out_dir: str, seed: int
 ) -> dict:
@@ -102,10 +110,14 @@ def _run_one(
         )
 
     trace_name = f"{problem_name}_{algo}_seed{seed}_trace.csv"
-    with open(Path(out_dir) / trace_name, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_COLUMNS)
-        writer.writerows(map(_trace_row, records))
+    trace_path = Path(out_dir) / trace_name
+    try:
+        with open(trace_path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(TRACE_COLUMNS)
+            writer.writerows(map(_trace_row, records))
+    except OSError as exc:
+        raise OutputError(trace_path, exc) from None
     return _report_run_dict(report, seed, trace_name)
 
 
@@ -148,6 +160,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     except RuntimeError as exc:
         print(f"error: solver failure: {exc}", file=sys.stderr)
         return 3
+    except OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     all_converged = all(r["status"] == "converged" for r in runs)
     all_envelopes = all(envelope_checks_pass(r["envelope_checks"]) for r in runs)
@@ -157,14 +172,18 @@ def cmd_run(args: argparse.Namespace) -> int:
         "problem": problem.name,
         "algo": args.algo,
         "strict_second_order": args.strict_second_order,
-        "config": {f.name: getattr(cfg, f.name) for f in fields(SolverConfig)},
+        "config": asdict(cfg),
         "runs": runs,
         "all_converged": all_converged,
         "all_envelope_checks_passed": all_envelopes,
     }
     report_path = Path(out_dir) / f"{problem.name}_{args.algo}_report.json"
     text = json.dumps(report, sort_keys=True, indent=2, default=np.ndarray.tolist)
-    report_path.write_text(text + "\n")
+    try:
+        report_path.write_text(text + "\n")
+    except OSError as exc:
+        print(f"error: {OutputError(report_path, exc)}", file=sys.stderr)
+        return 2
 
     for r in runs:
         print(
@@ -289,11 +308,13 @@ def cmd_list_problems(_args: argparse.Namespace) -> int:
 
 
 def _seed_list(text: str) -> list[int]:
-    """Parse ``--seed``: a nonempty comma-separated list of nonnegative integers."""
+    """Parse ``--seed``: a nonempty comma-separated list of distinct nonnegative
+    integers; a repeated seed would write its trace file twice."""
     seeds = [int(v) for v in text.split(",") if v != ""]
-    if not seeds or min(seeds) < 0:
+    if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
         raise argparse.ArgumentTypeError(
-            f"expected a nonempty comma-separated list of nonnegative integers, got {text!r}"
+            "expected a nonempty comma-separated list of distinct nonnegative integers, "
+            f"got {text!r}"
         )
     return seeds
 

@@ -178,15 +178,15 @@ def _step(
         k=k,
         phase=phase,
         step_kind=sel.kind,
-        f=float(f_x),
+        f=f_x,
         g_norm=norm(g),
         x_norm=norm(x),
-        R=None if sel.R is None else float(sel.R),
-        lam=None if sel.lam is None else float(sel.lam),
+        R=sel.R,
+        lam=sel.lam,
         d_norm=norm(sel.d),
         j=res.j,
-        alpha=float(res.alpha),
-        decrease=float(res.decrease),
+        alpha=res.alpha,
+        decrease=res.decrease,
         g_next_norm=norm(g_next),
         lanczos_iters=sel.lanczos_iters,
         cg_iters=sel.cg_iters,
@@ -227,7 +227,6 @@ def _run_loop(
     strict_second_order: bool,
 ) -> tuple[RunReport, list[IterationRecord]]:
     inexact = algo == "inexact"
-    cfg.validate()
     _check_ls_budget(obj, cfg, inexact)
     x = np.asarray(x0, dtype=float)
     if x.shape != (obj.dim,):
@@ -293,8 +292,8 @@ def _run_loop(
             if cert is None:
                 cert = Certificate(
                     point=point.copy(),
-                    g_norm_min=float(g_norm_min),
-                    lam=float(lam),
+                    g_norm_min=g_norm_min,
+                    lam=lam,
                     steps=len(records),
                     counters=obj.counters.snapshot(),
                 )
@@ -318,7 +317,7 @@ def _run_loop(
         status=status,
         algo=algo,
         x_final=x,
-        f_final=float(f_x),
+        f_final=f_x,
         g_norm_final=norm(g),
         lambda_final=final_lam,
         iterations=len(records),
@@ -350,6 +349,7 @@ def run_exact(
     stopping. ``strict_second_order`` disables the post-line-search stop
     so termination always happens at a pointwise certified iterate.
     """
+    cfg.validate()
 
     def select(x, g):
         return select_direction_exact(obj, x, g, cfg)
@@ -370,6 +370,7 @@ def run_inexact(
     the config when set, else from the problem constants. There is no
     local phase on this path.
     """
+    cfg.validate()  # before the seed reaches the generator
     U_H = cfg.U_H
     if U_H is None:
         if obj.constants is None:

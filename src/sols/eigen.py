@@ -10,9 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import NonFiniteError, norm
-
-Array = np.ndarray
+from .operators import Array, NonFiniteError, norm
 
 
 @dataclass
@@ -43,13 +41,16 @@ class EigEstimate:
 
 
 def min_eigenpair_exact(H: Array) -> EigEstimate:
-    """Smallest eigenpair of a dense symmetric matrix via full eigendecomposition."""
+    """Smallest eigenpair of a dense symmetric matrix via full eigendecomposition.
+
+    The matrix counts as symmetric when its largest asymmetry is at most
+    1e-10 times its largest entry, at any scale."""
     H = np.asarray(H, dtype=float)
     scale = float(np.abs(H).max()) if H.size else 0.0
     if not math.isfinite(scale):
         raise NonFiniteError("non-finite entry in the dense Hessian")
     asym = float(np.abs(H - H.T).max()) if H.size else 0.0
-    if asym > 1e-10 * max(scale, 1.0):
+    if asym > 1e-10 * scale:
         raise ValueError(f"matrix is not symmetric: max asymmetry {asym:.3e}")
     w, V = np.linalg.eigh(H)
     v = V[:, 0]
@@ -174,17 +175,18 @@ def lanczos_min_eig(
     full-n calls, or return no basis.
 
     A breakdown means the Krylov space became exactly invariant: a beta at
-    most 1e-13 times the recurrence's own scale, the largest of 1 and every
-    |alpha| and beta seen so far in the call. The iteration stops there,
-    with no restart: the random start has a component in every eigenspace
-    with probability one, so an invariant Krylov space contains an
-    eigenvector for lambda_min(H), and its smallest Ritz value already is
-    lambda_min(H).
+    most 1e-13 times the recurrence's own scale, the largest |alpha| or beta
+    seen so far in the call. Scaling H scales both sides of the test, so it
+    has no absolute floor; H = 0 breaks down at once, with beta = 0. The
+    iteration stops there, with no restart: the random start has a component
+    in every eigenspace with probability one, so an invariant Krylov space
+    contains an eigenvector for lambda_min(H), and its smallest Ritz value
+    already is lambda_min(H).
     A product that makes the recurrence non-finite raises
     ``NonFiniteError``.
     """
     budget = lanczos_iteration_cap(n, M, eps, delta)
-    scale = 1.0
+    scale = 0.0
     V = np.empty((budget, n))
     alphas = np.empty(budget)
     betas = np.empty(budget)

@@ -74,42 +74,40 @@ class SuiteProblem:
         return np.asarray(self.x0, dtype=float)
 
 
+# A bound that overflows is inf or nan, which _suite_problem rejects by name.
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _separable_quartic_constants(
-    d: Array, beta: Array, c0: float, x0: Array
-) -> ProblemConstants:
-    """Closed-form level-set constants for f = sum d_i x_i^2/2 + beta_i x_i^4/4 + c0."""
-    if np.any((beta == 0.0) & (d <= 0.0)):
-        raise ValueError("coordinates with beta = 0 need d > 0 to stay bounded")
-    if np.any(beta < 0.0):
-        raise ValueError("beta must be nonnegative")
+    name: str, d: Array, beta: Array, c0: float, x0: Array
+) -> tuple[float, float, float, float]:
+    """Closed-form level-set (L_H, U_g, U_H, f_low) of sum d_i x_i^2/2 + beta_i x_i^4/4 + c0."""
     f0 = float(0.5 * d @ x0**2 + 0.25 * beta @ x0**4 + c0)
     m = np.where((d < 0.0) & (beta > 0.0), -(d**2) / np.where(beta > 0, 4.0 * beta, 1.0), 0.0)
     f_low = c0 + float(m.sum())
     # Per-coordinate bound on x_i^2 over the level set: the other
     # coordinates contribute at least their own minima.
     c_i = np.maximum((f0 - c0) - (m.sum() - m), 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = np.where(
-            beta > 0.0,
-            (-d + np.sqrt(d**2 + 4.0 * beta * c_i)) / np.where(beta > 0, beta, 1.0),
-            2.0 * c_i / np.where(beta > 0, 1.0, d),
-        )
+    u = np.where(
+        beta > 0.0,
+        (-d + np.sqrt(d**2 + 4.0 * beta * c_i)) / np.where(beta > 0, beta, 1.0),
+        2.0 * c_i / np.where(beta > 0, 1.0, d),
+    )
     u = np.maximum(u, x0**2)  # the start point itself lies in the set
     B = np.sqrt(u)
     U_H = float(np.max(np.maximum(np.abs(d), np.abs(d + 3.0 * beta * u))))
     L_H = 6.0 * float(np.max(beta * B))
     U_g = float(np.sqrt(np.sum((np.abs(d) * B + beta * B**3) ** 2)))
     if U_H <= 0.0 or U_g <= 0.0:
-        raise ValueError("degenerate problem: zero curvature and gradient bounds")
-    return ProblemConstants(
-        L_H=MARGIN * L_H, U_g=MARGIN * U_g, U_H=MARGIN * U_H, f_low=f_low
-    )
+        raise ValueError(f"{name}: degenerate problem: zero curvature and gradient bounds")
+    return L_H, U_g, U_H, f_low
 
 
-def _finite(name: str, label: str, a) -> Array:
-    """``a`` as a float array; a ValueError naming ``label`` at its first
+def _finite(name: str, label: str, a, n: int | None = None, expected: str = "") -> Array:
+    """``a`` as a finite float array, of shape (n,) when ``n`` is given;
+    otherwise a ValueError naming both lengths, or ``label`` at its first
     entry that is not finite."""
     a = np.asarray(a, dtype=float)
+    if n is not None and a.shape != (n,):
+        raise ValueError(f"{name}: {label} has shape {a.shape}, but {expected}")
     bad = np.flatnonzero(~np.isfinite(a))
     if bad.size:
         at = f" at index {bad[0]}" if a.ndim else ""
@@ -117,25 +115,23 @@ def _finite(name: str, label: str, a) -> Array:
     return a
 
 
-def _float_vector(name: str, label: str, a, n: int, expected: str) -> Array:
-    """``a`` as a finite float array of shape (n,); otherwise a ValueError
-    naming both lengths, or the entry that is not finite."""
-    a = np.asarray(a, dtype=float)
-    if a.shape != (n,):
-        raise ValueError(f"{name}: {label} has shape {a.shape}, but {expected}")
-    return _finite(name, label, a)
-
-
 def _suite_problem(
-    name: str, x0: Array, x_star: Array, constants: ProblemConstants, value, gradient,
+    name: str, x0: Array, x_star: Array, bounds, value, gradient,
     coefficients, product, dense, branch_coverage, coverage_config: SolverConfig,
 ) -> SuiteProblem:
     """A verified suite problem whose Hessian at x is given by ``coefficients(x)``.
 
-    ``product(c, v)`` is the Hessian-vector product and ``dense(c)`` the dense
-    Hessian for the coefficients ``c`` of one point; each objective computes
-    them once per point through its own memo.
+    ``bounds`` are the closed-form (L_H, U_g, U_H, f_low); the declared
+    constants inflate the first three by ``MARGIN``. ``product(c, v)`` is the
+    Hessian-vector product and ``dense(c)`` the dense Hessian for the
+    coefficients ``c`` of one point; each objective computes them once per
+    point through its own memo.
     """
+    L_H, U_g, U_H, f_low = bounds
+    try:
+        constants = ProblemConstants(MARGIN * L_H, MARGIN * U_g, MARGIN * U_H, f_low)
+    except ValueError as exc:  # finite parameters whose bounds overflow
+        raise ValueError(f"{name}: {exc}") from None
 
     def factory() -> Objective:
         coefficients_at = _point_memo(coefficients)
@@ -184,17 +180,19 @@ def separable_quartic(
     d = np.asarray(d, dtype=float)
     if d.ndim != 1 or not d.size:
         raise ValueError(f"{name}: d has shape {d.shape}, but must be a nonempty 1-D array")
-    n = d.size
+    n, expected = d.size, f"d has {d.size} entries"
     d = _finite(name, "d", d)
-    if np.ndim(beta):
-        beta = _float_vector(name, "beta", beta, n, f"d has {n} entries")
-    beta = _finite(name, "beta", beta) * np.ones_like(d)
+    beta = _finite(name, "beta", beta, n if np.ndim(beta) else None, expected) * np.ones_like(d)
     c0 = float(_finite(name, "c0", c0))
-    x0 = _float_vector(name, "x0", x0, n, f"d has {n} entries")
+    x0 = _finite(name, "x0", x0, n, expected)
+    if np.any((beta == 0.0) & (d <= 0.0)):
+        raise ValueError(f"{name}: coordinates with beta = 0 need d > 0 to stay bounded")
+    if np.any(beta < 0.0):
+        raise ValueError(f"{name}: beta must be nonnegative")
     x_star = np.where((d < 0.0) & (beta > 0.0), np.sqrt(np.maximum(-d, 0.0) / np.where(beta > 0, beta, 1.0)), 0.0)
     # The Hessian is diagonal: its coefficients at x are the curvatures d + 3 beta x^2.
     return _suite_problem(
-        name, x0, x_star, _separable_quartic_constants(d, beta, c0, x0),
+        name, x0, x_star, _separable_quartic_constants(name, d, beta, c0, x0),
         lambda x: float((0.5 * d).dot(x**2) + (0.25 * beta).dot(x**4) + c0),
         lambda x: d * x + beta * x**3,
         lambda x: d + 3.0 * beta * x**2, np.multiply, np.diag,
@@ -202,8 +200,9 @@ def separable_quartic(
     )
 
 
-def _rosenbrock_constants(n: int, a: float, x0: Array) -> ProblemConstants:
-    """Box-certified level-set constants for the chained Rosenbrock function.
+@np.errstate(over="ignore", invalid="ignore")  # as for the quartic bounds
+def _rosenbrock_constants(n: int, a: float, x0: Array) -> tuple[float, float, float, float]:
+    """Box-certified level-set (L_H, U_g, U_H, f_low) for the chained Rosenbrock function.
 
     On the level set every additive term is bounded by f(x0), which pins
     each coordinate into an interval; gradient and Hessian bounds follow
@@ -233,8 +232,11 @@ def _rosenbrock_constants(n: int, a: float, x0: Array) -> ProblemConstants:
     rowsum[1:] += 4.0 * a * B[: n - 1]
     U_H = float(np.max(rowsum))
 
-    L_H = math.sqrt(float(np.sum((24.0 * a * B[: n - 1]) ** 2 + 3.0 * (4.0 * a) ** 2)))
-    return ProblemConstants(L_H=MARGIN * L_H, U_g=MARGIN * U_g, U_H=MARGIN * U_H, f_low=0.0)
+    try:
+        L_H = math.sqrt(float(np.sum((24.0 * a * B[: n - 1]) ** 2 + 3.0 * (4.0 * a) ** 2)))
+    except OverflowError:  # (4 a)**2 beyond float64
+        L_H = math.inf
+    return L_H, U_g, U_H, 0.0
 
 
 def _rosenbrock_value(x: Array, a: float) -> float:
@@ -283,7 +285,7 @@ def rosenbrock(
         raise ValueError(f"{name}: a chain needs n >= 2, got n = {n}")
     if not 0.0 < a < math.inf:
         raise ValueError(f"{name}: a must be positive and finite, got {a}")
-    x0 = _float_vector(name, "x0", x0, n, f"n = {n}")
+    x0 = _finite(name, "x0", x0, n, f"n = {n}")
     if np.all(x0 == 1.0):
         # f(x0) = 0: the level set is the single point x0.
         raise ValueError(f"{name}: the start point is the minimizer (1, ..., 1)")

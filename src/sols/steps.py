@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -103,10 +104,11 @@ class SolverConfig:
             raise ConfigError(f"delta must lie in [0, 1), got {self.delta}")
         if self.U_H is not None and not 0.0 < self.U_H < math.inf:
             raise ConfigError(f"U_H must be positive and finite, got {self.U_H}")
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be a positive integer")
-        if self.max_ls_steps < 1:
-            raise ConfigError("max_ls_steps must be a positive integer")
+        for name, low in (("max_iters", 1), ("max_ls_steps", 1), ("rng_seed", 0)):
+            value = getattr(self, name)
+            # bool is an int subclass, but True is no count or seed.
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
 
     def with_updates(self, **kwargs) -> SolverConfig:
         return replace(self, **kwargs)
@@ -184,10 +186,10 @@ def select_direction_exact(
         d = scale_eigvector(est.v_unit, lam, g)
         return Direction(StepKind.NEGATIVE_CURVATURE, d, R=R, lam=lam)
     if lam > cfg.eps_H:
-        d = solve_exact(H, g, 0.0)
-        return Direction(StepKind.NEWTON, d, R=R, lam=lam)
-    d = solve_exact(H, g, 2.0 * cfg.eps_H)
-    return Direction(StepKind.REGULARIZED_NEWTON, d, R=R, lam=lam)
+        kind, shift = StepKind.NEWTON, 0.0
+    else:
+        kind, shift = StepKind.REGULARIZED_NEWTON, 2.0 * cfg.eps_H
+    return Direction(kind, solve_exact(H, g, shift), R=R, lam=lam)
 
 
 def _neg_curvature_from_cg(
@@ -220,12 +222,13 @@ def select_direction_inexact(
     """Choose the search direction of the inexact loop, or certify the iterate.
 
     The eigenvalue estimate targets accuracy eps_H/2 with shift U_H + 2;
-    CG solves run with curvature floor m = eps_H, one Hessian-vector product
-    per iteration. When the Lanczos call spanned R^n, CG instead runs in its
-    basis Q on (T + shift I) z = -Q g and the step is d = Q'z: Q is
-    orthonormal, so every norm CG tests and the curvature of every search
-    direction equal those of the solve in x, and T answers the products at no
-    evaluation cost. If CG uncovers nonpositive curvature (a low-probability
+    CG solves of (H + shift I) d = -g run with curvature floor m = eps_H and
+    ceiling M = U_H + shift, one Hessian-vector product per iteration. When
+    the Lanczos call spanned R^n, CG instead runs in its basis Q on
+    (T + shift I) z = -Q g and the step is d = Q'z: Q is orthonormal, so
+    every norm CG tests and the curvature of every search direction equal
+    those of the solve in x, and T answers the products at no evaluation
+    cost. If CG uncovers nonpositive curvature (a low-probability
     estimator failure), the violating direction is rescaled into a
     negative-curvature step so the cubic decrease law still applies; the
     event is flagged for the run report's probability accounting.
@@ -251,13 +254,9 @@ def select_direction_inexact(
         )
 
     if lam_i > 1.5 * cfg.eps_H:
-        kind, shift, M_cg = StepKind.INEXACT_NEWTON, 0.0, U_H
+        kind, shift = StepKind.INEXACT_NEWTON, 0.0
     else:
-        kind, shift, M_cg = (
-            StepKind.INEXACT_REGULARIZED_NEWTON,
-            2.0 * cfg.eps_H,
-            U_H + 2.0 * cfg.eps_H,
-        )
+        kind, shift = StepKind.INEXACT_REGULARIZED_NEWTON, 2.0 * cfg.eps_H
 
     Q = est.basis
     if Q is None:
@@ -269,7 +268,7 @@ def select_direction_inexact(
         av = product(v)
         return av if shift == 0.0 else av + shift * v
 
-    outcome = cg_capped(apply_A, rhs, cfg.eps_H, M_cg, cfg.zeta, obj.dim)
+    outcome = cg_capped(apply_A, rhs, cfg.eps_H, U_H + shift, cfg.zeta, obj.dim)
     if Q is not None:
         outcome.d = outcome.d.dot(Q)
         if outcome.p is not None:

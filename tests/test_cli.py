@@ -6,9 +6,11 @@ import argparse
 import concurrent.futures
 import contextlib
 import csv
+import errno
 import io
 import json
 import math
+import os
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -242,6 +244,46 @@ def test_run_rejects_negative_or_empty_seed_list(tmp_path, capsys, seed):
     assert exc.value.code == 2
     assert "error: argument --seed" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_run_report_write_failure_names_the_report(tmp_path, capsys, monkeypatch):
+    # A write that fails after the open carries no file name of its own.
+    def no_space(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(Path, "write_text", no_space)
+    code = main(["run", "--problem", "quad-convex-2d", "--out", str(tmp_path)])
+    assert code == 2
+    report = tmp_path / "quad-convex-2d_exact_report.json"
+    assert capsys.readouterr().err == (
+        f"error: cannot write {report}: {os.strerror(errno.ENOSPC)}\n"
+    )
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_run_rejects_repeated_seed(tmp_path, capsys, jobs):
+    # Two runs of one seed would write one trace file, listed twice in the report.
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--problem", "quad-convex-2d", "--algo", "inexact", "--seed", "0,1,0",
+              "--jobs", jobs, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "error: argument --seed" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(
+    "blocked", ["quad-convex-2d_inexact_seed1_trace.csv", "quad-convex-2d_inexact_report.json"]
+)
+def test_run_output_that_cannot_be_written_exits_2(tmp_path, capsys, jobs, blocked):
+    # A directory where an output file goes: the write fails with an OSError.
+    (tmp_path / blocked).mkdir()
+    code = main(["run", "--problem", "quad-convex-2d", "--algo", "inexact", "--seed", "0,1,2",
+                 "--jobs", jobs, "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write {tmp_path / blocked}: Is a directory\n"
+    )
 
 
 def test_run_cg_cap_exits_3(tmp_path, capsys, monkeypatch):

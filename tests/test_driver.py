@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from operator import attrgetter
 
 import numpy as np
@@ -726,3 +726,21 @@ def test_nonfinite_exact_is_classified(derivatives, where):
     assert report.status == "nonfinite"
     assert where in report.error
     assert records == [] and report.final_point_second_order_ok is None
+
+
+def test_run_outputs_hold_python_floats(law_corpus):
+    # The run path stores these values as it gets them, without float(): each
+    # must already be a Python float, as every trace, report and law reads them.
+    p = get_problem("rosenbrock-10d")
+    local = run_exact(p.make_objective(), p.start_point(), p.coverage_config, local_phase=True)
+    assert any(r.phase == "local" for r in local[1])
+    for report, records in [(run.report, run.records) for run in law_corpus] + [local]:
+        assert report.certificate is not None
+        for obj in (report, report.certificate, *records):
+            for f in fields(obj):
+                if "float" in f.type:
+                    value = getattr(obj, f.name)
+                    if value is None:
+                        assert "None" in f.type, f.name
+                    else:
+                        assert type(value) is float, (type(obj).__name__, f.name, type(value))

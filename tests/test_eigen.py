@@ -73,6 +73,14 @@ def test_exact_rejects_asymmetric():
         min_eigenpair_exact(M)
 
 
+@pytest.mark.parametrize("c", [1e-14, 1.0, 1e14])
+def test_exact_symmetry_test_is_relative_at_every_scale(c):
+    with pytest.raises(ValueError, match="not symmetric"):
+        min_eigenpair_exact(c * np.array([[0.0, 1.0], [0.0, 0.0]]))
+    H = c * np.array([[0.0, 1.0], [1.0 + 1e-12, 0.0]])
+    assert min_eigenpair_exact(H).lam == pytest.approx(-c, rel=1e-11)
+
+
 def test_exact_residual_invariant_on_random_matrices():
     rng = np.random.default_rng(1)
     for _ in range(200):
@@ -180,6 +188,26 @@ def test_breakdown_on_isotropic_hessian_stops_after_one_product():
     est = lanczos_min_eig(hv_of(H), 6, M=2.0, eps=0.1, delta=0.01, rng=rng_for(7))
     assert est.iters == 1
     assert est.lam == -1.0
+
+
+def test_breakdown_test_is_relative_at_every_scale():
+    # c H for tiny, unit and huge c: the same recurrence up to rounding, so
+    # the same number of products and exit, and c times the estimate.
+    H = np.diag(np.linspace(-1.0, 1.0, 20))
+    ref = lanczos_min_eig(hv_of(H), 20, M=3.0, eps=1e-6, delta=1e-6, rng=rng_for(4))
+    assert ref.lam == pytest.approx(-1.0, abs=1e-12)
+    for c in (1e-14, 1.0, 1e14):
+        est = lanczos_min_eig(hv_of(c * H), 20, M=3.0 * c, eps=1e-6 * c, delta=1e-6,
+                              rng=rng_for(4))
+        assert (est.iters, est.converged_by) == (ref.iters, ref.converged_by)
+        assert est.lam == pytest.approx(c * ref.lam, rel=1e-12)
+        # The estimator's contract at eps = 1e-6 c: lam <= lambda_min + eps.
+        assert est.lam <= -c + 1e-6 * c
+
+
+def test_breakdown_on_zero_hessian_stops_after_one_product():
+    est = lanczos_min_eig(hv_of(np.zeros((5, 5))), 5, M=1.0, eps=0.1, delta=0.0, rng=rng_for(2))
+    assert (est.iters, est.converged_by, est.lam) == (1, "breakdown", 0.0)
 
 
 def test_huge_shift_bound_leaves_breakdown_to_the_recurrence():
@@ -518,7 +546,7 @@ def matmul_lanczos_min_eig(hv, n, M, eps, delta, rng):
     from scipy.linalg.lapack import dstebz, dstein
 
     budget = lanczos_iteration_cap(n, M, eps, delta)
-    scale = 1.0
+    scale = 0.0
     V = np.empty((budget, n))
     alphas, betas = [], []
     v = rng.standard_normal(n)
@@ -618,7 +646,7 @@ def numpy_function_min_eigenpair_exact(H):
     if not math.isfinite(scale):
         raise NonFiniteError("non-finite entry in the dense Hessian")
     asym = float(np.max(np.abs(H - H.T))) if H.size else 0.0
-    if asym > 1e-10 * max(scale, 1.0):
+    if asym > 1e-10 * scale:
         raise ValueError(f"matrix is not symmetric: max asymmetry {asym:.3e}")
     w, V = np.linalg.eigh(H)
     v = V[:, 0]

@@ -293,6 +293,21 @@ def test_degenerate_family_parameters_rejected():
          "bad: x0 must be finite, got nan at index 1"),
         (rosenbrock, {"n": 2, "x0": [0.0, 0.0], "a": np.inf},
          "bad: a must be positive and finite, got inf"),
+        (separable_quartic, {"d": [1.0, 1.0], "beta": [0.0, -1.0], "c0": 0.0, "x0": [1.0, 1.0]},
+         "^bad: beta must be nonnegative$"),
+        (separable_quartic, {"d": [-1.0], "beta": 0.0, "c0": 0.0, "x0": [1.0]},
+         "^bad: coordinates with beta = 0 need d > 0 to stay bounded$"),
+        (separable_quartic, {"d": [1.0], "beta": 0.0, "c0": 0.0, "x0": [0.0]},
+         "^bad: degenerate problem"),
+        # Finite parameters whose bounds overflow.
+        (separable_quartic, {"d": [1e308], "beta": 0.0, "c0": 0.0, "x0": [1.0]},
+         "^bad: U_g and U_H must be positive and finite, got inf"),
+        (separable_quartic, {"d": [1.0], "beta": 0.0, "c0": 0.0, "x0": [1e200]},
+         "^bad: L_H must be nonnegative and finite, got nan"),
+        (rosenbrock, {"n": 2, "x0": [1e200, 1.0]},
+         "^bad: L_H must be nonnegative and finite, got inf"),
+        (rosenbrock, {"n": 2, "x0": [0.0, 0.0], "a": 1e300},
+         "^bad: L_H must be nonnegative and finite, got inf"),
     ],
 )
 def test_family_rejects_bad_parameters(family, kwargs, match):

@@ -12,12 +12,14 @@ import sols.steps
 from sols import (
     CgCapError,
     Direction,
+    EvalCounters,
     IndefiniteSystemError,
     SolverConfig,
     StepKind,
     Terminate,
     get_problem,
     lanczos_min_eig,
+    run_exact,
     run_inexact,
     scale_eigvector,
     select_direction_exact,
@@ -415,11 +417,37 @@ def test_basis_cg_nonpositive_curvature_maps_back_to_x(monkeypatch):
         {"U_H": 0.0},
         {"max_iters": 0},
         {"max_ls_steps": 0},
+        {"max_iters": 2.5},
+        {"max_iters": 3.0},
+        {"max_ls_steps": 40.5},
+        {"max_ls_steps": True},
+        {"rng_seed": -1},
+        {"rng_seed": 1.5},
+        {"rng_seed": False},
+        {"rng_seed": np.float64(2.0)},
     ],
 )
 def test_config_validation_rejects_out_of_range(kwargs):
     with pytest.raises(ConfigError):
         SolverConfig(**kwargs).validate()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("max_iters", 2.5), ("max_ls_steps", 40.5), ("rng_seed", -1), ("rng_seed", 1.5)],
+)
+def test_config_error_names_the_integer_field_before_any_evaluation(field, value):
+    p = get_problem("quad-convex-2d")
+    cfg = SolverConfig(**{field: value})
+    for run in (run_exact, run_inexact):
+        obj = p.make_objective()
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            run(obj, p.start_point(), cfg)
+        assert obj.counters.snapshot() == EvalCounters()
+
+
+def test_config_accepts_numpy_integers():
+    SolverConfig(max_iters=np.int64(5), max_ls_steps=np.int32(60), rng_seed=np.uint64(3)).validate()
 
 
 def test_config_defaults_valid():
