@@ -221,14 +221,15 @@ def select_direction_inexact(
 ) -> Direction | Terminate:
     """Choose the search direction of the inexact loop, or certify the iterate.
 
-    The eigenvalue estimate targets accuracy eps_H/2 with shift U_H + 2;
-    CG solves of (H + shift I) d = -g run with curvature floor m = eps_H and
-    ceiling M = U_H + shift, one Hessian-vector product per iteration. When
-    the Lanczos call spanned R^n, CG instead runs in its basis Q on
-    (T + shift I) z = -Q g and the step is d = Q'z: Q is orthonormal, so
-    every norm CG tests and the curvature of every search direction equal
-    those of the solve in x, and T answers the products at no evaluation
-    cost. If CG uncovers nonpositive curvature (a low-probability
+    The eigenvalue estimate targets accuracy eps_H/2 with shift U_H + 2,
+    and stops early at a Ritz pair below -eps_H/2, which gives the
+    negative-curvature step. CG solves of (H + shift I) d = -g run with
+    curvature floor m = eps_H and ceiling M = U_H + shift, one
+    Hessian-vector product per iteration. When the Lanczos call spanned
+    R^n, CG instead runs in its basis Q on (T + shift I) z = -Q g and the
+    step is d = Q'z: Q is orthonormal, so every norm CG tests and the
+    curvature of every search direction equal those of the solve in x, and
+    T answers the products at no evaluation cost. If CG uncovers nonpositive curvature (a low-probability
     estimator failure), the violating direction is rescaled into a
     negative-curvature step so the cubic decrease law still applies; the
     event is flagged for the run report's probability accounting.
@@ -243,11 +244,14 @@ def select_direction_inexact(
         return obj.hessian_vector(x, v)
 
     M_shift = U_H + 2.0
-    est: EigEstimate = lanczos_min_eig(hv, obj.dim, M_shift, cfg.eps_H / 2.0, cfg.delta, rng)
+    sigma = -0.5 * cfg.eps_H
+    est: EigEstimate = lanczos_min_eig(
+        hv, obj.dim, M_shift, cfg.eps_H / 2.0, cfg.delta, rng, sigma=sigma
+    )
     lam_i = est.lam
     if check_termination(gnorm, lam_i, cfg, inexact=True):
         return Terminate(lam=lam_i)
-    if lam_i < -0.5 * cfg.eps_H:
+    if lam_i < sigma:
         d = scale_eigvector(est.v_unit, lam_i, g)
         return Direction(
             StepKind.NEGATIVE_CURVATURE, d, R=R, lam=lam_i, lanczos_iters=est.iters

@@ -398,7 +398,7 @@ def test_inexact_seed_determinism_and_variation():
 
 
 def test_driver_counts_cg_fallback_events(monkeypatch):
-    def lying_lanczos(hv, n, M, eps, delta, rng):
+    def lying_lanczos(hv, n, M, eps, delta, rng, sigma=None):
         v = np.zeros(n)
         v[0] = 1.0
         return EigEstimate(lam=10.0, v_unit=v, iters=1, converged_by="lanczos_cap")
@@ -447,7 +447,7 @@ def test_driver_reports_indefinite_system_status(monkeypatch):
         dense_hessian=lambda x: H,
     )
 
-    def lying_lanczos(hv, n, M, eps, delta, rng):
+    def lying_lanczos(hv, n, M, eps, delta, rng, sigma=None):
         return EigEstimate(lam=10.0, v_unit=np.array([1.0, 0.0]), iters=1,
                            converged_by="lanczos_cap")
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import sols.eigen
 from sols import lanczos_iteration_cap, lanczos_min_eig, min_eigenpair_exact, suite
 from sols.eigen import EigEstimate, _lapack, _ritz_min
-from sols.operators import NonFiniteError
+from sols.operators import NonFiniteError, norm
 
 from conftest import bench_hessians, run_python, wilson_slack
 
@@ -268,6 +268,85 @@ def test_partial_space_calls_return_no_basis():
     assert (capped.converged_by, capped.iters) == ("lanczos_cap", 13)
     for est in (broke, capped):
         assert est.basis is None and est.bands is None
+
+
+# --- early stop below sigma ------------------------------------------------------
+
+def indefinite(seed: int, n: int) -> np.ndarray:
+    """A symmetric matrix with eigenvalues drawn from U(-1, 1) in a random basis."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (Q * rng.uniform(-1.0, 1.0, n)) @ Q.T
+
+
+def test_early_stop_meets_its_contract():
+    c = sols.eigen.EARLY_STOP_RESIDUAL
+    early = 0
+    for seed in range(40):
+        n = (10, 30, 60)[seed % 3]
+        H = indefinite(seed, n)
+        M, eps, delta = 3.0, 0.005, (0.0, 1e-6)[seed % 2]
+        budget = lanczos_iteration_cap(n, M, eps, delta)
+        for sigma in (-0.05, -0.2, -0.5):
+            est = lanczos_min_eig(hv_of(H), n, M=M, eps=eps, delta=delta, rng=rng_for(seed),
+                                  sigma=sigma)
+            if est.converged_by != "below_sigma":
+                continue
+            early += 1
+            v, theta = est.v_unit, est.lam
+            assert theta < sigma and est.iters < budget
+            assert est.basis is None and est.bands is None
+            assert abs(float(v @ v) - 1.0) <= 1e-14
+            # v'Hv is theta up to rounding, and H v - theta v is beta_k (e_k'y)
+            # times the next Lanczos vector, a unit vector.
+            assert abs(float(v @ H @ v) - theta) <= 1e-13 * M
+            assert norm(H @ v - theta * v) <= c * abs(theta) + 1e-13 * M
+    assert early >= 100
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), sigma=st.floats(-1.5, 0.5),
+       delta=st.sampled_from((0.0, 1e-6, 0.1)))
+def test_early_stop_takes_the_branch_of_the_full_call(n, seed, sigma, delta):
+    # The smallest Ritz value does not rise with k, so the call that stops
+    # early and the one that runs its budget agree on lam < sigma.
+    H = indefinite(seed, n)
+    full = lanczos_min_eig(hv_of(H), n, M=3.0, eps=0.05, delta=delta, rng=rng_for(seed))
+    est = lanczos_min_eig(hv_of(H), n, M=3.0, eps=0.05, delta=delta, rng=rng_for(seed),
+                          sigma=sigma)
+    assert (est.lam < sigma) == (full.lam < sigma)
+    if est.converged_by != "below_sigma":
+        assert (est.lam, est.iters, est.converged_by) == (full.lam, full.iters, full.converged_by)
+        assert np.array_equal(est.v_unit, full.v_unit)
+
+
+class FirstAxis:
+    """Draws the start vector e_1, so that alpha_1 = H[0, 0] exactly."""
+
+    @staticmethod
+    def standard_normal(n):
+        e = np.zeros(n)
+        e[0] = 1.0
+        return e
+
+
+@pytest.mark.parametrize("coupling", [0.0, 1.0])
+def test_zero_sturm_pivot_ends_in_a_classified_outcome(coupling):
+    # From e_1, alpha_1 = sigma makes the first pivot of T_k - sigma I
+    # exactly 0. On H = sigma I the Krylov space is invariant after one
+    # product. With unit off-diagonals H is its own T; the second pivot
+    # divides by the zero one, and T_2 = [[sigma, 1], [1, sigma]] already
+    # has the Ritz pair (sigma - 1, (1, 1)/sqrt 2), residual 1/sqrt 2.
+    sigma, n = -0.5, 8
+    H = sigma * np.eye(n) + coupling * (np.eye(n, k=1) + np.eye(n, k=-1))
+    est = lanczos_min_eig(hv_of(H), n, M=4.0, eps=0.1, delta=0.0, rng=FirstAxis(),
+                          sigma=sigma)
+    if coupling == 0.0:
+        assert (est.iters, est.converged_by, est.lam) == (1, "breakdown", sigma)
+    else:
+        assert (est.iters, est.converged_by) == (2, "below_sigma")
+        assert est.lam == pytest.approx(sigma - 1.0, abs=1e-15)
+        assert float(est.v_unit @ H @ est.v_unit) == pytest.approx(est.lam, abs=1e-15)
 
 
 # --- equivalence with the growing-basis reference ------------------------------

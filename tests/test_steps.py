@@ -41,7 +41,7 @@ def rng_for(seed: int) -> np.random.Generator:
 
 
 def stub_lanczos(lam: float, v_unit: np.ndarray):
-    def provider(hv, n, M, eps, delta, rng):
+    def provider(hv, n, M, eps, delta, rng, sigma=None):
         return EigEstimate(lam=lam, v_unit=np.asarray(v_unit, float), iters=1,
                            converged_by="lanczos_cap")
 
@@ -292,8 +292,8 @@ def spied_runs() -> list[SpiedRun]:
     real_lanczos, real_select = sols.steps.lanczos_min_eig, sols.driver.select_direction_inexact
     calls, ests = [], []
 
-    def lanczos(*args):
-        ests.append(real_lanczos(*args))
+    def lanczos(*args, **kwargs):
+        ests.append(real_lanczos(*args, **kwargs))
         return ests[-1]
 
     def select(obj, x, g, cfg, rng, U_H):
@@ -364,8 +364,8 @@ def test_newton_cg_pays_products_unless_lanczos_spanned_the_space(H, cfg, conver
     x = np.ones(H.shape[0])
     ests = []
 
-    def lanczos(*args):
-        ests.append(lanczos_min_eig(*args))
+    def lanczos(*args, **kwargs):
+        ests.append(lanczos_min_eig(*args, **kwargs))
         return ests[-1]
 
     with pytest.MonkeyPatch.context() as mp:
@@ -378,6 +378,20 @@ def test_newton_cg_pays_products_unless_lanczos_spanned_the_space(H, cfg, conver
     assert obj.counters.n_hv == 1 + sel.lanczos_iters + cg_products
 
 
+def test_negative_curvature_step_stops_lanczos_below_minus_half_eps_H():
+    # At g = 0 the selector goes straight to Lanczos, which stops at a Ritz
+    # value below -eps_H/2 in fewer than n products; the step still has the
+    # curvature d'Hd = -||d||^3.
+    H = np.diag(np.linspace(-1.0, 1.0, 40))
+    obj = quadratic_objective(H)
+    cfg = SolverConfig(eps_g=0.5, eps_H=0.25, delta=0.0)
+    sel = select_direction_inexact(obj, np.zeros(40), np.zeros(40), cfg, rng_for(5), U_H=1.0)
+    assert sel.kind == StepKind.NEGATIVE_CURVATURE and sel.lam < -0.5 * cfg.eps_H
+    assert obj.counters.n_hv == sel.lanczos_iters < 40
+    dnorm = norm(sel.d)
+    assert float(sel.d @ H @ sel.d) == pytest.approx(-dnorm**3, rel=1e-12)
+
+
 def test_basis_cg_nonpositive_curvature_maps_back_to_x(monkeypatch):
     # The estimator lies about definiteness, but hands over a true basis:
     # CG finds the negative curvature in Lanczos coordinates, and the step
@@ -386,7 +400,8 @@ def test_basis_cg_nonpositive_curvature_maps_back_to_x(monkeypatch):
     obj = quadratic_objective(H)
     g = np.array([1.0, 1.0, 1.0, 1.0])
 
-    def lying_lanczos(*args):
+    def lying_lanczos(*args, sigma=None):
+        # Without sigma: the lie is a full-span estimate, which has a basis.
         est = lanczos_min_eig(*args)
         assert est.basis is not None
         est.lam = 10.0

@@ -53,24 +53,18 @@ scaled_neg_curv_gradient 0 16 16 15
 scaled_neg_curv_gradient 0 17 17 16
 scaled_neg_curv_gradient 0 18 18 17
 normalized_gradient 0 19 19 18
-negative_curvature 0 20 20 69
-negative_curvature 0 21 21 120
-negative_curvature 0 22 22 171
-negative_curvature 0 23 23 222
-negative_curvature 0 24 24 273
-negative_curvature 0 25 25 324
-negative_curvature 0 26 26 375
-negative_curvature 0 27 27 426
-negative_curvature 0 28 28 477
-negative_curvature 0 29 29 528
-negative_curvature 0 30 30 579
-negative_curvature 0 31 31 630
-negative_curvature 0 32 32 681
-inexact_newton 4 37 33 732
-inexact_newton 1 39 34 783
-inexact_newton 0 40 35 834
-inexact_newton 0 41 36 885
-inexact_newton 0 42 37 936
+negative_curvature 0 20 20 22
+negative_curvature 0 21 21 27
+negative_curvature 0 22 22 32
+negative_curvature 0 23 23 37
+negative_curvature 0 24 24 42
+negative_curvature 0 25 25 48
+negative_curvature 0 26 26 53
+negative_curvature 0 27 27 61
+inexact_newton 2 30 28 112
+inexact_newton 0 31 29 163
+inexact_newton 0 32 30 214
+inexact_newton 0 33 31 265
 """,
     "quartic-saddle-50d_inexact_seed8_trace.csv": """
 negative_curvature 0 2 2 1
@@ -90,33 +84,23 @@ scaled_neg_curv_gradient 0 15 15 14
 scaled_neg_curv_gradient 0 16 16 15
 scaled_neg_curv_gradient 0 17 17 16
 normalized_gradient 0 18 18 17
-negative_curvature 0 19 19 68
-negative_curvature 0 20 20 119
-negative_curvature 0 21 21 170
-negative_curvature 0 22 22 221
-negative_curvature 0 23 23 272
-negative_curvature 0 24 24 323
-negative_curvature 0 25 25 374
-negative_curvature 0 26 26 425
-negative_curvature 0 27 27 476
-negative_curvature 0 28 28 527
-negative_curvature 0 29 29 578
-negative_curvature 0 30 30 629
-negative_curvature 0 31 31 680
-negative_curvature 0 32 32 731
-negative_curvature 0 33 33 782
-negative_curvature 0 34 34 833
-negative_curvature 0 35 35 884
-negative_curvature 0 36 36 935
-negative_curvature 0 37 37 986
-negative_curvature 0 38 38 1037
-negative_curvature 0 39 39 1088
-negative_curvature 0 40 40 1139
-inexact_regularized_newton 5 46 41 1190
-inexact_newton 1 48 42 1241
-inexact_newton 0 49 43 1292
-inexact_newton 0 50 44 1343
-inexact_newton 0 51 45 1394
+negative_curvature 0 19 19 21
+negative_curvature 0 20 20 26
+negative_curvature 0 21 21 30
+negative_curvature 0 22 22 35
+negative_curvature 0 23 23 40
+negative_curvature 0 24 24 45
+negative_curvature 0 25 25 52
+negative_curvature 0 26 26 57
+negative_curvature 0 27 27 63
+negative_curvature 0 28 28 74
+negative_curvature 0 29 29 86
+inexact_newton 4 34 30 137
+inexact_newton 1 36 31 188
+inexact_newton 0 37 32 239
+inexact_newton 0 38 33 290
+inexact_newton 0 39 34 341
+inexact_newton 0 40 35 392
 """,
     "quartic-saddle-50d_inexact_seed0_trace.csv": """
 negative_curvature 0 2 2 1
@@ -127,13 +111,12 @@ normalized_gradient 0 6 6 5
 normalized_gradient 0 7 7 6
 normalized_gradient 0 8 8 7
 normalized_gradient 0 9 9 8
-negative_curvature 0 10 10 41
-negative_curvature 0 11 11 74
-negative_curvature 0 12 12 107
-negative_curvature 0 13 13 140
-inexact_newton 0 14 14 175
-inexact_newton 0 15 15 209
-inexact_newton 0 16 16 243
+negative_curvature 0 10 10 12
+negative_curvature 0 11 11 16
+negative_curvature 0 12 12 22
+inexact_regularized_newton 0 13 13 58
+inexact_newton 0 14 14 93
+inexact_newton 0 15 15 127
 """,
     "quartic-convex-4d_exact-local_seed0_trace.csv": """
 main newton 0 2 2 1
@@ -174,27 +157,27 @@ inexact_newton 0 2 2 11
 inexact_newton 0 3 3 22
 inexact_newton 0 4 4 33
 inexact_newton 0 5 5 44
-negative_curvature 3 9 6 55
-inexact_newton 0 10 7 66
-inexact_newton 0 11 8 77
-inexact_newton 1 13 9 88
-inexact_newton 0 14 10 99
-inexact_newton 1 16 11 110
-inexact_newton 0 17 12 121
-inexact_newton 0 18 13 132
-inexact_newton 0 19 14 143
-inexact_newton 0 20 15 154
-inexact_newton 0 21 16 165
-inexact_newton 0 22 17 176
-inexact_newton 0 23 18 187
-inexact_newton 1 25 19 198
-inexact_newton 0 26 20 209
-inexact_newton 0 27 21 220
-inexact_newton 0 28 22 231
-inexact_newton 0 29 23 242
-inexact_newton 0 30 24 253
-inexact_newton 0 31 25 264
-inexact_newton 0 32 26 275
+negative_curvature 3 9 6 50
+inexact_newton 0 10 7 61
+inexact_newton 0 11 8 72
+inexact_newton 1 13 9 83
+inexact_newton 0 14 10 94
+inexact_newton 1 16 11 105
+inexact_newton 0 17 12 116
+inexact_newton 0 18 13 127
+inexact_newton 0 19 14 138
+inexact_newton 1 21 15 149
+inexact_newton 0 22 16 160
+inexact_newton 0 23 17 171
+inexact_newton 0 24 18 182
+inexact_newton 0 25 19 193
+inexact_newton 0 26 20 204
+inexact_newton 0 27 21 215
+inexact_newton 0 28 22 226
+inexact_newton 0 29 23 237
+inexact_newton 0 30 24 248
+inexact_newton 0 31 25 259
+inexact_newton 0 32 26 270
 """,
 }
 
