@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -350,10 +351,7 @@ def run_exact(
     so termination always happens at a pointwise certified iterate.
     """
     cfg.validate()
-
-    def select(x, g):
-        return select_direction_exact(obj, x, g, cfg)
-
+    select = functools.partial(select_direction_exact, obj, cfg=cfg)
     algo = "exact-local" if local_phase else "exact"
     return _run_loop(obj, x0, cfg, algo, select, strict_second_order)
 
@@ -380,8 +378,5 @@ def run_inexact(
             )
         U_H = obj.constants.U_H
     rng = np.random.Generator(np.random.Philox(cfg.rng_seed))
-
-    def select(x, g):
-        return select_direction_inexact(obj, x, g, cfg, rng, U_H)
-
+    select = functools.partial(select_direction_inexact, obj, cfg=cfg, rng=rng, U_H=U_H)
     return _run_loop(obj, x0, cfg, "inexact", select, strict_second_order)

@@ -275,7 +275,7 @@ def lanczos_min_eig(
         converged_by = "breakdown" if k < budget else "full_n" if k >= n else "lanczos_cap"
     v_ritz = y.dot(V[:k])
     nv = math.sqrt(float(v_ritz.dot(v_ritz)))
-    est = EigEstimate(lam=lam, v_unit=v_ritz / nv, iters=k, converged_by=converged_by)
-    if est.converged_by == "full_n":
-        est.basis, est.bands = V, (alphas, betas[: n - 1])
-    return est
+    basis, bands = (V, (alphas, betas[: n - 1])) if converged_by == "full_n" else (None, None)
+    return EigEstimate(
+        lam=lam, v_unit=v_ritz / nv, iters=k, converged_by=converged_by, basis=basis, bands=bands
+    )

@@ -59,6 +59,11 @@ def backtrack(
       evaluated, and the search has consumed j evaluations;
     - ``max_ls_steps`` backtracks all fail, after max_ls_steps + 1
       evaluations.
+
+    A NaN or +inf trial value is an ordinary rejection, so a shorter step
+    can land back where f is defined and be accepted. A stall's reason
+    counts its NaN trial values, which tell a search that left the domain
+    of f from one that met float64 roundoff.
     """
     d = np.asarray(d, dtype=float)
     dnorm = norm(d)
@@ -67,6 +72,7 @@ def backtrack(
     base = (cfg.eta / 6.0) * dnorm**3
     alpha = 1.0
     x_key = None
+    nans = 0
     for j in range(cfg.max_ls_steps + 1):
         trial = x + alpha * d
         if j and trial.tobytes() == x_key:
@@ -77,6 +83,7 @@ def backtrack(
             return LineSearchResult(
                 alpha=alpha, j=j, decrease=f_x - f_trial, probes=j + 1, f_new=f_trial
             )
+        nans += math.isnan(f_trial)
         if not j:
             # Keyed on bytes like the problems' point memo, and taken only
             # once a probe has failed: a search accepted at j = 0 pays nothing.
@@ -84,6 +91,8 @@ def backtrack(
         alpha *= cfg.theta
     else:
         reason = f"no acceptable step within {cfg.max_ls_steps} backtracks"
+    if nans:
+        reason += f"; {nans} of its trial values were NaN"
     raise LineSearchStallError(
         f"line-search stall: {reason}",
         context={
@@ -115,19 +124,16 @@ def ls_cap_exponent(kind: str, constants: ProblemConstants, cfg: SolverConfig) -
     L_H, U_g = constants.L_H, constants.U_g
     eps_g, eps_H, zeta = cfg.eps_g, cfg.eps_H, cfg.zeta
     if kind in StepKind.CUBIC_CURVATURE:
-        return max(_log_base_theta(3.0 / (L_H + eta), th), 0.0)
-    if kind == StepKind.NORMALIZED_GRADIENT:
+        arg = 3.0 / (L_H + eta)
+    elif kind == StepKind.NORMALIZED_GRADIENT:
         arg = min(5.0 / 3.0, math.sqrt(1.0 / (L_H + eta))) * min(
             math.sqrt(eps_g) / eps_H, 1.0
         )
-        return max(_log_base_theta(arg, th), 0.0)
-    if kind == StepKind.NEWTON:
+    elif kind == StepKind.NEWTON:
         arg = math.sqrt(3.0 / (L_H + eta)) * eps_H / math.sqrt(U_g)
-        return max(_log_base_theta(arg, th), 0.0)
-    if kind == StepKind.REGULARIZED_NEWTON:
+    elif kind == StepKind.REGULARIZED_NEWTON:
         arg = 6.0 / (L_H + eta) * eps_H**2 / U_g
-        return max(_log_base_theta(arg, th), 0.0)
-    if kind in (StepKind.INEXACT_NEWTON, StepKind.INEXACT_REGULARIZED_NEWTON):
+    elif kind in (StepKind.INEXACT_NEWTON, StepKind.INEXACT_REGULARIZED_NEWTON):
         arg = (
             3.0
             / (L_H + eta)
@@ -136,7 +142,9 @@ def ls_cap_exponent(kind: str, constants: ProblemConstants, cfg: SolverConfig) -
             / (U_g * math.sqrt(1.0 + zeta**2 / 4.0))
         )
         return max(0.5 * _log_base_theta(arg, th), 0.0)
-    raise ValueError(f"unknown direction kind {kind!r}")
+    else:
+        raise ValueError(f"unknown direction kind {kind!r}")
+    return max(_log_base_theta(arg, th), 0.0)
 
 
 def theoretical_ls_cap(constants: ProblemConstants, cfg: SolverConfig, kind: str) -> int:

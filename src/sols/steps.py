@@ -159,7 +159,7 @@ def _first_order_direction(
         raise NonFiniteError(f"non-finite curvature ratio g'Hg/||g||^2 = {R}")
     if R < -cfg.eps_H:
         return Direction(StepKind.SCALED_NEG_CURV_GRADIENT, (R / gnorm) * g, R=R), R
-    if -cfg.eps_H <= R <= cfg.eps_H and gnorm > cfg.eps_g:
+    if R <= cfg.eps_H and gnorm > cfg.eps_g:
         return Direction(StepKind.NORMALIZED_GRADIENT, -g / math.sqrt(gnorm), R=R), R
     return None, R
 
@@ -229,10 +229,11 @@ def select_direction_inexact(
     R^n, CG instead runs in its basis Q on (T + shift I) z = -Q g and the
     step is d = Q'z: Q is orthonormal, so every norm CG tests and the
     curvature of every search direction equal those of the solve in x, and
-    T answers the products at no evaluation cost. If CG uncovers nonpositive curvature (a low-probability
-    estimator failure), the violating direction is rescaled into a
-    negative-curvature step so the cubic decrease law still applies; the
-    event is flagged for the run report's probability accounting.
+    T answers the products at no evaluation cost. If CG uncovers
+    nonpositive curvature (a low-probability estimator failure), the
+    violating direction is rescaled into a negative-curvature step so the
+    cubic decrease law still applies; the event is flagged for the run
+    report's probability accounting.
     """
     g = np.asarray(g, dtype=float)
     gnorm = norm(g)
@@ -240,13 +241,10 @@ def select_direction_inexact(
     if direction is not None:
         return direction
 
-    def hv(v: Array) -> Array:
-        return obj.hessian_vector(x, v)
-
-    M_shift = U_H + 2.0
+    hv = functools.partial(obj.hessian_vector, x)
     sigma = -0.5 * cfg.eps_H
     est: EigEstimate = lanczos_min_eig(
-        hv, obj.dim, M_shift, cfg.eps_H / 2.0, cfg.delta, rng, sigma=sigma
+        hv, obj.dim, U_H + 2.0, cfg.eps_H / 2.0, cfg.delta, rng, sigma=sigma
     )
     lam_i = est.lam
     if check_termination(gnorm, lam_i, cfg, inexact=True):

@@ -103,7 +103,7 @@ POSITIVE = st.floats(min_value=0.0, max_value=1e308, exclude_min=True)
 UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(n=st.integers(1, 10**6), M=POSITIVE, m=POSITIVE, eps=POSITIVE, zeta=POSITIVE,
        delta=UNIT, U_H=POSITIVE)
 def test_inner_caps_and_ops_bound_survive_huge_inputs(n, M, m, eps, zeta, delta, U_H):

@@ -728,6 +728,59 @@ def test_nonfinite_exact_is_classified(derivatives, where):
     assert records == [] and report.final_point_second_order_ok is None
 
 
+BOTH_LOOPS = pytest.mark.parametrize(
+    "run, cfg", [(run_exact, SolverConfig()), (run_inexact, SolverConfig(U_H=10.0))],
+    ids=["exact", "inexact"],
+)
+
+
+@BOTH_LOOPS
+def test_run_backtracks_past_nan_trial_values(run, cfg):
+    # f = sum(x - log x) is NaN at x < 0. The first Newton step from x = 3 is
+    # d = -6: trials j = 0 and 1 land at x <= 0, and j = 2 is accepted.
+    values = []
+
+    def value(x):
+        with np.errstate(invalid="ignore"):
+            values.append(float(np.sum(x - np.log(x))))
+        return values[-1]
+
+    obj = Objective(
+        1, value, lambda x: 1 - 1 / x, lambda x, v: v / x**2, lambda x: np.diag(1 / x**2)
+    )
+    report, records = run(obj, np.array([3.0]), cfg)
+    assert report.converged
+    assert records[0].j == 2 and math.isnan(values[1]) and math.isnan(values[2])
+
+
+def _nan_basin_objective() -> Objective:
+    """f = x'Dx/2 + sum(x^4)/4 with D = diag(1, -1, 2), NaN wherever |x_1| <= 0.45."""
+    D = np.array([1.0, -1.0, 2.0])
+
+    def value(x):
+        if abs(x[0]) <= 0.45:
+            return math.nan
+        return 0.5 * float(x @ (D * x)) + 0.25 * float(np.sum(x**4))
+
+    return Objective(
+        3, value, lambda x: D * x + x**3, lambda x, v: D * v + 3 * x**2 * v,
+        lambda x: np.diag(D + 3 * x**2),
+    )
+
+
+@BOTH_LOOPS
+def test_stall_through_nan_trial_values_names_them(run, cfg):
+    # The minimizer lies where f is NaN, so the last search backtracks through
+    # NaN trials to float64 resolution; the reason says the trials were NaN.
+    report, records = run(_nan_basin_objective(), np.array([0.5, 0.1, 0.2]), cfg)
+    assert report.status == "ls_stall"
+    assert report.error == (
+        "line-search stall: trial point equals x at j=54 (step below float64 resolution); "
+        "54 of its trial values were NaN"
+    )
+    assert report.iterations == len(records) >= 1
+
+
 def test_run_outputs_hold_python_floats(law_corpus):
     # The run path stores these values as it gets them, without float(): each
     # must already be a Python float, as every trace, report and law reads them.
