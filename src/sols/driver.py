@@ -15,6 +15,7 @@ from .linesearch import LineSearchStallError, backtrack, max_ls_cap
 from .operators import Array, EvalCounters, NonFiniteError, Objective, norm
 from .steps import (
     ConfigError,
+    CurvatureBound,
     Direction,
     IndefiniteSystemError,
     SolverConfig,
@@ -39,7 +40,13 @@ HARD_ERROR_STATUS = {
 
 @dataclass
 class IterationRecord:
-    """One accepted step of a run, with cumulative evaluation counts."""
+    """One accepted step of a run, with cumulative evaluation counts.
+
+    ``lam`` is the eigenvalue estimate that chose the step. On an inexact
+    Newton row whose branch the carried curvature bound decided, it is that
+    certified lower bound on lambda_min, and ``lanczos_iters`` is None: no
+    Lanczos call was made.
+    """
 
     k: int
     phase: str  # "main" or "local"
@@ -69,10 +76,11 @@ TRACE_COLUMNS = tuple(f.name for f in fields(IterationRecord))
 class Certificate:
     """The first iterate pair certified approximately second-order critical.
 
-    ``lam`` is the eigenvalue estimate at ``point``; ``g_norm_min`` is the
-    smaller gradient norm of the certified pair. ``steps`` and the counter
-    snapshot freeze the cost at first satisfaction, which is what the
-    complexity envelopes bound.
+    ``lam`` is the eigenvalue estimate at ``point``, or on the inexact loop
+    the carried lower bound on lambda_min there when that bound decided the
+    certificate; ``g_norm_min`` is the smaller gradient norm of the
+    certified pair. ``steps`` and the counter snapshot freeze the cost at
+    first satisfaction, which is what the complexity envelopes bound.
     """
 
     point: Array
@@ -365,8 +373,11 @@ def run_inexact(
     """Minimize matrix-free, with randomized eigenvalue estimates and CG solves.
 
     Needs only Hessian-vector products. The Hessian-norm bound comes from
-    the config when set, else from the problem constants. There is no
-    local phase on this path.
+    the config when set, else from the problem constants. With constants,
+    the run carries a lower bound on lambda_min(H) from each full-span
+    Lanczos call along its path, through the constants' L_H, and skips the
+    Lanczos calls it decides (``CurvatureBound``). There is no local phase
+    on this path.
     """
     cfg.validate()  # before the seed reaches the generator
     U_H = cfg.U_H
@@ -378,5 +389,8 @@ def run_inexact(
             )
         U_H = obj.constants.U_H
     rng = np.random.Generator(np.random.Philox(cfg.rng_seed))
-    select = functools.partial(select_direction_inexact, obj, cfg=cfg, rng=rng, U_H=U_H)
+    bound = None if obj.constants is None else CurvatureBound(obj.constants.L_H)
+    select = functools.partial(
+        select_direction_inexact, obj, cfg=cfg, rng=rng, U_H=U_H, bound=bound
+    )
     return _run_loop(obj, x0, cfg, "inexact", select, strict_second_order)

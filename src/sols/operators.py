@@ -96,11 +96,21 @@ class Objective:
 
     def gradient(self, x: Array) -> Array:
         self.counters.n_grad += 1
-        return np.asarray(self._gradient(x), dtype=float)
+        return self._vector(self._gradient(x), "gradient")
 
     def hessian_vector(self, x: Array, v: Array) -> Array:
         self.counters.n_hv += 1
-        return np.asarray(self._hessian_vector(x, v), dtype=float)
+        return self._vector(self._hessian_vector(x, v), "hessian_vector")
+
+    def _vector(self, out, callback: str) -> Array:
+        """A callback's result as a float vector, or a ValueError unless its shape is (dim,)."""
+        out = np.asarray(out, dtype=float)
+        if out.shape != (self.dim,):
+            raise ValueError(
+                f"objective {self.name!r}: {callback} returned shape {out.shape}, "
+                f"expected ({self.dim},)"
+            )
+        return out
 
     def dense_hessian(self, x: Array) -> Array:
         if self._dense_hessian is None:

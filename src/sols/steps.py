@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -211,6 +212,42 @@ def _neg_curvature_from_cg(
     return d, R_p
 
 
+@dataclass
+class CurvatureBound:
+    """A certified lower bound ``lam`` on lambda_min(H) at the last point seen.
+
+    A full-span Lanczos call gives lambda_min(H(x)) up to rounding; the
+    Hessian is L_H-Lipschitz along the line-search segments, so by Weyl's
+    inequality lambda_min at each later iterate is at least that value less
+    L_H times the path length walked since. The bound starts at -inf, which
+    decides nothing.
+    """
+
+    L_H: float
+    lam: float = -math.inf
+    last: Array | None = None
+
+    def at(self, x: Array) -> float:
+        """Move the bound along the accepted step from the last point seen to x."""
+        if self.last is not None:
+            self.lam -= self.L_H * norm(x - self.last)
+        # A copy: the caller may change x in place.
+        self.last = x.copy()
+        return self.lam
+
+    def learn(self, est: EigEstimate, M: float) -> None:
+        """Set the bound from an estimate at the last point seen, if it is exact.
+
+        Only a "full_n" estimate is, after its n = ``iters`` products:
+        T = Q H Q' with Q orthogonal, so its smallest Ritz value is
+        lambda_min(H) up to n * eps_mach * ||H||, with ||H|| <= M. A
+        breakdown is exact with probability one only, and an early stop or a
+        budget below n bounds lambda_min from above only.
+        """
+        if est.converged_by == "full_n":
+            self.lam = est.lam - est.iters * sys.float_info.epsilon * M
+
+
 def select_direction_inexact(
     obj: Objective,
     x: Array,
@@ -218,6 +255,7 @@ def select_direction_inexact(
     cfg: SolverConfig,
     rng: np.random.Generator,
     U_H: float,
+    bound: CurvatureBound | None = None,
 ) -> Direction | Terminate:
     """Choose the search direction of the inexact loop, or certify the iterate.
 
@@ -234,33 +272,44 @@ def select_direction_inexact(
     violating direction is rescaled into a negative-curvature step so the
     cubic decrease law still applies; the event is flagged for the run
     report's probability accounting.
+
+    A ``bound`` carried between calls, moved to x on every call, skips the
+    Lanczos call where it already decides the branch: any estimate is at
+    least lambda_min(H), so a bound of at least -eps_H/2 with a small
+    gradient certifies x, and one above 1.5 eps_H picks the plain Newton
+    step, solved by CG on Hessian-vector products. Such a result carries
+    the bound as ``lam`` and no ``lanczos_iters``. Without a bound every
+    second-order call runs Lanczos.
     """
     g = np.asarray(g, dtype=float)
     gnorm = norm(g)
+    lam_i = -math.inf if bound is None else bound.at(x)
     direction, R = _first_order_direction(obj, x, g, gnorm, cfg)
     if direction is not None:
         return direction
 
     hv = functools.partial(obj.hessian_vector, x)
     sigma = -0.5 * cfg.eps_H
-    est: EigEstimate = lanczos_min_eig(
-        hv, obj.dim, U_H + 2.0, cfg.eps_H / 2.0, cfg.delta, rng, sigma=sigma
-    )
-    lam_i = est.lam
+    lanczos_iters = Q = None
+    if not (check_termination(gnorm, lam_i, cfg, inexact=True) or lam_i > 1.5 * cfg.eps_H):
+        M = U_H + 2.0
+        est = lanczos_min_eig(hv, obj.dim, M, cfg.eps_H / 2.0, cfg.delta, rng, sigma=sigma)
+        if bound is not None:
+            bound.learn(est, M)
+        lam_i, lanczos_iters, Q = est.lam, est.iters, est.basis
+        if lam_i < sigma:
+            d = scale_eigvector(est.v_unit, lam_i, g)
+            return Direction(
+                StepKind.NEGATIVE_CURVATURE, d, R=R, lam=lam_i, lanczos_iters=lanczos_iters
+            )
     if check_termination(gnorm, lam_i, cfg, inexact=True):
         return Terminate(lam=lam_i)
-    if lam_i < sigma:
-        d = scale_eigvector(est.v_unit, lam_i, g)
-        return Direction(
-            StepKind.NEGATIVE_CURVATURE, d, R=R, lam=lam_i, lanczos_iters=est.iters
-        )
 
     if lam_i > 1.5 * cfg.eps_H:
         kind, shift = StepKind.INEXACT_NEWTON, 0.0
     else:
         kind, shift = StepKind.INEXACT_REGULARIZED_NEWTON, 2.0 * cfg.eps_H
 
-    Q = est.basis
     if Q is None:
         product, rhs = hv, g
     else:
@@ -282,7 +331,7 @@ def select_direction_inexact(
             d,
             R=R,
             lam=R_p,
-            lanczos_iters=est.iters,
+            lanczos_iters=lanczos_iters,
             cg_iters=outcome.iters,
             cg_fallback=True,
         )
@@ -305,6 +354,6 @@ def select_direction_inexact(
         outcome.d,
         R=R,
         lam=lam_i,
-        lanczos_iters=est.iters,
+        lanczos_iters=lanczos_iters,
         cg_iters=outcome.iters,
     )

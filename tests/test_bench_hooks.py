@@ -57,3 +57,16 @@ def test_every_traced_layer_records_a_call(bench, tmp_path):
     silent = [name for name in q50.layers if after_q50[name] == 0]
     silent += [name for name in cli.layers if t.layers[name].calls == after_q50[name]]
     assert silent == []
+
+
+def test_rosen100_inexact_traced_run_records_every_layer(bench):
+    # The matrix-free workload with real CG work on Hessian-vector products.
+    tracer, workloads = bench
+    rosen100 = workloads.make("rosen100-inexact")
+    rosen100.setup(0)
+    t = tracer.Tracer()
+    result = traced_run(t, rosen100, 0)
+    assert rosen100.check(0, result).failure is None
+    c = result[2].counters
+    assert t.operator_calls() == (c.n_f, c.n_grad, c.n_hv)
+    assert [name for name in rosen100.layers if t.layers[name].calls == 0] == []

@@ -701,6 +701,31 @@ def test_nonfinite_gradient_inexact_is_not_cg_cap():
     assert records == [] and report.counters.n_hv == 0
 
 
+# (callback replaced, its result, the shape it reports)
+WRONG_SHAPES = {
+    "gradient-(2,)": ("gradient", lambda x: 2.0 * x[:2], (2,)),
+    "gradient-(3,1)": ("gradient", lambda x: (2.0 * x)[:, None], (3, 1)),
+    "product-(2,)": ("hessian_vector", lambda x, v: 2.0 * v[:2], (2,)),
+    "product-scalar": ("hessian_vector", lambda x, v: 2.0 * float(v @ v), ()),
+}
+
+
+@pytest.mark.parametrize("loop", [run_exact, run_inexact], ids=["exact", "inexact"])
+@pytest.mark.parametrize("case", sorted(WRONG_SHAPES))
+def test_wrong_shape_callback_raises_a_named_error(case, loop):
+    # Without the check, numpy raised "operands could not be broadcast" or
+    # "only 0-dimensional arrays can be converted to Python scalars".
+    callback, bad, shape = WRONG_SHAPES[case]
+    callbacks = {"gradient": lambda x: 2.0 * x, "hessian_vector": lambda x, v: 2.0 * v}
+    callbacks[callback] = bad
+    obj = Objective(3, lambda x: float(x @ x), dense_hessian=lambda x: 2.0 * np.eye(3),
+                    name="bowl", **callbacks)
+    with pytest.raises(ValueError) as info:
+        loop(obj, np.ones(3), SolverConfig(U_H=3.0))
+    assert info.type is ValueError
+    assert str(info.value) == f"objective 'bowl': {callback} returned shape {shape}, expected (3,)"
+
+
 NAN22 = np.full((2, 2), np.nan)
 
 

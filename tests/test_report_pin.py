@@ -108,16 +108,16 @@ PINNED = {
         "config/zeta": 0.5,
         "problem": "quartic-saddle-2d",
         "runs/0/certificate/g_norm_min": 6.631865925605026e-07,
-        "runs/0/certificate/lambda": 2.000148737888157,
+        "runs/0/certificate/lambda": 0.30547611130282903,
         "runs/0/certificate/n_f": 8,
         "runs/0/certificate/n_grad": 7,
-        "runs/0/certificate/n_hv": 16,
+        "runs/0/certificate/n_hv": 15,
         "runs/0/certificate/point/0": -1.0000247893407705,
         "runs/0/certificate/point/1": -1.0004704270531164,
         "runs/0/certificate/steps": 6,
         "runs/0/counters/n_f": 8,
         "runs/0/counters/n_grad": 7,
-        "runs/0/counters/n_hv": 16,
+        "runs/0/counters/n_hv": 15,
         "runs/0/envelope/K_eval": 23115311557.656815,
         "runs/0/envelope/K_hat": 81106063998.60814,
         "runs/0/envelope/K_iter": 1267282249.9782522,
@@ -129,7 +129,7 @@ PINNED = {
         "runs/0/envelope_checks/iteration_bound": 81106063998.60814,
         "runs/0/envelope_checks/iterations_ok": True,
         "runs/0/envelope_checks/observed_iterations": 6,
-        "runs/0/envelope_checks/observed_ops": 23,
+        "runs/0/envelope_checks/observed_ops": 22,
         "runs/0/envelope_checks/ops_bound": 486636383991.6488,
         "runs/0/envelope_checks/ops_ok": True,
         "runs/0/error": None,
@@ -138,7 +138,7 @@ PINNED = {
         "runs/0/final_point_second_order_ok": None,
         "runs/0/g_norm_final": 6.631865925605026e-07,
         "runs/0/iterations": 6,
-        "runs/0/lambda_final": 2.000148737888157,
+        "runs/0/lambda_final": 0.30547611130282903,
         "runs/0/reentries": 0,
         "runs/0/seed": 0,
         "runs/0/status": "converged",

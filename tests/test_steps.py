@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +31,9 @@ from sols import (
 from sols.cgsolve import CgOutcome
 from sols.eigen import EigEstimate
 from sols.operators import norm
-from sols.steps import ConfigError
+from sols.steps import ConfigError, CurvatureBound
 
+from conftest import LAW_CONFIGS
 from test_operators import quadratic_objective
 
 CFG = SolverConfig(eps_g=0.5, eps_H=0.25)
@@ -280,15 +283,9 @@ class SpiedRun:
     calls: list
 
 
-@pytest.fixture(scope="module")
-def spied_runs() -> list[SpiedRun]:
-    """Inexact runs of every suite problem at its coverage config, of q50 at
-    seeds 7 and 8, and of q50 at a Lanczos budget of 32 < n, with the inputs,
-    the Lanczos estimate and the result of every direction selection."""
-    q50 = get_problem("quartic-saddle-50d")
-    specs = [(p, p.coverage_config) for p in suite()]
-    specs += [(q50, q50.coverage_config.with_updates(rng_seed=s)) for s in (7, 8)]
-    specs.append((q50, q50.coverage_config.with_updates(eps_H=0.5, delta=0.1)))
+def spy_inexact(specs) -> list[SpiedRun]:
+    """Inexact runs of ``(problem, cfg)`` specs, with the inputs, the Lanczos
+    estimate and the result of every direction selection."""
     real_lanczos, real_select = sols.steps.lanczos_min_eig, sols.driver.select_direction_inexact
     calls, ests = [], []
 
@@ -296,9 +293,9 @@ def spied_runs() -> list[SpiedRun]:
         ests.append(real_lanczos(*args, **kwargs))
         return ests[-1]
 
-    def select(obj, x, g, cfg, rng, U_H):
+    def select(obj, x, g, cfg, rng, U_H, bound=None):
         ests.clear()
-        sel = real_select(obj, x, g, cfg, rng, U_H)
+        sel = real_select(obj, x, g, cfg, rng, U_H, bound=bound)
         calls.append((np.array(x), np.array(g), ests[0] if ests else None, sel))
         return sel
 
@@ -311,6 +308,17 @@ def spied_runs() -> list[SpiedRun]:
             _, records = run_inexact(problem.make_objective(), problem.start_point(), cfg)
             runs.append(SpiedRun(problem, cfg, records, calls))
     return runs
+
+
+@pytest.fixture(scope="module")
+def spied_runs() -> list[SpiedRun]:
+    """Spied inexact runs of every suite problem at its coverage config, of
+    q50 at seeds 7 and 8, and of q50 at a Lanczos budget of 32 < n."""
+    q50 = get_problem("quartic-saddle-50d")
+    specs = [(p, p.coverage_config) for p in suite()]
+    specs += [(q50, q50.coverage_config.with_updates(rng_seed=s)) for s in (7, 8)]
+    specs.append((q50, q50.coverage_config.with_updates(eps_H=0.5, delta=0.1)))
+    return spy_inexact(specs)
 
 
 def test_newton_cg_after_a_full_span_lanczos_call_costs_no_products(spied_runs):
@@ -335,7 +343,7 @@ def test_newton_steps_in_the_lanczos_basis_meet_the_cg_target_in_x(spied_runs):
     for run in spied_runs:
         cfg, obj = run.cfg, run.problem.make_objective()
         for x, g, est, sel in run.calls:
-            if getattr(sel, "kind", None) not in NEWTON_SHIFT or est.basis is None:
+            if getattr(sel, "kind", None) not in NEWTON_SHIFT or est is None or est.basis is None:
                 continue
             Q, n = est.basis, obj.dim
             assert np.abs(Q @ Q.T - np.eye(n)).max() <= 1e-12
@@ -344,6 +352,88 @@ def test_newton_steps_in_the_lanczos_basis_meet_the_cg_target_in_x(spied_runs):
             assert norm(A @ sel.d + g) <= target * (1.0 + 1e-6), (run.problem.name, x)
             checked += 1
     assert checked >= 20
+
+
+# --- the curvature bound carried between calls ------------------------------
+
+def decided_by_the_bound(est, sel) -> bool:
+    """Whether a selector call took its second-order branch from the bound alone."""
+    if est is not None:
+        return False
+    return isinstance(sel, Terminate) or (sel.kind in NEWTON_SHIFT and not sel.cg_fallback)
+
+
+def test_the_curvature_bound_is_below_the_dense_spectrum(spied_runs):
+    # The law configs on every suite problem, beside the spied runs (q50
+    # seeds 7 and 8 among them). A certificate is the (x, lam) of a
+    # Terminate or of a Newton step's selector call, so the calls cover it.
+    runs = spied_runs + spy_inexact([(p, cfg) for p in suite() for cfg in LAW_CONFIGS])
+    certified = newton = 0
+    for run in runs:
+        cfg, obj = run.cfg, run.problem.make_objective()
+        for x, g, est, sel in run.calls:
+            if not decided_by_the_bound(est, sel):
+                continue
+            H = obj.dense_hessian(x)
+            assert np.linalg.eigvalsh(H)[0] >= sel.lam, (run.problem.name, x)
+            if isinstance(sel, Terminate):
+                certified += 1
+                continue
+            assert sel.kind == StepKind.INEXACT_NEWTON and sel.lanczos_iters is None
+            target = 0.5 * cfg.zeta * min(norm(g), cfg.eps_H * norm(sel.d))
+            assert norm(H @ sel.d + g) <= target * (1.0 + 1e-6), (run.problem.name, x)
+            newton += 1
+    assert certified >= 1 and newton >= 20
+
+
+@pytest.mark.parametrize(
+    "converged_by, lanczos_calls",
+    [("full_n", 1), ("breakdown", 2), ("below_sigma", 2), ("lanczos_cap", 2)],
+)
+def test_only_a_full_span_estimate_sets_the_curvature_bound(
+    converged_by, lanczos_calls, monkeypatch
+):
+    # R = 0.5 > eps_H and ||g|| > eps_g: each call needs the second-order
+    # branch, and an estimate of 10 picks the plain Newton step.
+    obj = quadratic_objective(np.diag([0.5, 1.0]))
+    g = np.array([1.0, 0.0])
+    ests = []
+
+    def lanczos(hv, n, M, eps, delta, rng, sigma=None):
+        ests.append(EigEstimate(lam=10.0, v_unit=np.array([0.0, 1.0]), iters=2,
+                                converged_by=converged_by))
+        return ests[-1]
+
+    monkeypatch.setattr(sols.steps, "lanczos_min_eig", lanczos)
+    bound = CurvatureBound(L_H=0.0)
+    sels = [select_direction_inexact(obj, np.zeros(2), g, CFG, rng_for(0), U_H=1.0, bound=bound)
+            for _ in range(2)]
+    assert [sel.kind for sel in sels] == [StepKind.INEXACT_NEWTON] * 2
+    assert len(ests) == lanczos_calls
+    if converged_by == "full_n":
+        assert bound.lam == 10.0 - 2 * sys.float_info.epsilon * 3.0
+        assert (sels[1].lam, sels[1].lanczos_iters) == (bound.lam, None)
+    else:
+        assert bound.lam == -math.inf and sels[1].lanczos_iters == 2
+
+
+def test_the_curvature_bound_falls_by_the_path_walked():
+    bound = CurvatureBound(L_H=2.0, lam=1.0)
+    x = np.zeros(2)
+    assert bound.at(x) == 1.0
+    # The bound keeps its own copy of the point it saw.
+    x[0] = 3.0
+    assert bound.at(x) == 1.0 - 2.0 * 3.0
+    # Back to the start: the path is 3 + 3, not the chord 0.
+    assert bound.at(np.zeros(2)) == 1.0 - 2.0 * 6.0
+
+
+def test_a_convex_quadratic_makes_one_lanczos_call(spied_runs):
+    # L_H = 0: the first full-span call decides every later branch.
+    (run,) = [r for r in spied_runs if r.problem.name == "quad-convex-10d"]
+    assert run.cfg == run.problem.coverage_config
+    assert sum(est is not None for _x, _g, est, _sel in run.calls) == 1
+    assert len(run.calls) > 1
 
 
 @pytest.mark.parametrize(

@@ -99,8 +99,8 @@ inexact_newton 4 34 30 137
 inexact_newton 1 36 31 188
 inexact_newton 0 37 32 239
 inexact_newton 0 38 33 290
-inexact_newton 0 39 34 341
-inexact_newton 0 40 35 392
+inexact_newton 0 39 34 292
+inexact_newton 0 40 35 294
 """,
     "quartic-saddle-50d_inexact_seed0_trace.csv": """
 negative_curvature 0 2 2 1
