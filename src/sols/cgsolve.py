@@ -23,7 +23,8 @@ class CgOutcome:
     On ``converged`` the residual satisfies the two-sided criterion
     ||A d + g|| <= (zeta/2) min(||g||, m ||d||). On ``nonpositive_curvature``
     the violating search direction and its curvature are exposed so the
-    caller can recover a descent direction from them.
+    caller can recover a descent direction from them. Each exit of
+    ``cg_capped`` builds its own outcome.
     """
 
     d: Array
@@ -81,6 +82,10 @@ def cg_capped(
     curvature aborts the solve and surfaces the direction, and a non-finite
     one raises ``NonFiniteError``. ``apply_A`` is passed the search direction,
     which is then updated in place, so it must not keep its argument.
+
+    Each exit returns its own ``CgOutcome``: nonpositive curvature or
+    convergence at iteration q, or the cap after ``cap`` iterations, with
+    the residual norm of the last iterate (||g|| before the first).
     """
     g = np.asarray(g, dtype=float)
     r = g.copy()  # residual of A d + g at d = 0
@@ -92,7 +97,7 @@ def cg_capped(
     cap = cg_iteration_cap(n, m, M, zeta)
     d = np.zeros_like(g)
     p = -r
-    outcome = CgOutcome(d=d, iters=0, final_residual_norm=gnorm, status="cap_reached")
+    rnorm = gnorm
 
     for q in range(1, cap + 1):
         Ap = np.asarray(apply_A(p), dtype=float)
@@ -100,26 +105,19 @@ def cg_capped(
         if not math.isfinite(pAp):
             raise NonFiniteError(f"non-finite curvature p'Ap in CG iteration {q}")
         if pAp <= CURVATURE_TOL * float(p.dot(p)):
-            outcome.status = "nonpositive_curvature"
-            outcome.p = p
-            outcome.p_curvature = pAp
-            outcome.iters = q
-            return outcome
+            return CgOutcome(d, q, rnorm, "nonpositive_curvature", p=p, p_curvature=pAp)
         alpha = rr / pAp
         d += alpha * p
         r += alpha * Ap
         rr_new = float(r.dot(r))
         rnorm = math.sqrt(rr_new)
         dnorm = math.sqrt(float(d.dot(d)))
-        outcome.iters = q
-        outcome.final_residual_norm = rnorm
         if rnorm <= 0.5 * zeta * min(gnorm, m * dnorm):
-            outcome.status = "converged"
-            return outcome
+            return CgOutcome(d, q, rnorm, "converged")
         # t - r, the same IEEE result as -r + t.
         p *= rr_new / rr
         p -= r
         rr = rr_new
 
-    return outcome
+    return CgOutcome(d, cap, rnorm, "cap_reached")
 

@@ -9,7 +9,7 @@ import json
 import operator
 import os
 import sys
-from dataclasses import fields, is_dataclass
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -71,25 +71,13 @@ def _build_config(args: argparse.Namespace) -> SolverConfig:
     return cfg
 
 
-def _fields_dict(obj) -> dict:
-    """A dataclass's fields by name, nested dataclasses as dicts too.
-
-    ``dataclasses.asdict`` gives the same dict but deep-copies every value,
-    the arrays included, which ``json.dumps`` then reads only once.
-    """
-    return {
-        f.name: _fields_dict(value) if is_dataclass(value := getattr(obj, f.name)) else value
-        for f in fields(obj)
-    }
-
-
 def _report_run_dict(report: RunReport, seed: int, trace_file: str) -> dict:
     """The run's report fields, less ``algo``, which the report states once.
 
     The certificate's ``lam`` is written as ``lambda`` beside its counters,
     and the seed, trace file and envelope checks are added.
     """
-    run = _fields_dict(report)
+    run = asdict(report)
     del run["algo"]
     cert = run["certificate"]
     if cert is not None:
@@ -184,7 +172,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "problem": problem.name,
         "algo": args.algo,
         "strict_second_order": args.strict_second_order,
-        "config": _fields_dict(cfg),
+        "config": asdict(cfg),
         "runs": runs,
         "all_converged": all_converged,
         "all_envelope_checks_passed": all_envelopes,

@@ -217,8 +217,7 @@ def lanczos_min_eig(
     w = np.empty(n)
     tmp = np.empty(n)
 
-    v = rng.standard_normal(n)
-    nv = math.sqrt(float(v.dot(v)))
+    nv = 0.0
     while nv == 0.0:
         v = rng.standard_normal(n)
         nv = math.sqrt(float(v.dot(v)))

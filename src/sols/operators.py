@@ -92,30 +92,30 @@ class Objective:
 
     def value(self, x: Array) -> float:
         self.counters.n_f += 1
-        return float(self._value(x))
+        return float(self._array(self._value(x), "value", ()))
 
     def gradient(self, x: Array) -> Array:
         self.counters.n_grad += 1
-        return self._vector(self._gradient(x), "gradient")
+        return self._array(self._gradient(x), "gradient", (self.dim,))
 
     def hessian_vector(self, x: Array, v: Array) -> Array:
         self.counters.n_hv += 1
-        return self._vector(self._hessian_vector(x, v), "hessian_vector")
+        return self._array(self._hessian_vector(x, v), "hessian_vector", (self.dim,))
 
-    def _vector(self, out, callback: str) -> Array:
-        """A callback's result as a float vector, or a ValueError unless its shape is (dim,)."""
+    def _array(self, out, callback: str, shape: tuple[int, ...]) -> Array:
+        """A callback's result as a float array, or a ValueError unless it has ``shape``."""
         out = np.asarray(out, dtype=float)
-        if out.shape != (self.dim,):
+        if out.shape != shape:
             raise ValueError(
                 f"objective {self.name!r}: {callback} returned shape {out.shape}, "
-                f"expected ({self.dim},)"
+                f"expected {shape}"
             )
         return out
 
     def dense_hessian(self, x: Array) -> Array:
         if self._dense_hessian is None:
             raise ValueError(f"objective {self.name!r} does not provide a dense Hessian")
-        return np.asarray(self._dense_hessian(x), dtype=float)
+        return self._array(self._dense_hessian(x), "dense_hessian", (self.dim, self.dim))
 
 
 def rayleigh_quotient(obj: Objective, x: Array, g: Array) -> float:

@@ -320,27 +320,18 @@ def select_direction_inexact(
         return av if shift == 0.0 else av + shift * v
 
     outcome = cg_capped(apply_A, rhs, cfg.eps_H, U_H + shift, cfg.zeta, obj.dim)
-    if Q is not None:
-        outcome.d = outcome.d.dot(Q)
-        if outcome.p is not None:
-            outcome.p = outcome.p.dot(Q)
-    if outcome.status == "nonpositive_curvature":
-        d, R_p = _neg_curvature_from_cg(outcome.p, outcome.p_curvature, shift, g)
-        return Direction(
-            StepKind.NEGATIVE_CURVATURE,
-            d,
-            R=R,
-            lam=R_p,
-            lanczos_iters=lanczos_iters,
-            cg_iters=outcome.iters,
-            cg_fallback=True,
-        )
-    if outcome.status == "cap_reached":
+    d = outcome.d if Q is None else outcome.d.dot(Q)
+    fallback = outcome.status == "nonpositive_curvature"
+    if fallback:
+        p = outcome.p if Q is None else outcome.p.dot(Q)
+        kind = StepKind.NEGATIVE_CURVATURE
+        d, lam_i = _neg_curvature_from_cg(p, outcome.p_curvature, shift, g)
+    elif outcome.status == "cap_reached":
         head = (
             f"CG reached its cap ({outcome.iters} iterations) with residual "
             f"{outcome.final_residual_norm:.3e}"
         )
-        target = 0.5 * cfg.zeta * min(gnorm, cfg.eps_H * norm(outcome.d))
+        target = 0.5 * cfg.zeta * min(gnorm, cfg.eps_H * norm(d))
         # Roughly the smallest residual float64 CG reaches from d = 0.
         floor = obj.dim * np.finfo(float).eps * gnorm
         if target < floor:
@@ -351,9 +342,10 @@ def select_direction_inexact(
         raise CgCapError(f"{head}; certified spectrum bounds appear to be violated")
     return Direction(
         kind,
-        outcome.d,
+        d,
         R=R,
         lam=lam_i,
         lanczos_iters=lanczos_iters,
         cg_iters=outcome.iters,
+        cg_fallback=fallback,
     )

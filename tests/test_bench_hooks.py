@@ -31,6 +31,22 @@ def traced_run(t, workload, i):
         t.uninstall()
 
 
+def untraced_traced_untraced(t, workload):
+    """Run 0 untraced, traced, then untraced again, in the order of the bench's
+    warm-up, traced and plain runs, and return the traced result.
+
+    The traced run passes its check, and the three checks report the same
+    counts: the bench's self-check fails when counts differ for a seed.
+    """
+    before = workload.check(0, workload.run(0))
+    result = traced_run(t, workload, 0)
+    traced = workload.check(0, result)
+    after = workload.check(0, workload.run(0))
+    assert traced.failure is None
+    assert [before.counts, after.counts] == [traced.counts] * 2
+    return result
+
+
 def test_every_traced_layer_records_a_call(bench, tmp_path):
     tracer, workloads = bench
     # Set up before the tracer goes in: the problems' constant checks make
@@ -44,8 +60,7 @@ def test_every_traced_layer_records_a_call(bench, tmp_path):
     # The constructor reads every attribute it wraps, so a renamed or
     # dropped one fails here.
     t = tracer.Tracer()
-    result = traced_run(t, q50, 0)
-    assert q50.check(0, result).failure is None
+    result = untraced_traced_untraced(t, q50)
     c = result[2].counters
     assert t.operator_calls() == (c.n_f, c.n_grad, c.n_hv)
     after_q50 = {name: layer.calls for name, layer in t.layers.items()}
@@ -65,8 +80,7 @@ def test_rosen100_inexact_traced_run_records_every_layer(bench):
     rosen100 = workloads.make("rosen100-inexact")
     rosen100.setup(0)
     t = tracer.Tracer()
-    result = traced_run(t, rosen100, 0)
-    assert rosen100.check(0, result).failure is None
+    result = untraced_traced_untraced(t, rosen100)
     c = result[2].counters
     assert t.operator_calls() == (c.n_f, c.n_grad, c.n_hv)
     assert [name for name in rosen100.layers if t.layers[name].calls == 0] == []

@@ -703,27 +703,50 @@ def test_nonfinite_gradient_inexact_is_not_cg_cap():
 
 # (callback replaced, its result, the shape it reports)
 WRONG_SHAPES = {
+    "value-(3,)": ("value", lambda x: x * x, (3,)),
+    "value-(1,)": ("value", lambda x: np.array([x @ x]), (1,)),
     "gradient-(2,)": ("gradient", lambda x: 2.0 * x[:2], (2,)),
     "gradient-(3,1)": ("gradient", lambda x: (2.0 * x)[:, None], (3, 1)),
     "product-(2,)": ("hessian_vector", lambda x, v: 2.0 * v[:2], (2,)),
     "product-scalar": ("hessian_vector", lambda x, v: 2.0 * float(v @ v), ()),
+    "dense-(2,2)": ("dense_hessian", lambda x: 2.0 * np.eye(2), (2, 2)),
+    "dense-(3,)": ("dense_hessian", lambda x: 2.0 * np.ones(3), (3,)),
+    "dense-(3,3,1)": ("dense_hessian", lambda x: 2.0 * np.eye(3)[:, :, None], (3, 3, 1)),
 }
+EXPECTED_SHAPES = {"value": (), "gradient": (3,), "hessian_vector": (3,), "dense_hessian": (3, 3)}
 
 
-@pytest.mark.parametrize("loop", [run_exact, run_inexact], ids=["exact", "inexact"])
-@pytest.mark.parametrize("case", sorted(WRONG_SHAPES))
+@pytest.mark.parametrize(
+    "case, loop",
+    [
+        pytest.param(case, loop, id=f"{case}-{name}")
+        for case in sorted(WRONG_SHAPES)
+        for name, loop in (("exact", run_exact), ("inexact", run_inexact))
+        # The inexact loop never asks for a dense Hessian.
+        if name == "exact" or not case.startswith("dense")
+    ],
+)
 def test_wrong_shape_callback_raises_a_named_error(case, loop):
-    # Without the check, numpy raised "operands could not be broadcast" or
-    # "only 0-dimensional arrays can be converted to Python scalars".
+    # Without the check, numpy raised "operands could not be broadcast",
+    # "only 0-dimensional arrays can be converted to Python scalars" (a
+    # TypeError), a mismatch in a core dimension, "1-dimensional array
+    # given", or read a (3, 3, 1) Hessian as not symmetric.
     callback, bad, shape = WRONG_SHAPES[case]
-    callbacks = {"gradient": lambda x: 2.0 * x, "hessian_vector": lambda x, v: 2.0 * v}
+    callbacks = {
+        "value": lambda x: float(x @ x),
+        "gradient": lambda x: 2.0 * x,
+        "hessian_vector": lambda x, v: 2.0 * v,
+        "dense_hessian": lambda x: 2.0 * np.eye(3),
+    }
     callbacks[callback] = bad
-    obj = Objective(3, lambda x: float(x @ x), dense_hessian=lambda x: 2.0 * np.eye(3),
-                    name="bowl", **callbacks)
+    obj = Objective(3, name="bowl", **callbacks)
     with pytest.raises(ValueError) as info:
         loop(obj, np.ones(3), SolverConfig(U_H=3.0))
     assert info.type is ValueError
-    assert str(info.value) == f"objective 'bowl': {callback} returned shape {shape}, expected (3,)"
+    assert str(info.value) == (
+        f"objective 'bowl': {callback} returned shape {shape}, "
+        f"expected {EXPECTED_SHAPES[callback]}"
+    )
 
 
 NAN22 = np.full((2, 2), np.nan)

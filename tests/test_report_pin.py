@@ -162,15 +162,25 @@ def _flatten(value, path=()):
         yield "/".join(path), value
 
 
+def _matches(got, want) -> bool:
+    """Floats agree to 1e-12 relative; every other value and every type exactly."""
+    if isinstance(want, float):
+        return type(got) is float and got == pytest.approx(want, rel=1e-12, abs=0.0)
+    return (type(got), got) == (type(want), want)
+
+
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_cli_report_matches_pin(name, tmp_path):
     assert main(["run", *SPECS[name], "--seed", "0", "--out", str(tmp_path)]) == 0
     got = dict(_flatten(json.loads((tmp_path / name).read_text())))
     pinned = PINNED[name]
+    # Every moved, added or dropped field at once, as (path, got, pinned).
+    missing = "<missing>"
+    moved = [
+        (path, got.get(path, missing), want)
+        for path, want in pinned.items()
+        if path not in got or not _matches(got[path], want)
+    ]
+    moved += [(path, got[path], missing) for path in got if path not in pinned]
+    assert not moved, "\n".join(f"{path}: got {v!r}, pinned {want!r}" for path, v, want in moved)
     assert list(got) == list(pinned)
-    for path, want in pinned.items():
-        if isinstance(want, float):
-            assert type(got[path]) is float, path
-            assert got[path] == pytest.approx(want, rel=1e-12, abs=0.0), path
-        else:
-            assert (type(got[path]), got[path]) == (type(want), want), path

@@ -72,6 +72,15 @@ def run_specs(problems: list[str]):
         yield f"rosenbrock-2d_{algo}_max-ls-steps2", [
             "--problem", "rosenbrock-2d", "--algo", algo, "--max-ls-steps", "2",
         ]
+    # A CG residual target below float64's reach: exit 3, with a cg_cap report.
+    for problem, flag, value in (
+        ("quad-convex-2d", "--zeta", "1e-200"),
+        ("quad-convex-10d", "--zeta", "0"),
+        ("rosenbrock-2d", "--eps-H", "1e-30"),
+    ):
+        yield f"{problem}_inexact_{flag[2:]}{value}", [
+            "--problem", problem, "--algo", "inexact", flag, value,
+        ]
 
 
 def sols(out_dir: Path, env: dict, name: str, args: list[str]) -> str:
