@@ -160,17 +160,9 @@ def iteration_envelope(
     # huge U_H) is far above n.
     cg_term = lanczos_term = float(n)
     if cfg.zeta > 0.0:
-        try:
-            cg_term = min(
-                cg_term,
-                1.0
-                / math.sqrt(2.0)
-                * math.sqrt(M)
-                / math.sqrt(cfg.eps_H)
-                * math.log(4.0 * M**1.5 * cfg.eps_H**-1.5 / cfg.zeta),
-            )
-        except OverflowError:
-            pass
+        root_half_kappa = 1.0 / math.sqrt(2.0) * math.sqrt(M) / math.sqrt(cfg.eps_H)
+        log_factor = math.log(4.0 * _pow(M, 1.5) * cfg.eps_H**-1.5 / cfg.zeta)
+        cg_term = min(cg_term, root_half_kappa * log_factor)
     if cfg.delta > 0.0:
         lanczos_term = min(
             lanczos_term,

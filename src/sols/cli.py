@@ -15,6 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .driver import (
+    COST_CHECK,
+    ITERATION_CHECK,
     SCHEMA_VERSION,
     TRACE_COLUMNS,
     RunReport,
@@ -213,32 +215,32 @@ def _format_table(rows: list[list[str]], header: list[str]) -> str:
     return "\n".join(lines)
 
 
+def _text(data: dict, key: str) -> str:
+    """``data[key]``, a field a report holds as a string."""
+    value = data[key]
+    if not isinstance(value, str):
+        raise TypeError(f"{key!r} is {value!r}, not a string")
+    return value
+
+
 def _envelope_row(data: dict, run: dict) -> list[str]:
+    algo, status = _text(data, "algo"), _text(run, "status")
     checks = run["envelope_checks"]
     if checks:
-        iter_bound = checks["iteration_bound"]
-        ratio = checks["observed_iterations"] / iter_bound if iter_bound else 0.0
-        if data["algo"] == "inexact":
-            cost_obs, cost_bound = checks["observed_ops"], checks["ops_bound"]
-            cost_label = "ops"
-        else:
-            cost_obs, cost_bound = checks["observed_f_evals"], checks["f_eval_bound"]
-            cost_label = "f-evals"
-        cost_ratio = cost_obs / cost_bound if cost_bound else 0.0
-        cells = [
-            f"{checks['observed_iterations']}/{iter_bound:.3g}",
-            f"{ratio:.2e}",
-            f"{cost_obs}/{cost_bound:.3g} {cost_label}",
-            f"{cost_ratio:.2e}",
-        ]
+        cost_keys, label = COST_CHECK[algo == "inexact"]
+        cells = []
+        for keys, unit in ((ITERATION_CHECK, ""), (cost_keys, " " + label)):
+            observed, bound = checks[keys[0]], checks[keys[1]]
+            ratio = observed / bound if bound else 0.0
+            cells += [f"{observed}/{bound:.3g}{unit}", f"{ratio:.2e}"]
         verdict = "ok" if envelope_checks_pass(checks) else "VIOLATED"
     else:
         cells, verdict = ["-"] * 4, "-"
     # A run that did not converge never reads "ok", even when the
     # bounds held up to its first certificate.
-    if run["status"] != "converged" and verdict != "VIOLATED":
+    if status != "converged" and verdict != "VIOLATED":
         verdict = "FAILED"
-    return [data["problem"], data["algo"], str(run["seed"]), run["status"], *cells, verdict]
+    return [_text(data, "problem"), algo, str(run["seed"]), status, *cells, verdict]
 
 
 def _scaling_row(data: dict) -> list[str] | None:
@@ -247,8 +249,8 @@ def _scaling_row(data: dict) -> list[str] | None:
     if env is None:
         return None
     return [
-        data["problem"],
-        data["algo"],
+        _text(data, "problem"),
+        _text(data, "algo"),
         f"{cfg['eps_g']:.3g}",
         f"{cfg['eps_H']:.3g}",
         f"{env['max_term']:.6g}",
@@ -270,7 +272,7 @@ def cmd_envelope(args: argparse.Namespace) -> int:
             data = json.loads(path.read_text())
             rows += [_envelope_row(data, run) for run in data["runs"]]
             scaling = _scaling_row(data)
-        except (OSError, KeyError, TypeError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             print(f"error: {path}: not a sols report: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 2
         if scaling is not None:

@@ -22,6 +22,7 @@ from .steps import (
     StepKind,
     Terminate,
     check_termination,
+    newton_kind,
     select_direction_exact,
     select_direction_inexact,
 )
@@ -35,6 +36,15 @@ HARD_ERROR_STATUS = {
     CgCapError: "cg_cap",
     IndefiniteSystemError: "indefinite",
     NonFiniteError: "nonfinite",
+}
+
+
+# The report keys (observed, bound, ok) of the iteration check both loops make,
+# and of each loop's cost check with its ``sols envelope`` label, keyed by inexact.
+ITERATION_CHECK = ("observed_iterations", "iteration_bound", "iterations_ok")
+COST_CHECK = {
+    False: (("observed_f_evals", "f_eval_bound", "f_evals_ok"), "f-evals"),
+    True: (("observed_ops", "ops_bound", "ops_ok"), "ops"),
 }
 
 
@@ -117,25 +127,16 @@ class RunReport:
         """Observed-versus-bound numbers for the run, empty without constants or a certificate."""
         if self.envelope is None or self.certificate is None:
             return {}
-        env = self.envelope
-        cert = self.certificate
-        if self.algo == "inexact":
-            return {
-                "observed_iterations": cert.steps,
-                "iteration_bound": env.K_hat,
-                "iterations_ok": cert.steps <= env.K_hat,
-                "observed_ops": cert.counters.grad_plus_hv,
-                "ops_bound": env.ops_bound,
-                "ops_ok": cert.counters.grad_plus_hv <= env.ops_bound,
-            }
-        return {
-            "observed_iterations": cert.steps,
-            "iteration_bound": env.K_iter,
-            "iterations_ok": cert.steps <= env.K_iter,
-            "observed_f_evals": cert.counters.n_f,
-            "f_eval_bound": env.K_eval,
-            "f_evals_ok": cert.counters.n_f <= env.K_eval,
-        }
+        env, cert = self.envelope, self.certificate
+        inexact = self.algo == "inexact"
+        if inexact:
+            measured = ((cert.steps, env.K_hat), (cert.counters.grad_plus_hv, env.ops_bound))
+        else:
+            measured = ((cert.steps, env.K_iter), (cert.counters.n_f, env.K_eval))
+        checks = {}
+        for keys, (observed, bound) in zip((ITERATION_CHECK, COST_CHECK[inexact][0]), measured):
+            checks.update(zip(keys, (observed, bound, observed <= bound)))
+        return checks
 
     def all_envelope_checks_pass(self) -> bool:
         return envelope_checks_pass(self.envelope_checks())
@@ -211,19 +212,14 @@ def _step(
 def _select_local(obj: Objective, x: Array, g: Array, cfg: SolverConfig) -> Direction | None:
     """The Newton direction of the local phase, or None to hand back to the main loop.
 
-    Significant negative curvature (lambda < -eps_H) hands back; the closed
-    interval [-eps_H, 0] selects the regularized system, whose shift 2 eps_H
-    keeps it positive definite, and any strictly positive eigenvalue selects
-    the plain one.
+    Significant negative curvature (lambda < -eps_H) hands back; otherwise any
+    strictly positive eigenvalue selects the plain system, else the regularized one.
     """
     H = obj.dense_hessian(x)
     lam = min_eigenpair_exact(H).lam
     if lam < -cfg.eps_H:
         return None
-    if lam <= 0.0:
-        kind, shift = StepKind.REGULARIZED_NEWTON, 2.0 * cfg.eps_H
-    else:
-        kind, shift = StepKind.NEWTON, 0.0
+    kind, shift = newton_kind(lam, 0.0, cfg)
     return Direction(kind, solve_exact(H, g, shift), lam=lam)
 
 

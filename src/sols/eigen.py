@@ -48,10 +48,10 @@ def min_eigenpair_exact(H: Array) -> EigEstimate:
     The matrix counts as symmetric when its largest asymmetry is at most
     1e-10 times its largest entry, at any scale."""
     H = np.asarray(H, dtype=float)
-    scale = float(np.abs(H).max()) if H.size else 0.0
+    scale = float(np.abs(H).max())
     if not math.isfinite(scale):
         raise NonFiniteError("non-finite entry in the dense Hessian")
-    asym = float(np.abs(H - H.T).max()) if H.size else 0.0
+    asym = float(np.abs(H - H.T).max())
     if asym > 1e-10 * scale:
         raise ValueError(f"matrix is not symmetric: max asymmetry {asym:.3e}")
     w, V = np.linalg.eigh(H)
@@ -153,7 +153,7 @@ def lanczos_min_eig(
     eps: float,
     delta: float,
     rng: np.random.Generator,
-    sigma: float | None = None,
+    sigma: float = -math.inf,
 ) -> EigEstimate:
     """Estimate the smallest eigenvalue of H through products v -> H v.
 
@@ -196,7 +196,7 @@ def lanczos_min_eig(
     ``NonFiniteError``.
 
     A caller that needs only some unit v with v'Hv < sigma passes ``sigma``.
-    The call then tracks the LDL' pivots of T_k - sigma I, one division per
+    The call tracks the LDL' pivots of T_k - sigma I, one division per
     product; the first negative pivot is the first k at which T_k has a
     Ritz value below sigma (the Sturm count). From there it takes the
     smallest Ritz pair (theta, y) of T_k after each new beta_k, and stops
@@ -205,8 +205,8 @@ def lanczos_min_eig(
     with k (Cauchy interlacing), so the full-budget call would end below
     sigma too. Such an estimate has no failure probability: its theta is
     v'Hv of the returned vector, up to rounding, not a bound on
-    lambda_min(H). A call that never stops early is the one made without
-    ``sigma``, bit for bit.
+    lambda_min(H). At the default sigma = -inf every pivot stays +inf, so the
+    call never stops early; such a call gives the same bits at any ``sigma``.
     """
     budget = lanczos_iteration_cap(n, M, eps, delta)
     scale = 0.0
@@ -242,7 +242,7 @@ def lanczos_min_eig(
         # Comparisons, not max(): this runs once per product.
         if abs(alpha) > scale:
             scale = abs(alpha)
-        if sigma is not None and pivot >= 0.0:
+        if pivot >= 0.0:
             pivot = alpha - sigma - beta * beta / pivot if pivot else -math.inf
         k += 1
         if k == budget:

@@ -165,6 +165,17 @@ def _first_order_direction(
     return None, R
 
 
+def newton_kind(
+    lam: float, cut: float, cfg: SolverConfig, inexact: bool = False
+) -> tuple[str, float]:
+    """The Newton system of every loop: plain, shift 0, for lam above ``cut``,
+    else regularized by the shift 2 eps_H, which keeps it positive definite."""
+    if lam > cut:
+        return (StepKind.INEXACT_NEWTON if inexact else StepKind.NEWTON), 0.0
+    kind = StepKind.INEXACT_REGULARIZED_NEWTON if inexact else StepKind.REGULARIZED_NEWTON
+    return kind, 2.0 * cfg.eps_H
+
+
 def select_direction_exact(
     obj: Objective,
     x: Array,
@@ -186,10 +197,7 @@ def select_direction_exact(
     if lam < -cfg.eps_H:
         d = scale_eigvector(est.v_unit, lam, g)
         return Direction(StepKind.NEGATIVE_CURVATURE, d, R=R, lam=lam)
-    if lam > cfg.eps_H:
-        kind, shift = StepKind.NEWTON, 0.0
-    else:
-        kind, shift = StepKind.REGULARIZED_NEWTON, 2.0 * cfg.eps_H
+    kind, shift = newton_kind(lam, cfg.eps_H, cfg)
     return Direction(kind, solve_exact(H, g, shift), R=R, lam=lam)
 
 
@@ -290,8 +298,9 @@ def select_direction_inexact(
 
     hv = functools.partial(obj.hessian_vector, x)
     sigma = -0.5 * cfg.eps_H
+    newton_cut = 1.5 * cfg.eps_H
     lanczos_iters = Q = None
-    if not (check_termination(gnorm, lam_i, cfg, inexact=True) or lam_i > 1.5 * cfg.eps_H):
+    if not (check_termination(gnorm, lam_i, cfg, inexact=True) or lam_i > newton_cut):
         M = U_H + 2.0
         est = lanczos_min_eig(hv, obj.dim, M, cfg.eps_H / 2.0, cfg.delta, rng, sigma=sigma)
         if bound is not None:
@@ -305,11 +314,7 @@ def select_direction_inexact(
     if check_termination(gnorm, lam_i, cfg, inexact=True):
         return Terminate(lam=lam_i)
 
-    if lam_i > 1.5 * cfg.eps_H:
-        kind, shift = StepKind.INEXACT_NEWTON, 0.0
-    else:
-        kind, shift = StepKind.INEXACT_REGULARIZED_NEWTON, 2.0 * cfg.eps_H
-
+    kind, shift = newton_kind(lam_i, newton_cut, cfg, inexact=True)
     if Q is None:
         product, rhs = hv, g
     else:

@@ -478,9 +478,35 @@ def test_run_nonfinite_product_exits_3(tmp_path, capsys, monkeypatch):
     assert row.split()[3] == "nonfinite" and row.split()[-1] == "FAILED"
 
 
-@pytest.mark.parametrize("text", ["{", '{"problem": "quad-convex-2d", "algo": "exact"}', "[]"])
-def test_envelope_bad_report_exits_2(tmp_path, capsys, text):
+@pytest.mark.parametrize(
+    "broken",
+    [
+        "{",
+        '{"problem": "quad-convex-2d", "algo": "exact"}',
+        "[]",
+        pytest.param("[" * 100_000 + "]" * 100_000, id="nested-too-deep"),
+        # The written report with one field changed: (path to the field, new value).
+        pytest.param((("runs", 0, "status"), 3), id="status-int"),
+        pytest.param((("problem",), None), id="problem-null"),
+        pytest.param((("algo",), ["x"]), id="algo-list"),
+        # Integers too large for a float.
+        pytest.param((("runs", 0, "envelope_checks", "iteration_bound"), 10**400),
+                     id="iteration_bound-huge-int"),
+        pytest.param((("config", "eps_g"), 10**400), id="eps_g-huge-int"),
+    ],
+)
+def test_envelope_bad_report_exits_2(tmp_path, capsys, broken):
     main(["run", "--problem", "quad-convex-2d", "--out", str(tmp_path)])
+    if isinstance(broken, str):
+        text = broken
+    else:
+        (*parents, key), value = broken
+        report = read_report(tmp_path, "quad-convex-2d", "exact")
+        field = report
+        for parent in parents:
+            field = field[parent]
+        field[key] = value
+        text = json.dumps(report)
     (tmp_path / "broken_report.json").write_text(text)
     capsys.readouterr()
     code = main(["envelope", "--in", str(tmp_path)])

@@ -30,7 +30,7 @@ from sols import (
 )
 from sols.cgsolve import CgOutcome
 from sols.eigen import EigEstimate
-from sols.operators import norm
+from sols.operators import Objective, ProblemConstants, norm
 from sols.steps import ConfigError, CurvatureBound
 
 from conftest import LAW_CONFIGS
@@ -434,6 +434,55 @@ def test_a_convex_quadratic_makes_one_lanczos_call(spied_runs):
     assert run.cfg == run.problem.coverage_config
     assert sum(est is not None for _x, _g, est, _sel in run.calls) == 1
     assert len(run.calls) > 1
+
+
+def saddle_2d(L_H: float) -> Objective:
+    """f = (y^2 - 1/2) x^2 / 2 + x^4/4 + y^2/2 + y^4/4, with the declared ``L_H``.
+
+    A saddle at 0 and minimizers at (+-1/sqrt 2, 0). From (0, 2) the true
+    L_H along the path is at least ~12, since dH_yy/dy = 6y.
+    """
+
+    def hessian(p):
+        x, y = p
+        return np.array([[y * y - 0.5 + 3.0 * x * x, 2.0 * x * y],
+                         [2.0 * x * y, x * x + 1.0 + 3.0 * y * y]])
+
+    return Objective(
+        dim=2,
+        value=lambda p: 0.5 * (p[1] ** 2 - 0.5) * p[0] ** 2 + p[0] ** 4 / 4
+        + p[1] ** 2 / 2 + p[1] ** 4 / 4,
+        gradient=lambda p: np.array([(p[1] ** 2 - 0.5) * p[0] + p[0] ** 3,
+                                     p[0] ** 2 * p[1] + p[1] + p[1] ** 3]),
+        hessian_vector=lambda p, v: hessian(p) @ v,
+        dense_hessian=hessian,
+        constants=ProblemConstants(L_H, 100.0, 100.0, -1.0),
+    )
+
+
+UNDERSTATED_L_H = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 10: the carried curvature bound trusts the declared L_H, "
+    "so an understated one certifies the saddle at 0",
+)
+
+
+@pytest.mark.parametrize(
+    "L_H",
+    [
+        pytest.param(1e-6, marks=UNDERSTATED_L_H),
+        pytest.param(1.0, marks=UNDERSTATED_L_H),
+        4.0,
+        30.0,
+    ],
+)
+def test_an_inexact_certificate_passes_the_dense_oracle(L_H):
+    obj = saddle_2d(L_H)
+    cfg = SolverConfig()
+    report, _records = run_inexact(obj, np.array([0.0, 2.0]), cfg)
+    assert report.status == "converged"
+    point = report.certificate.point
+    assert np.linalg.eigvalsh(obj.dense_hessian(point))[0] >= -cfg.eps_H, point
 
 
 @pytest.mark.parametrize(
