@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 from .eigen import log_n_over_delta_sq
-from .operators import ProblemConstants
+from .operators import ProblemConstants, pow_or_inf
 from .steps import ConfigError, SolverConfig
 
 
@@ -31,14 +31,6 @@ class DecreaseConstants:
     c_hat: float
 
 
-def _pow(base: float, p: float) -> float:
-    """base**p, or +inf where it overflows: the true value is above every float."""
-    try:
-        return base**p
-    except OverflowError:
-        return math.inf
-
-
 def _ratio(num: float, den: float) -> float:
     """num / den for num >= 0, or +inf where den underflowed to 0."""
     return num / den if den > 0.0 else math.inf
@@ -57,16 +49,16 @@ def decrease_constants(
         raise ValueError("zeta must lie in [0, 1)")
 
     s = L_H + eta
-    c_e = eta / 6.0 * min(1.0, _ratio(27.0 * theta**3, _pow(s, 3)))
-    c_g = eta / 6.0 * min(1.0, _ratio(theta**3, _pow(s, 1.5)), 125.0 * theta**3 / 27.0)
-    newton_unit = _pow(_ratio(2.0, L_H), 1.5)
-    c_n = eta / 6.0 * min(newton_unit, _pow(3.0 * theta / s, 3))
+    c_e = eta / 6.0 * min(1.0, _ratio(27.0 * theta**3, pow_or_inf(s, 3)))
+    c_g = eta / 6.0 * min(1.0, _ratio(theta**3, pow_or_inf(s, 1.5)), 125.0 * theta**3 / 27.0)
+    newton_unit = pow_or_inf(_ratio(2.0, L_H), 1.5)
+    c_n = eta / 6.0 * min(newton_unit, pow_or_inf(3.0 * theta / s, 3))
     c_r = eta / 6.0 * min(
-        (1.0 / (1.0 + math.sqrt(1.0 + L_H / 2.0))) ** 3, _pow(6.0 * theta / s, 3)
+        (1.0 / (1.0 + math.sqrt(1.0 + L_H / 2.0))) ** 3, pow_or_inf(6.0 * theta / s, 3)
     )
     denom_in = zeta + math.sqrt(zeta**2 + 8.0 * L_H)
-    in_unit = _pow(_ratio(4.0, denom_in), 3)
-    inexact_backtrack = _pow(3.0 * theta**2 * (1.0 - zeta) / s, 3)
+    in_unit = pow_or_inf(_ratio(4.0, denom_in), 3)
+    inexact_backtrack = pow_or_inf(3.0 * theta**2 * (1.0 - zeta) / s, 3)
     c_in = eta / 6.0 * min(in_unit, inexact_backtrack)
     denom_ir = 4.0 + zeta + math.sqrt((4.0 + zeta) ** 2 + 8.0 * L_H)
     c_ir = eta / 6.0 * min((4.0 / denom_ir) ** 3, inexact_backtrack)
@@ -161,7 +153,7 @@ def iteration_envelope(
     cg_term = lanczos_term = float(n)
     if cfg.zeta > 0.0:
         root_half_kappa = 1.0 / math.sqrt(2.0) * math.sqrt(M) / math.sqrt(cfg.eps_H)
-        log_factor = math.log(4.0 * _pow(M, 1.5) * cfg.eps_H**-1.5 / cfg.zeta)
+        log_factor = math.log(4.0 * pow_or_inf(M, 1.5) * cfg.eps_H**-1.5 / cfg.zeta)
         cg_term = min(cg_term, root_half_kappa * log_factor)
     if cfg.delta > 0.0:
         lanczos_term = min(

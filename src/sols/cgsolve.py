@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import Array, NonFiniteError
+from .operators import Array, NonFiniteError, pow_or_inf
 
 CURVATURE_TOL = 1e-14  # p'Ap <= tol * ||p||^2 counts as nonpositive curvature
 
@@ -58,10 +58,7 @@ def cg_iteration_cap(n: int, m: float, M: float, zeta: float) -> int:
         # An exact solve is demanded; plain CG delivers it in n steps.
         return n
     kappa = max(M / m, 1.0)
-    try:
-        cap = 0.5 * math.sqrt(kappa) * math.log(4.0 * kappa**1.5 / zeta)
-    except OverflowError:  # kappa**1.5: a cap far above n
-        return n
+    cap = 0.5 * math.sqrt(kappa) * math.log(4.0 * pow_or_inf(kappa, 1.5) / zeta)
     return n if not cap < n else max(1, math.ceil(cap))
 
 

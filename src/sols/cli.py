@@ -270,6 +270,8 @@ def cmd_envelope(args: argparse.Namespace) -> int:
     for path in report_files:
         try:
             data = json.loads(path.read_text())
+            if not data["runs"]:
+                raise ValueError("it holds no runs")
             rows += [_envelope_row(data, run) for run in data["runs"]]
             scaling = _scaling_row(data)
         except (OSError, KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:

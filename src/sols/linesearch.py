@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import Array, Objective, ProblemConstants, norm
+from .operators import Array, Objective, ProblemConstants, norm, pow_or_inf
 from .steps import ConfigError, SolverConfig, StepKind
 
 
@@ -69,7 +69,7 @@ def backtrack(
     dnorm = norm(d)
     if dnorm == 0.0:
         raise ValueError("backtrack requires a nonzero direction")
-    base = (cfg.eta / 6.0) * dnorm**3
+    base = (cfg.eta / 6.0) * pow_or_inf(dnorm, 3)
     alpha = 1.0
     x_key = None
     nans = 0

@@ -1,9 +1,10 @@
-"""Matrix-free objective interface, evaluation counters, the curvature ratio
-and the symmetric tridiagonal product."""
+"""Matrix-free objective interface, evaluation counters, the curvature ratio,
+the float64 overflow rule and the symmetric tridiagonal product."""
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,8 +80,9 @@ class Objective:
         constants: ProblemConstants | None = None,
         name: str = "objective",
     ):
-        if dim < 1:
-            raise ValueError("dim must be a positive integer")
+        # bool is an int subclass, but True is no dimension.
+        if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
+            raise ValueError(f"dim must be a positive integer, got {dim!r}")
         self.dim = int(dim)
         self._value = value
         self._gradient = gradient
@@ -131,6 +133,14 @@ def rayleigh_quotient(obj: Objective, x: Array, g: Array) -> float:
         raise ValueError("rayleigh_quotient requires a nonzero vector")
     hg = obj.hessian_vector(x, g)
     return float(g.dot(hg)) / gn2
+
+
+def pow_or_inf(base: float, p: float) -> float:
+    """base**p, or +inf where it overflows: the true value is above every float."""
+    try:
+        return base**p
+    except OverflowError:
+        return math.inf
 
 
 def norm(v: Array) -> float:

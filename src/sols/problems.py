@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import Array, Objective, ProblemConstants, banded_product
+from .operators import Array, Objective, ProblemConstants, banded_product, pow_or_inf
 from .steps import SolverConfig, StepKind
 
 MARGIN = 1.1
@@ -74,23 +74,23 @@ class SuiteProblem:
         return np.asarray(self.x0, dtype=float)
 
 
-# A bound that overflows is inf or nan, which _suite_problem rejects by name.
+# A bound that overflows is inf or nan, which _suite_problem rejects by name;
+# a quotient by zero is dropped by the np.where that selects it.
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _separable_quartic_constants(
     name: str, d: Array, beta: Array, c0: float, x0: Array
-) -> tuple[float, float, float, float]:
-    """Closed-form level-set (L_H, U_g, U_H, f_low) of sum d_i x_i^2/2 + beta_i x_i^4/4 + c0."""
+) -> tuple[tuple[float, float, float, float], Array]:
+    """Closed-form level-set (L_H, U_g, U_H, f_low) of sum d_i x_i^2/2 + beta_i x_i^4/4 + c0,
+    and a minimizer x_star: each double well d_i < 0 < beta_i at sqrt(-d_i / beta_i)."""
     f0 = float(0.5 * d @ x0**2 + 0.25 * beta @ x0**4 + c0)
-    m = np.where((d < 0.0) & (beta > 0.0), -(d**2) / np.where(beta > 0, 4.0 * beta, 1.0), 0.0)
+    well = (d < 0.0) & (beta > 0.0)
+    x_star = np.where(well, np.sqrt(-d / beta), 0.0)
+    m = np.where(well, -(d**2) / (4.0 * beta), 0.0)
     f_low = c0 + float(m.sum())
     # Per-coordinate bound on x_i^2 over the level set: the other
     # coordinates contribute at least their own minima.
     c_i = np.maximum((f0 - c0) - (m.sum() - m), 0.0)
-    u = np.where(
-        beta > 0.0,
-        (-d + np.sqrt(d**2 + 4.0 * beta * c_i)) / np.where(beta > 0, beta, 1.0),
-        2.0 * c_i / np.where(beta > 0, 1.0, d),
-    )
+    u = np.where(beta > 0.0, (-d + np.sqrt(d**2 + 4.0 * beta * c_i)) / beta, 2.0 * c_i / d)
     u = np.maximum(u, x0**2)  # the start point itself lies in the set
     B = np.sqrt(u)
     U_H = float(np.max(np.maximum(np.abs(d), np.abs(d + 3.0 * beta * u))))
@@ -98,7 +98,7 @@ def _separable_quartic_constants(
     U_g = float(np.sqrt(np.sum((np.abs(d) * B + beta * B**3) ** 2)))
     if U_H <= 0.0 or U_g <= 0.0:
         raise ValueError(f"{name}: degenerate problem: zero curvature and gradient bounds")
-    return L_H, U_g, U_H, f_low
+    return (L_H, U_g, U_H, f_low), x_star
 
 
 def _finite(name: str, label: str, a, n: int | None = None, expected: str = "") -> Array:
@@ -189,10 +189,10 @@ def separable_quartic(
         raise ValueError(f"{name}: coordinates with beta = 0 need d > 0 to stay bounded")
     if np.any(beta < 0.0):
         raise ValueError(f"{name}: beta must be nonnegative")
-    x_star = np.where((d < 0.0) & (beta > 0.0), np.sqrt(np.maximum(-d, 0.0) / np.where(beta > 0, beta, 1.0)), 0.0)
+    bounds, x_star = _separable_quartic_constants(name, d, beta, c0, x0)
     # The Hessian is diagonal: its coefficients at x are the curvatures d + 3 beta x^2.
     return _suite_problem(
-        name, x0, x_star, _separable_quartic_constants(name, d, beta, c0, x0),
+        name, x0, x_star, bounds,
         lambda x: float((0.5 * d).dot(x**2) + (0.25 * beta).dot(x**4) + c0),
         lambda x: d * x + beta * x**3,
         lambda x: d + 3.0 * beta * x**2, np.multiply, np.diag,
@@ -232,10 +232,7 @@ def _rosenbrock_constants(n: int, a: float, x0: Array) -> tuple[float, float, fl
     rowsum[1:] += 4.0 * a * B[: n - 1]
     U_H = float(np.max(rowsum))
 
-    try:
-        L_H = math.sqrt(float(np.sum((24.0 * a * B[: n - 1]) ** 2 + 3.0 * (4.0 * a) ** 2)))
-    except OverflowError:  # (4 a)**2 beyond float64
-        L_H = math.inf
+    L_H = math.sqrt(float(np.sum((24.0 * a * B[: n - 1]) ** 2 + 3.0 * pow_or_inf(4.0 * a, 2))))
     return L_H, U_g, U_H, 0.0
 
 

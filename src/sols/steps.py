@@ -12,7 +12,9 @@ import numpy as np
 
 from .cgsolve import CgCapError, cg_capped, solve_exact
 from .eigen import EigEstimate, lanczos_min_eig, min_eigenpair_exact
-from .operators import Array, NonFiniteError, Objective, banded_product, norm, rayleigh_quotient
+from .operators import (
+    Array, NonFiniteError, Objective, banded_product, norm, pow_or_inf, rayleigh_quotient,
+)
 
 
 class StepKind:
@@ -89,12 +91,10 @@ class SolverConfig:
             raise ConfigError(f"eps_H must lie in (0, 1), got {self.eps_H}")
         for name in ("eps_g", "eps_H"):
             tol = getattr(self, name)
-            try:
-                # The complexity bounds scale with tol**-3; while that is
-                # finite, the eps_H**2 in the backtracking caps is above 0.
-                tol**-3
-            except OverflowError:
-                raise ConfigError(f"{name}={tol} is too small: {name}**-3 overflows") from None
+            # The complexity bounds scale with tol**-3; while that is
+            # finite, the eps_H**2 in the backtracking caps is above 0.
+            if pow_or_inf(tol, -3) == math.inf:
+                raise ConfigError(f"{name}={tol} is too small: {name}**-3 overflows")
         if not 0.0 < self.theta < 1.0:
             raise ConfigError(f"theta must lie in (0, 1), got {self.theta}")
         if not 0.0 < self.eta < math.inf:

@@ -154,22 +154,6 @@ def test_envelope_missing_directory(tmp_path, capsys):
     assert code == 2
 
 
-def test_envelope_empty_seed_report(tmp_path, capsys):
-    report = {
-        "schema_version": 1,
-        "problem": "quad-convex-2d",
-        "algo": "exact",
-        "strict_second_order": False,
-        "config": {},
-        "runs": [],
-        "all_converged": True,
-        "all_envelope_checks_passed": True,
-    }
-    (tmp_path / "quad-convex-2d_exact_report.json").write_text(json.dumps(report))
-    code = main(["envelope", "--in", str(tmp_path)])
-    assert code == 0
-
-
 def test_list_problems(capsys):
     code = main(["list-problems"])
     assert code == 0
@@ -489,6 +473,8 @@ def test_run_nonfinite_product_exits_3(tmp_path, capsys, monkeypatch):
         pytest.param((("runs", 0, "status"), 3), id="status-int"),
         pytest.param((("problem",), None), id="problem-null"),
         pytest.param((("algo",), ["x"]), id="algo-list"),
+        # sols run writes no report without a run.
+        pytest.param((("runs",), []), id="runs-empty"),
         # Integers too large for a float.
         pytest.param((("runs", 0, "envelope_checks", "iteration_bound"), 10**400),
                      id="iteration_bound-huge-int"),

@@ -829,6 +829,26 @@ def test_stall_through_nan_trial_values_names_them(run, cfg):
     assert report.iterations == len(records) >= 1
 
 
+@pytest.mark.parametrize(
+    "run, cfg", [(run_exact, SolverConfig()), (run_inexact, SolverConfig(U_H=2e120))],
+    ids=["exact", "inexact"],
+)
+def test_direction_whose_cubic_term_overflows_ends_ls_stall(run, cfg):
+    # f = -c x^2 / 2 + x at x = 0: R = -c picks the scaled negative-curvature
+    # gradient step, of length 1e120, whose ||d||**3 is beyond float64. The
+    # decrease threshold is then -inf, which no trial value beats.
+    c = 1e120
+    obj = Objective(
+        1, lambda x: -0.5 * c * float(x[0]) ** 2 + float(x[0]),
+        lambda x: np.array([-c * float(x[0]) + 1.0]), lambda x, v: np.array([-c * float(v[0])]),
+        lambda x: np.array([[-c]]),
+    )
+    report, records = run(obj, np.zeros(1), cfg)
+    assert report.status == "ls_stall"
+    assert report.error == "line-search stall: no acceptable step within 200 backtracks"
+    assert (report.iterations, records, obj.counters.n_f) == (0, [], 202)
+
+
 def test_run_outputs_hold_python_floats(law_corpus):
     # The run path stores these values as it gets them, without float(): each
     # must already be a Python float, as every trace, report and law reads them.

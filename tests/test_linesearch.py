@@ -154,6 +154,15 @@ def test_step_below_float64_resolution_ends_the_search(step, j):
     assert obj.counters.n_f - 1 == j
 
 
+def test_direction_whose_cubic_term_overflows_stalls():
+    # ||d||**3 = 1e360 is beyond float64: the threshold f_x - inf rejects every trial.
+    obj = Objective(1, lambda y: -float(y[0]), lambda y: -1.0 + 0 * y, lambda y, v: 0 * v)
+    with pytest.raises(LineSearchStallError) as excinfo:
+        backtrack(obj, np.zeros(1), 0.0, np.array([1e120]), SolverConfig(max_ls_steps=5))
+    assert str(excinfo.value) == "line-search stall: no acceptable step within 5 backtracks"
+    assert obj.counters.n_f == 6
+
+
 def test_nan_trial_values_are_rejections():
     # NaN at j = 0, +inf at j = 1: both rejected, and j = 2 is accepted.
     trial_values = [math.nan, math.inf, -1.0]

@@ -214,8 +214,15 @@ def test_problem_constants_validation():
 
 
 def test_objective_rejects_nonpositive_dim():
-    with pytest.raises(ValueError, match="dim must be a positive integer"):
-        Objective(0, lambda x: 0.0, lambda x: x, lambda x, v: v)
+    # Also every dim that is not an integer, which int() would truncate.
+    for dim in (0, -1, 2.5, 2.0, True, "2", None):
+        with pytest.raises(ValueError, match="dim must be a positive integer"):
+            Objective(dim, lambda x: 0.0, lambda x: x, lambda x, v: v)
+
+
+def test_objective_accepts_a_numpy_integer_dim():
+    obj = Objective(np.int64(3), lambda x: 0.0, lambda x: x, lambda x, v: v)
+    assert obj.dim == 3 and type(obj.dim) is int
 
 
 def test_missing_dense_hessian_raises():
