@@ -1,4 +1,4 @@
-"""Linear solvers for Newton-type systems: dense exact solves and capped CG."""
+"""Linear solvers for Newton-type systems: eigendecomposition solves and capped CG."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .eigen import EigEstimate
 from .operators import Array, NonFiniteError, pow_or_inf
 
 CURVATURE_TOL = 1e-14  # p'Ap <= tol * ||p||^2 counts as nonpositive curvature
@@ -35,19 +36,21 @@ class CgOutcome:
     p_curvature: float | None = None
 
 
-def solve_exact(H: Array, g: Array, shift: float = 0.0) -> Array:
-    """Solve (H + shift I) d = -g by dense Cholesky factorization.
+def solve_exact(est: EigEstimate, g: Array, shift: float = 0.0) -> Array:
+    """Solve (H + shift I) d = -g from the estimate ``min_eigenpair_exact(H)``.
 
-    The branch conditions of the callers guarantee positive definiteness
-    (smallest eigenvalue above eps_H in both the plain and the shifted
-    case); a factorization failure therefore signals a violated branch
-    condition and is raised as-is (``np.linalg.LinAlgError``).
+    Its basis Q and diagonal w give H = Q' diag(w) Q, so d = Q' z with
+    z = -(Q g) / (w + shift), and H is not factored a second time. The
+    callers' branch conditions keep the smallest eigenvalue w[0] + shift above
+    zero (at least eps_H); one at or below zero signals a violated branch
+    condition and raises ``np.linalg.LinAlgError``.
     """
-    H = np.asarray(H, dtype=float)
-    A = H if shift == 0.0 else H + shift * np.eye(H.shape[0])
-    L = np.linalg.cholesky(A)
-    y = np.linalg.solve(L, -np.asarray(g, dtype=float))
-    return np.linalg.solve(L.T, y)
+    w = est.bands[0] + shift
+    if not w[0] > 0.0:
+        raise np.linalg.LinAlgError(f"H + shift I is not positive definite: lambda_min {w[0]:.3e}")
+    Q = est.basis
+    z = -Q.dot(g) / w
+    return z.dot(Q)
 
 
 def cg_iteration_cap(n: int, m: float, M: float, zeta: float) -> int:

@@ -215,12 +215,11 @@ def _select_local(obj: Objective, x: Array, g: Array, cfg: SolverConfig) -> Dire
     Significant negative curvature (lambda < -eps_H) hands back; otherwise any
     strictly positive eigenvalue selects the plain system, else the regularized one.
     """
-    H = obj.dense_hessian(x)
-    lam = min_eigenpair_exact(H).lam
-    if lam < -cfg.eps_H:
+    est = min_eigenpair_exact(obj.dense_hessian(x))
+    if est.lam < -cfg.eps_H:
         return None
-    kind, shift = newton_kind(lam, 0.0, cfg)
-    return Direction(kind, solve_exact(H, g, shift), lam=lam)
+    kind, shift = newton_kind(est.lam, 0.0, cfg)
+    return Direction(kind, solve_exact(est, g, shift), lam=est.lam)
 
 
 def _run_loop(

@@ -29,9 +29,11 @@ class EigEstimate:
     the early stop of a call given a threshold ``sigma``: a Ritz value
     below it with a small residual.
 
-    On a "full_n" estimate ``basis`` holds the n orthonormal Lanczos vectors
-    as rows, Q, and ``bands`` the diagonal and off-diagonal of the
-    tridiagonal T = Q H Q'; both are None otherwise.
+    ``basis`` holds n orthonormal rows Q, and ``bands`` the diagonal and
+    off-diagonal of the tridiagonal T = Q H Q'. On an "exact" estimate Q
+    holds the eigenvectors of H and T is diagonal, the eigenvalues ascending
+    with zero off-diagonal; on a "full_n" one Q holds the Lanczos vectors.
+    Both are None on every other estimate.
     """
 
     lam: float
@@ -46,7 +48,10 @@ def min_eigenpair_exact(H: Array) -> EigEstimate:
     """Smallest eigenpair of a dense symmetric matrix via full eigendecomposition.
 
     The matrix counts as symmetric when its largest asymmetry is at most
-    1e-10 times its largest entry, at any scale."""
+    1e-10 times its largest entry, at any scale. The estimate keeps the whole
+    decomposition H = V diag(w) V': ``basis`` is V' and ``bands`` is
+    (w, zeros), so a caller solves with H + shift I without factoring H again.
+    """
     H = np.asarray(H, dtype=float)
     scale = float(np.abs(H).max())
     if not math.isfinite(scale):
@@ -57,7 +62,10 @@ def min_eigenpair_exact(H: Array) -> EigEstimate:
     w, V = np.linalg.eigh(H)
     v = V[:, 0]
     v = v / norm(v)
-    return EigEstimate(lam=float(w[0]), v_unit=v, iters=0, converged_by="exact")
+    return EigEstimate(
+        lam=float(w[0]), v_unit=v, iters=0, converged_by="exact",
+        basis=V.T, bands=(w, np.zeros(len(w) - 1)),
+    )
 
 
 def lanczos_iteration_cap(n: int, M: float, eps: float, delta: float) -> int:

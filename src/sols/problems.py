@@ -340,7 +340,9 @@ def verify_constants(
             raise ConstantsError(
                 f"{problem.name}: sampled gradient norm {gn:.6g} exceeds U_g {pc.U_g:.6g}"
             )
-        hn = float(np.linalg.norm(H, 2))
+        # H is symmetric, as is each difference below: its 2-norm is its
+        # largest |eigenvalue|, which needs no SVD.
+        hn = float(np.abs(np.linalg.eigvalsh(H)).max())
         if hn > pc.U_H:
             raise ConstantsError(
                 f"{problem.name}: sampled Hessian norm {hn:.6g} exceeds U_H {pc.U_H:.6g}"
@@ -349,7 +351,7 @@ def verify_constants(
         dx = float(np.linalg.norm(points[i + 1] - points[i]))
         if dx == 0.0:
             continue
-        dh = float(np.linalg.norm(hessians[i + 1] - hessians[i], 2))
+        dh = float(np.abs(np.linalg.eigvalsh(hessians[i + 1] - hessians[i])).max())
         if dh > pc.L_H * dx:
             raise ConstantsError(
                 f"{problem.name}: sampled Hessian variation {dh / dx:.6g} exceeds "

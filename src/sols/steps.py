@@ -189,8 +189,7 @@ def select_direction_exact(
     if direction is not None:
         return direction
 
-    H = obj.dense_hessian(x)
-    est = min_eigenpair_exact(H)
+    est = min_eigenpair_exact(obj.dense_hessian(x))
     lam = est.lam
     if check_termination(gnorm, lam, cfg):
         return Terminate(lam=lam)
@@ -198,7 +197,7 @@ def select_direction_exact(
         d = scale_eigvector(est.v_unit, lam, g)
         return Direction(StepKind.NEGATIVE_CURVATURE, d, R=R, lam=lam)
     kind, shift = newton_kind(lam, cfg.eps_H, cfg)
-    return Direction(kind, solve_exact(H, g, shift), R=R, lam=lam)
+    return Direction(kind, solve_exact(est, g, shift), R=R, lam=lam)
 
 
 def _neg_curvature_from_cg(

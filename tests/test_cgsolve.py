@@ -1,4 +1,4 @@
-"""Dense solves and capped conjugate gradient."""
+"""Exact solves from an eigendecomposition and capped conjugate gradient."""
 
 from __future__ import annotations
 
@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sols import CgOutcome, NonFiniteError, cg_capped, cg_iteration_cap, solve_exact
+import sols.driver
+import sols.steps
+from sols import (
+    CgOutcome, NonFiniteError, SolverConfig, StepKind, cg_capped, cg_iteration_cap, get_problem,
+    min_eigenpair_exact, run_exact, solve_exact,
+)
 from sols.cgsolve import CURVATURE_TOL
 
 from conftest import bench_hessians, cg_iterates
@@ -38,12 +43,12 @@ def operator(A):
 
 
 def test_solve_exact_identity():
-    d = solve_exact(np.eye(2), np.array([2.0, -2.0]))
+    d = solve_exact(min_eigenpair_exact(np.eye(2)), np.array([2.0, -2.0]))
     assert np.allclose(d, [-2.0, 2.0], atol=1e-14)
 
 
 def test_solve_exact_diagonal_with_shift():
-    d = solve_exact(np.diag([-0.5, 3.0]), np.array([1.0, 1.0]), shift=2.0)
+    d = solve_exact(min_eigenpair_exact(np.diag([-0.5, 3.0])), np.array([1.0, 1.0]), shift=2.0)
     assert np.allclose(d, [-1.0 / 1.5, -0.2], atol=1e-14)
 
 
@@ -52,13 +57,13 @@ def test_solve_exact_matches_cg_oracle():
     A = rng.standard_normal((20, 20))
     H = A @ A.T + 0.5 * np.eye(20)
     g = rng.standard_normal(20)
-    d = solve_exact(H, g)
+    d = solve_exact(min_eigenpair_exact(H), g)
     assert np.allclose(d, reference_cg(H, g), atol=1e-9 * np.linalg.norm(d))
 
 
 def test_solve_exact_indefinite_raises():
     with pytest.raises(scipy.linalg.LinAlgError):
-        solve_exact(np.diag([1.0, -1.0]), np.ones(2))
+        solve_exact(min_eigenpair_exact(np.diag([1.0, -1.0])), np.ones(2))
 
 
 # --- capped CG ------------------------------------------------------------------
@@ -212,14 +217,71 @@ def test_solve_exact_matches_cho_solve_oracle(n, shift):
     H = (Q * rng.uniform(low, low + 50.0, n)) @ Q.T
     H = 0.5 * (H + H.T)
     g = rng.standard_normal(n)
-    d = solve_exact(H, g, shift)
+    d = solve_exact(min_eigenpair_exact(H), g, shift)
     ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(H + shift * np.eye(n)), -g)
     assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_solve_exact_shift_below_spectrum_raises():
     with pytest.raises(np.linalg.LinAlgError):
-        solve_exact(np.diag([-3.0, 1.0]), np.ones(2), shift=2.0)
+        solve_exact(min_eigenpair_exact(np.diag([-3.0, 1.0])), np.ones(2), shift=2.0)
+
+
+# ||(H + shift I) d + g|| <= C n eps_mach ||H + shift I|| ||d||: the residual a
+# solve through a backward-stable eigendecomposition leaves, at any condition.
+RESIDUAL_C = 4.0
+
+
+def residual_in_rounding_units(H, g, shift, d) -> float:
+    """||(H + shift I) d + g|| over n eps_mach ||H + shift I||_2 ||d||."""
+    n = len(g)
+    A = H + shift * np.eye(n)
+    scale = n * np.finfo(float).eps * np.linalg.norm(A, 2) * np.linalg.norm(d)
+    return float(np.linalg.norm(A @ d + g) / scale)
+
+
+@pytest.mark.parametrize("n", [2, 10, 50])
+@pytest.mark.parametrize("kappa", [1.0, 1e4, 1e8])
+@pytest.mark.parametrize("shift", [0.0, 2.0])
+def test_solve_exact_residual_is_at_rounding_level(n, kappa, shift):
+    rng = np.random.default_rng([n, int(math.log10(kappa)), int(shift)])
+    for _ in range(5):
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        # H + shift I is positive definite with eigenvalues from 1 to 1/kappa.
+        H = (Q * (np.geomspace(1.0, 1.0 / kappa, n) - shift)) @ Q.T
+        H = 0.5 * (H + H.T)
+        g = rng.standard_normal(n)
+        d = solve_exact(min_eigenpair_exact(H), g, shift)
+        assert residual_in_rounding_units(H, g, shift, d) <= RESIDUAL_C
+
+
+def test_solve_exact_residual_on_rosenbrock_newton_rows(monkeypatch):
+    # Every Newton system of an exact and an exact-local run on rosenbrock-10d
+    # at the benchmark's tolerances, with the Hessian each one was solved for.
+    systems = []
+    for module in (sols.steps, sols.driver):
+        def eig(H, real=module.min_eigenpair_exact):
+            systems.append([H])
+            return real(H)
+
+        def solve(est, g, shift, real=module.solve_exact):
+            d = real(est, g, shift)
+            systems[-1] += [g, shift, d]
+            return d
+
+        monkeypatch.setattr(module, "min_eigenpair_exact", eig)
+        monkeypatch.setattr(module, "solve_exact", solve)
+    problem = get_problem("rosenbrock-10d")
+    cfg = SolverConfig(eps_g=1e-5, eps_H=1e-2)
+    newton_rows = 0
+    for local_phase in (False, True):
+        _, records = run_exact(problem.make_objective(), problem.start_point(), cfg, local_phase)
+        newton_rows += sum(r.step_kind in StepKind.NEWTON_LIKE for r in records)
+    solved = [system for system in systems if len(system) == 4]
+    # The exact-local run ends in its known stall: its last system has no row.
+    assert len(solved) == newton_rows + 1 > 20
+    for H, g, shift, d in solved:
+        assert residual_in_rounding_units(H, g, shift, d) <= RESIDUAL_C
 
 
 # --- bitwise equality with the matmul loop ---------------------------------------

@@ -243,7 +243,7 @@ def test_local_phase_regularized_branch_fires_on_flat_curvature():
 
 def test_local_phase_regularizes_at_eigenvalue_minus_eps_H():
     # lambda = -eps_H exactly lies in the closed regularized interval; the
-    # plain Newton system there is indefinite and its Cholesky would fail.
+    # plain Newton system there is indefinite, and its solve would raise.
     obj = quadratic_objective(np.diag([1.0, -0.5]))
     cfg = SolverConfig(eps_g=1e-4, eps_H=0.5)
     report, records = run_exact(obj, np.array([1e-5, 0.0]), cfg, local_phase=True)
@@ -461,11 +461,51 @@ def test_driver_reports_indefinite_system_status(monkeypatch):
 def test_driver_reports_line_search_stall_status(monkeypatch):
     obj = quadratic_objective(np.eye(2))  # no declared constants: budget unchecked
     # A sabotaged solver returns ascent.
-    monkeypatch.setattr(sols.steps, "solve_exact", lambda H, g, shift: g.copy())
+    monkeypatch.setattr(sols.steps, "solve_exact", lambda est, g, shift: g.copy())
     cfg = SolverConfig(eps_g=1e-9, eps_H=0.5, max_ls_steps=5)
     report, _ = run_exact(obj, np.array([1.0, 1.0]), cfg)
     assert report.status == "ls_stall"
     assert "stall" in report.error
+
+
+# (status, iterations, (n_f, n_grad, n_hv)) of each exact loop on rosenbrock-10d
+# at the benchmark's tolerances.
+ROSEN10_EXACT_RUNS = {
+    False: ("converged", 25, (32, 26, 25)),
+    True: ("ls_stall", 27, (76, 28, 25)),
+}
+
+
+@pytest.mark.parametrize("local_phase", [False, True])
+def test_exact_runs_factor_each_hessian_once(monkeypatch, local_phase):
+    # Each Newton system is solved from the eigendecomposition that chose
+    # it; nothing is factored a second time.
+    problem = get_problem("rosenbrock-10d")
+    eighs = []
+    real_eigh = np.linalg.eigh
+
+    def eigh(H):
+        eighs.append(H)
+        return real_eigh(H)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Hessian was factored a second time")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    cfg = SolverConfig(eps_g=1e-5, eps_H=1e-2)
+    report, records = run_exact(
+        problem.make_objective(), problem.start_point(), cfg, local_phase=local_phase
+    )
+    c = report.counters
+    assert (report.status, report.iterations, (c.n_f, c.n_grad, c.n_hv)) == (
+        ROSEN10_EXACT_RUNS[local_phase]
+    )
+    # One eigh per second-order row, and one more: the final check of the
+    # converged run, or the stalled run's last local iteration, which makes
+    # no row.
+    assert len(eighs) == sum(r.lam is not None for r in records) + 1
 
 
 def test_ls_budget_asserted_against_declared_constants():

@@ -1,7 +1,7 @@
 """Run the CLI on a fixed spec set and print a checksum of every output file.
 
 Usage:
-    python tools/spec_checksums.py OUT_DIR [--src SRC]
+    python tools/spec_checksums.py OUT_DIR [--src SRC] [--against OLD_OUT_DIR]
 
 Every command runs as ``python -m sols.cli`` with ``SRC`` (default: the
 ``src`` directory of this checkout) on ``PYTHONPATH``, one BLAS thread, and
@@ -17,12 +17,21 @@ To check that a change keeps the CLI's outputs, run the script on the new
 code and on the old and diff the two listings, for example
 ``python tools/spec_checksums.py NEW_OUT > new.txt`` and
 ``python tools/spec_checksums.py OLD_OUT --src OLD_CHECKOUT/src > old.txt``.
+
+With ``--against OLD_OUT_DIR``, the output directory of an earlier run of
+this script, the listing is followed by a comparison, every line of it a
+``#`` comment that ``sha256sum -c`` skips: the count of moved files, then
+one ``moved`` line per file whose bytes differ or that only one side has.
+A moved ``*_report.json`` says which run outcomes moved: the exit code of
+the command that wrote it, and per seed the status, iterations, counters and
+certificate counters. When none did, it says "float bytes only".
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -104,6 +113,56 @@ def problem_names(listing: str) -> list[str]:
     return [line.split()[0] for line in lines[rule + 1 :] if line.strip()]
 
 
+def digests(root: Path) -> dict[str, str]:
+    """sha256 of every file under ``root``, by its relative posix path, sorted."""
+    return {
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(p for p in root.rglob("*") if p.is_file())
+    }
+
+
+def run_outcome(run: dict) -> dict:
+    """The fields of one report run that say what it did, not where its floats landed."""
+    cert = run["certificate"]
+    return {
+        "status": run["status"],
+        "iterations": run["iterations"],
+        "counters": run["counters"],
+        "certificate counters": cert and {k: cert[k] for k in ("n_f", "n_grad", "n_hv", "steps")},
+    }
+
+
+def report_moves(old_dir: Path, new_dir: Path, rel: str) -> str:
+    """What moved between the two sides of the report at ``runs/NAME/...``:
+    the exit code of ``run_NAME`` and each run's outcome, or only float bytes."""
+    exit_log = f"logs/run_{Path(rel).parts[1]}.exit"
+    old_exit, new_exit = ((d / exit_log).read_text().strip() for d in (old_dir, new_dir))
+    moves = [] if old_exit == new_exit else [f"exit code {old_exit} -> {new_exit}"]
+    old_runs, new_runs = (json.loads((d / rel).read_text())["runs"] for d in (old_dir, new_dir))
+    if len(old_runs) != len(new_runs):
+        moves.append(f"runs {len(old_runs)} -> {len(new_runs)}")
+    for old, new in zip(old_runs, new_runs):
+        was, now = run_outcome(old), run_outcome(new)
+        moves += [f"seed {new['seed']} {k} {was[k]} -> {now[k]}" for k in was if was[k] != now[k]]
+    return "; ".join(moves) or "float bytes only"
+
+
+def compare(old_dir: Path, new_dir: Path, new: dict[str, str]) -> list[str]:
+    """The ``#`` lines that name each file that moved from ``old_dir`` to ``new_dir``."""
+    old = digests(old_dir)
+    moved = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
+    lines = [f"# against {old_dir}: {len(moved)} of {len(new)} files moved"]
+    for rel in moved:
+        if rel not in old or rel not in new:
+            note = "only in " + ("the new outputs" if rel in new else "the old outputs")
+        elif rel.endswith("_report.json"):
+            note = report_moves(old_dir, new_dir, rel)
+        else:
+            note = None
+        lines.append(f"# moved  {rel}" + (f"  ({note})" if note else ""))
+    return lines
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_dir", type=Path, help="new or empty directory for the outputs")
@@ -111,10 +170,16 @@ def main() -> int:
         "--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
         help="directory holding the sols package (default: this checkout's src)",
     )
+    parser.add_argument(
+        "--against", type=Path, metavar="OLD_OUT_DIR",
+        help="an earlier OUT_DIR of this script: name each file that moved since",
+    )
     args = parser.parse_args()
     out_dir = args.out_dir
     if out_dir.exists() and any(out_dir.iterdir()):
         parser.error(f"{out_dir} is not empty")
+    if args.against is not None and not (args.against / "logs").is_dir():
+        parser.error(f"{args.against} is not an output directory of this script")
     (out_dir / "logs").mkdir(parents=True)
     (out_dir / "runs").mkdir()
 
@@ -129,9 +194,11 @@ def main() -> int:
         sols(out_dir, env, f"run_{name}", ["run", *run_args, "--out", f"runs/{name}"])
         sols(out_dir, env, f"envelope_{name}", ["envelope", "--in", f"runs/{name}"])
 
-    for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        print(f"{digest}  {path.relative_to(out_dir).as_posix()}")
+    files = digests(out_dir)
+    for rel, digest in files.items():
+        print(f"{digest}  {rel}")
+    if args.against is not None:
+        print("\n".join(compare(args.against, out_dir, files)))
     return 0
 
 
