@@ -10,8 +10,6 @@ import numpy as np
 from .eigen import EigEstimate
 from .operators import Array, NonFiniteError, pow_or_inf
 
-CURVATURE_TOL = 1e-14  # p'Ap <= tol * ||p||^2 counts as nonpositive curvature
-
 
 class CgCapError(RuntimeError):
     """CG hit its iteration cap without meeting the stopping criterion."""
@@ -23,8 +21,8 @@ class CgOutcome:
 
     On ``converged`` the residual satisfies the two-sided criterion
     ||A d + g|| <= (zeta/2) min(||g||, m ||d||). On ``nonpositive_curvature``
-    the violating search direction and its curvature are exposed so the
-    caller can recover a descent direction from them. Each exit of
+    the violating search direction p and its curvature p'Ap <= 0 are exposed
+    so the caller can recover a descent direction from them. Each exit of
     ``cg_capped`` builds its own outcome.
     """
 
@@ -78,10 +76,13 @@ def cg_capped(
     The caller certifies m I <= A <= M I. After every iteration (never at
     the zero initial iterate, where the m||d|| side is vacuous) the
     residual test ||A d + g|| <= (zeta/2) min(||g||, m ||d||) is applied.
-    The curvature of every search direction is checked; nonpositive
-    curvature aborts the solve and surfaces the direction, and a non-finite
-    one raises ``NonFiniteError``. ``apply_A`` is passed the search direction,
-    which is then updated in place, so it must not keep its argument.
+    The curvature p'Ap of every search direction is compared with zero, with
+    no tolerance in absolute units that a scaled-down A would fall under; a
+    nonpositive one aborts the solve and surfaces the direction, and a
+    non-finite one raises ``NonFiniteError``. On A = H + shift I with
+    shift > 0, such a p has p'Hp <= -shift ||p||^2 < 0. ``apply_A`` is
+    passed the search direction, which is then updated in place, so it must
+    not keep its argument.
 
     Each exit returns its own ``CgOutcome``: nonpositive curvature or
     convergence at iteration q, or the cap after ``cap`` iterations, with
@@ -104,7 +105,7 @@ def cg_capped(
         pAp = float(p.dot(Ap))
         if not math.isfinite(pAp):
             raise NonFiniteError(f"non-finite curvature p'Ap in CG iteration {q}")
-        if pAp <= CURVATURE_TOL * float(p.dot(p)):
+        if pAp <= 0.0:
             return CgOutcome(d, q, rnorm, "nonpositive_curvature", p=p, p_curvature=pAp)
         alpha = rr / pAp
         d += alpha * p

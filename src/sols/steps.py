@@ -37,8 +37,8 @@ class StepKind:
 
 
 class IndefiniteSystemError(RuntimeError):
-    """indefinite-system encountered: CG found nonpositive curvature that
-    cannot be converted into a usable descent direction."""
+    """indefinite-system encountered: CG found a direction of exactly zero
+    curvature on an unshifted Newton system, which gives no descent step."""
 
 
 class ConfigError(ValueError):
@@ -342,6 +342,12 @@ def select_direction_inexact(
             raise CgCapError(
                 f"{head}; its target {target:.3e} is below {floor:.3e} "
                 "(n * eps_mach * ||g||), which float64 CG cannot reach"
+            )
+        if outcome.iters == obj.dim:
+            raise CgCapError(
+                f"{head}; that cap is n, which ends CG only in exact arithmetic: "
+                "float64 CG can need more iterations, or the certified spectrum "
+                "bounds are violated"
             )
         raise CgCapError(f"{head}; certified spectrum bounds appear to be violated")
     return Direction(

@@ -135,6 +135,27 @@ def cg_iterates(apply_A, g, m: float, M: float, zeta: float, iters: int) -> list
     return outs
 
 
+# Scaling by a power of two is exact for these systems: no product over- or
+# underflows, so every quantity an inner solver computes scales exactly too.
+POWER_OF_TWO_SCALES = (2.0**-100, 2.0**-66, 2.0**-33, 2.0**33, 2.0**100)
+
+
+def scaling_systems() -> list:
+    """``(id, A, g)``: random SPD systems with spectra in [0.5, 8], an
+    isotropic one, one with a negative-curvature direction and one with an
+    exactly zero-curvature direction (p = -g with p'Ap = 1 - 1)."""
+    rng = np.random.default_rng(29)
+    systems = []
+    for n in (2, 5, 50):
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        A = (Q * rng.uniform(0.5, 8.0, n)) @ Q.T
+        systems.append((f"spd-n{n}", A, rng.standard_normal(n)))
+    systems.append(("isotropic", 3.0 * np.eye(4), rng.standard_normal(4)))
+    systems.append(("negative-curvature", np.diag([-1.0, 2.0]), np.array([1.0, 1.0])))
+    systems.append(("zero-curvature", np.diag([1.0, -1.0]), np.array([1.0, 1.0])))
+    return systems
+
+
 @functools.cache
 def bench_hessians() -> tuple:
     """``(id, hv, n, U_H)`` for the Hessians the benchmark's inexact runs

@@ -14,9 +14,8 @@ from sols import (
     CgOutcome, NonFiniteError, SolverConfig, StepKind, cg_capped, cg_iteration_cap, get_problem,
     min_eigenpair_exact, run_exact, solve_exact,
 )
-from sols.cgsolve import CURVATURE_TOL
 
-from conftest import bench_hessians, cg_iterates
+from conftest import POWER_OF_TWO_SCALES, bench_hessians, cg_iterates, scaling_systems
 
 
 def reference_cg(A: np.ndarray, g: np.ndarray, tol: float = 1e-14) -> np.ndarray:
@@ -207,6 +206,19 @@ def test_non_finite_curvature_raises(bad):
         cg_capped(apply_A, np.array([1.0, 2.0, 3.0]), m=0.5, M=2.0, zeta=0.5, n=3)
 
 
+@pytest.mark.parametrize("zeta", [0.5, 1e-3])
+@pytest.mark.parametrize("A, g", [pytest.param(A, g, id=name) for name, A, g in scaling_systems()])
+def test_scaling_by_a_power_of_two_changes_no_decision(A, g, zeta):
+    # A, g, m and M scaled by s: every curvature and residual test compares
+    # quantities of one scale, so each solve takes the same path to the same d.
+    ref = cg_capped(operator(A), g, 0.5, 8.0, zeta, g.size)
+    for s in POWER_OF_TWO_SCALES:
+        out = cg_capped(operator(s * A), s * g, 0.5 * s, 8.0 * s, zeta, g.size)
+        assert (out.status, out.iters) == (ref.status, ref.iters), s
+        assert _same_bytes(out.d, ref.d), s
+        assert _same_bytes(out.p, None if ref.p is None else s * ref.p), s
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 20, 60])
 @pytest.mark.parametrize("shift", [0.0, 2.0])
 def test_solve_exact_matches_cho_solve_oracle(n, shift):
@@ -300,7 +312,7 @@ def matmul_cg_capped(apply_A, g, m, M, zeta, n):
     for q in range(1, cg_iteration_cap(n, m, M, zeta) + 1):
         Ap = np.asarray(apply_A(p), dtype=float)
         pAp = float(p @ Ap)
-        if pAp <= CURVATURE_TOL * float(p @ p):
+        if pAp <= 0.0:
             outcome.status = "nonpositive_curvature"
             outcome.p = p
             outcome.p_curvature = pAp

@@ -271,9 +271,10 @@ def test_run_output_that_cannot_be_written_exits_2(tmp_path, capsys, jobs, block
 
 
 def test_run_cg_cap_exits_3(tmp_path, capsys, monkeypatch):
-    # d = -g puts the residual target at (zeta/2) eps_H ||g||, within float64's reach.
+    # d = -g puts the residual target at (zeta/2) eps_H ||g||, within float64's
+    # reach, and a cap below n = 2 is one the condition-number bound set.
     def capped_cg(apply_A, g, m, M, zeta, n):
-        return CgOutcome(d=-g, iters=n, final_residual_norm=1.0, status="cap_reached")
+        return CgOutcome(d=-g, iters=1, final_residual_norm=1.0, status="cap_reached")
 
     monkeypatch.setattr(sols.steps, "cg_capped", capped_cg)
     code = main(["run", "--problem", "quad-convex-2d", "--algo", "inexact",
@@ -281,8 +282,22 @@ def test_run_cg_cap_exits_3(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert read_report(tmp_path, "quad-convex-2d", "inexact")["runs"][0]["status"] == "cg_cap"
     assert capsys.readouterr().err == (
-        "error: seed 0: CG reached its cap (2 iterations) with residual 1.000e+00; "
+        "error: seed 0: CG reached its cap (1 iterations) with residual 1.000e+00; "
         "certified spectrum bounds appear to be violated\n"
+    )
+
+
+def test_run_cg_cap_at_n_names_both_causes(tmp_path, capsys):
+    # U_H = 110 bounds the largest eigenvalue, 100, and the target lies above
+    # n eps_mach ||g||; the cap of n = 10 is what binds.
+    code = main(["run", "--problem", "quad-convex-10d", "--algo", "inexact", "--eps-H", "1e-12",
+                 "--out", str(tmp_path)])
+    assert code == 3
+    assert read_report(tmp_path, "quad-convex-10d", "inexact")["runs"][0]["status"] == "cg_cap"
+    assert capsys.readouterr().err == (
+        "error: seed 0: CG reached its cap (10 iterations) with residual 2.056e-05; "
+        "that cap is n, which ends CG only in exact arithmetic: float64 CG can need "
+        "more iterations, or the certified spectrum bounds are violated\n"
     )
 
 

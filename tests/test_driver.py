@@ -14,6 +14,7 @@ import sols.driver
 import sols.steps
 from sols import (
     Objective,
+    ProblemConstants,
     SolverConfig,
     StepKind,
     check_termination,
@@ -356,6 +357,24 @@ def test_inexact_requires_hessian_bound():
         run_inexact(obj, np.ones(2), SolverConfig())
     report, _ = run_inexact(obj, np.ones(2), SolverConfig(eps_g=1e-6, eps_H=0.5, U_H=1.5))
     assert report.status == "converged"
+
+
+@pytest.mark.parametrize("s", [1.0, 2.0**-33, 2.0**-66, 2.0**-100], ids=["1", "2-33", "2-66", "2-100"])
+@pytest.mark.parametrize("loop", ["exact", "exact-local", "inexact"])
+def test_uniformly_scaled_quadratic_converges_in_one_newton_step(loop, s):
+    # f(x) = x'(s A)x / 2 with its constants and tolerances scaled by s: each
+    # loop takes the same single Newton step at every scale.
+    obj = quadratic_objective(
+        s * np.diag([1.0, 2.0, 3.0]),
+        constants=ProblemConstants(L_H=0.0, U_g=10.0 * s, U_H=4.0 * s, f_low=0.0),
+    )
+    cfg = SolverConfig(eps_g=1e-4 * s, eps_H=1e-2 * s, eta=s)
+    x0 = np.ones(3)
+    if loop == "inexact":
+        report, _ = run_inexact(obj, x0, cfg)
+    else:
+        report, _ = run_exact(obj, x0, cfg, local_phase=loop == "exact-local")
+    assert (report.status, report.iterations) == ("converged", 1)
 
 
 def test_inexact_zero_delta_matches_exact_branch_choice_at_start():

@@ -17,7 +17,7 @@ from sols import lanczos_iteration_cap, lanczos_min_eig, min_eigenpair_exact, su
 from sols.eigen import EigEstimate, _lapack, _ritz_min
 from sols.operators import NonFiniteError, norm
 
-from conftest import bench_hessians, run_python, wilson_slack
+from conftest import POWER_OF_TWO_SCALES, bench_hessians, run_python, scaling_systems, wilson_slack
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -203,6 +203,28 @@ def test_breakdown_test_is_relative_at_every_scale():
         assert est.lam == pytest.approx(c * ref.lam, rel=1e-12)
         # The estimator's contract at eps = 1e-6 c: lam <= lambda_min + eps.
         assert est.lam <= -c + 1e-6 * c
+
+
+@pytest.mark.parametrize(
+    "delta, early", [(0.0, False), (0.1, False), (0.1, True)], ids=["delta0", "delta0.1", "sigma"]
+)
+@pytest.mark.parametrize("H", [pytest.param(A, id=name) for name, A, _ in scaling_systems()])
+def test_scaling_by_a_power_of_two_changes_no_decision(H, delta, early):
+    # H, M, eps and sigma scaled by s: the breakdown and early-stop tests
+    # compare quantities of one scale, so each call takes the same path.
+    n = H.shape[0]
+
+    def call(s):
+        eps = 0.08 * s
+        sigma = -0.5 * eps if early else -math.inf
+        return lanczos_min_eig(hv_of(s * H), n, M=8.0 * s, eps=eps, delta=delta,
+                               rng=rng_for(3), sigma=sigma)
+
+    ref = call(1.0)
+    for s in POWER_OF_TWO_SCALES:
+        est = call(s)
+        assert (est.converged_by, est.iters) == (ref.converged_by, ref.iters), s
+        assert est.lam / s == pytest.approx(ref.lam, rel=1e-12), s
 
 
 def test_breakdown_on_zero_hessian_stops_after_one_product():

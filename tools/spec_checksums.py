@@ -90,6 +90,11 @@ def run_specs(problems: list[str]):
         yield f"{problem}_inexact_{flag[2:]}{value}", [
             "--problem", problem, "--algo", "inexact", flag, value,
         ]
+    # CG at its cap of n with a target float64 can reach: exit 3, and the
+    # message names both causes it cannot tell apart.
+    yield "quad-convex-10d_inexact_eps-H1e-12", [
+        "--problem", "quad-convex-10d", "--algo", "inexact", "--eps-H", "1e-12",
+    ]
 
 
 def sols(out_dir: Path, env: dict, name: str, args: list[str]) -> str:
