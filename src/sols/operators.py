@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 Array = np.ndarray
+FLOAT64 = np.dtype(float)
 
 
 class NonFiniteError(ValueError):
@@ -68,6 +69,15 @@ class Objective:
     Counters are per-instance: distinct runs must own distinct instances.
     A dense Hessian callable is optional; the exact solver path and the test
     oracles need it, the inexact path does not.
+
+    A callback's result passes as it is when it already has the expected
+    form: a Python ``float`` from ``value``, or a float64 ``ndarray`` of the
+    expected shape from the others, which is then the callback's own array.
+    Any other result is converted to float64, a ``value`` result to a Python
+    ``float``; booleans, integers and other float widths convert. A result
+    of the wrong shape raises a ValueError naming the callback and both
+    shapes, and one that numpy reads as complex, string or object values
+    (``None`` included) one naming the callback and the dtype.
     """
 
     def __init__(
@@ -92,20 +102,46 @@ class Objective:
         self.name = name
         self.counters = EvalCounters()
 
+    # Each call below tests the expected form inline and calls ``_array``
+    # only for a result that fails it: these run once per oracle call.
+
     def value(self, x: Array) -> float:
         self.counters.n_f += 1
-        return float(self._array(self._value(x), "value", ()))
+        out = self._value(x)
+        return out if type(out) is float else float(self._array(out, "value", ()))
 
     def gradient(self, x: Array) -> Array:
         self.counters.n_grad += 1
-        return self._array(self._gradient(x), "gradient", (self.dim,))
+        out = self._gradient(x)
+        if type(out) is Array and out.dtype is FLOAT64 and out.shape == (self.dim,):
+            return out
+        return self._array(out, "gradient", (self.dim,))
 
     def hessian_vector(self, x: Array, v: Array) -> Array:
         self.counters.n_hv += 1
-        return self._array(self._hessian_vector(x, v), "hessian_vector", (self.dim,))
+        out = self._hessian_vector(x, v)
+        if type(out) is Array and out.dtype is FLOAT64 and out.shape == (self.dim,):
+            return out
+        return self._array(out, "hessian_vector", (self.dim,))
+
+    def dense_hessian(self, x: Array) -> Array:
+        if self._dense_hessian is None:
+            raise ValueError(f"objective {self.name!r} does not provide a dense Hessian")
+        out = self._dense_hessian(x)
+        shape = (self.dim, self.dim)
+        if type(out) is Array and out.dtype is FLOAT64 and out.shape == shape:
+            return out
+        return self._array(out, "dense_hessian", shape)
 
     def _array(self, out, callback: str, shape: tuple[int, ...]) -> Array:
-        """A callback's result as a float array, or a ValueError unless it has ``shape``."""
+        """A callback's result as a float64 array, or a ValueError unless it
+        holds real numbers in ``shape``."""
+        out = np.asarray(out)
+        if out.dtype.kind not in "biuf":
+            raise ValueError(
+                f"objective {self.name!r}: {callback} returned {out.dtype} values, "
+                "expected real numbers"
+            )
         out = np.asarray(out, dtype=float)
         if out.shape != shape:
             raise ValueError(
@@ -113,11 +149,6 @@ class Objective:
                 f"expected {shape}"
             )
         return out
-
-    def dense_hessian(self, x: Array) -> Array:
-        if self._dense_hessian is None:
-            raise ValueError(f"objective {self.name!r} does not provide a dense Hessian")
-        return self._array(self._dense_hessian(x), "dense_hessian", (self.dim, self.dim))
 
 
 def rayleigh_quotient(obj: Objective, x: Array, g: Array) -> float:

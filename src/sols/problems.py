@@ -26,27 +26,6 @@ class ConstantsError(RuntimeError):
     """Declared constants failed the sampling verifier."""
 
 
-def _point_memo(coefficients):
-    """One-slot memo of ``coefficients(x)``, keyed on the value of x.
-
-    Every Hessian-vector product and the dense Hessian at one iterate share
-    the iterate's Hessian coefficients, so they are computed once per point.
-    The key is the bytes of x, never its identity: a caller may change x in
-    place.
-    """
-    key, value = None, None
-
-    def at(x: Array):
-        nonlocal key, value
-        x = np.asarray(x, dtype=float)
-        b = x.tobytes()
-        if b != key:
-            key, value = b, coefficients(x)
-        return value
-
-    return at
-
-
 @dataclass(frozen=True)
 class SuiteProblem:
     """An objective family member with certified constants and coverage intent.
@@ -124,8 +103,13 @@ def _suite_problem(
     ``bounds`` are the closed-form (L_H, U_g, U_H, f_low); the declared
     constants inflate the first three by ``MARGIN``. ``product(c, v)`` is the
     Hessian-vector product and ``dense(c)`` the dense Hessian for the
-    coefficients ``c`` of one point; each objective computes them once per
-    point through its own memo.
+    coefficients ``c`` of one point.
+
+    Every product and the dense Hessian at one iterate share the iterate's
+    coefficients, so each objective computes them once per point, in a
+    one-slot memo keyed on the bytes of x, never its identity: a caller may
+    change x in place. The memo runs inside the product itself, which is
+    called once per Lanczos step and CG iteration.
     """
     L_H, U_g, U_H, f_low = bounds
     try:
@@ -134,13 +118,19 @@ def _suite_problem(
         raise ValueError(f"{name}: {exc}") from None
 
     def factory() -> Objective:
-        coefficients_at = _point_memo(coefficients)
+        key, coeffs = None, None  # the bytes of the last point, its coefficients
 
-        def hessian_vector(x: Array, v: Array) -> Array:
-            return product(coefficients_at(x), v)
+        def hessian_vector(x: Array, v, apply=product):
+            """``apply(coefficients(x), v)``; the dense Hessian passes its own ``apply``."""
+            nonlocal key, coeffs
+            x = np.asarray(x, dtype=float)
+            b = x.tobytes()
+            if b != key:
+                key, coeffs = b, coefficients(x)
+            return apply(coeffs, v)
 
         def dense_hessian(x: Array) -> Array:
-            return dense(coefficients_at(x))
+            return hessian_vector(x, None, lambda c, _v: dense(c))
 
         return Objective(
             x0.size, value, gradient, hessian_vector, dense_hessian,
@@ -190,12 +180,16 @@ def separable_quartic(
     if np.any(beta < 0.0):
         raise ValueError(f"{name}: beta must be nonnegative")
     bounds, x_star = _separable_quartic_constants(name, d, beta, c0, x0)
+    # The constant factors are computed once, and the callbacks apply them in
+    # the order Python evaluated the literal expressions, (0.5 * d).dot(x**2)
+    # and d + (3.0 * beta) * x**2, so every bit stays the same.
+    half_d, quarter_beta, three_beta = 0.5 * d, 0.25 * beta, 3.0 * beta
     # The Hessian is diagonal: its coefficients at x are the curvatures d + 3 beta x^2.
     return _suite_problem(
         name, x0, x_star, bounds,
-        lambda x: float((0.5 * d).dot(x**2) + (0.25 * beta).dot(x**4) + c0),
+        lambda x: float(half_d.dot(x**2) + quarter_beta.dot(x**4) + c0),
         lambda x: d * x + beta * x**3,
-        lambda x: d + 3.0 * beta * x**2, np.multiply, np.diag,
+        lambda x: d + three_beta * x**2, np.multiply, np.diag,
         branch_coverage, coverage_config,
     )
 

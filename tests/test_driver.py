@@ -791,6 +791,15 @@ def test_wrong_shape_callback_raises_a_named_error(case, loop):
     # TypeError), a mismatch in a core dimension, "1-dimensional array
     # given", or read a (3, 3, 1) Hessian as not symmetric.
     callback, bad, shape = WRONG_SHAPES[case]
+    assert _bad_callback_error(loop, callback, bad) == (
+        f"objective 'bowl': {callback} returned shape {shape}, "
+        f"expected {EXPECTED_SHAPES[callback]}"
+    )
+
+
+def _bad_callback_error(loop, callback: str, bad) -> str:
+    """The message of the ValueError ``loop`` raises on a 3-D bowl whose
+    ``callback`` is replaced by ``bad``."""
     callbacks = {
         "value": lambda x: float(x @ x),
         "gradient": lambda x: 2.0 * x,
@@ -802,9 +811,38 @@ def test_wrong_shape_callback_raises_a_named_error(case, loop):
     with pytest.raises(ValueError) as info:
         loop(obj, np.ones(3), SolverConfig(U_H=3.0))
     assert info.type is ValueError
-    assert str(info.value) == (
-        f"objective 'bowl': {callback} returned shape {shape}, "
-        f"expected {EXPECTED_SHAPES[callback]}"
+    return str(info.value)
+
+
+# Results numpy reads as complex, string or object values. Without the check
+# a None value read as NaN ("not finite at the start point"), a complex value
+# raised a bare TypeError, a complex array kept its real part with a
+# ComplexWarning, and a string raised "could not convert string to float".
+NON_REAL = {
+    "value-None": ("value", lambda x: None, "object"),
+    "value-complex": ("value", lambda x: complex(x @ x, 1.0), "complex128"),
+    "value-string": ("value", lambda x: "3.0", "<U3"),
+    "gradient-complex": ("gradient", lambda x: (2.0 + 1j) * x, "complex128"),
+    "gradient-string": ("gradient", lambda x: np.array(["2", "2", "2"]), "<U1"),
+    "product-complex": ("hessian_vector", lambda x, v: 2.0 * v + 0j, "complex128"),
+    "product-None": ("hessian_vector", lambda x, v: None, "object"),
+    "dense-complex": ("dense_hessian", lambda x: 2.0 * np.eye(3) + 0j, "complex128"),
+}
+
+
+@pytest.mark.parametrize(
+    "case, loop",
+    [
+        pytest.param(case, loop, id=f"{case}-{name}")
+        for case in sorted(NON_REAL)
+        for name, loop in (("exact", run_exact), ("inexact", run_inexact))
+        if name == "exact" or not case.startswith("dense")
+    ],
+)
+def test_non_real_callback_result_raises_a_named_error(case, loop):
+    callback, bad, dtype = NON_REAL[case]
+    assert _bad_callback_error(loop, callback, bad) == (
+        f"objective 'bowl': {callback} returned {dtype} values, expected real numbers"
     )
 
 

@@ -229,3 +229,44 @@ def test_missing_dense_hessian_raises():
     obj = Objective(2, lambda x: 0.0, lambda x: np.zeros(2), lambda x, v: np.zeros(2))
     with pytest.raises(ValueError):
         obj.dense_hessian(np.zeros(2))
+
+
+def _objective_returning(result):
+    """A 3-D objective whose every callback returns ``result``."""
+    return Objective(3, lambda x: result, lambda x: result, lambda x, v: result,
+                     lambda x: result)
+
+
+def test_float64_results_pass_as_the_callbacks_own_arrays():
+    x = np.ones(3)
+    for result, calls in (
+        (np.arange(3.0), ("gradient", "hessian_vector")),
+        (np.arange(9.0).reshape(3, 3), ("dense_hessian",)),
+        (np.arange(6.0)[::2], ("gradient", "hessian_vector")),  # strided, as np.asarray kept it
+    ):
+        obj = _objective_returning(result)
+        for call in calls:
+            args = (x, x) if call == "hessian_vector" else (x,)
+            assert getattr(obj, call)(*args) is result
+
+
+def test_other_real_results_convert_to_float64_with_equal_values():
+    x = np.ones(3)
+    for result in (
+        np.arange(3, dtype=np.float32) / 3, np.arange(3), [0.5, 1.0, 2.0], [True, False, True],
+        np.arange(3.0).astype(">f8"), np.arange(3.0).view(np.recarray),
+    ):
+        obj = _objective_returning(result)
+        for out in (obj.gradient(x), obj.hessian_vector(x, x)):
+            assert type(out) is np.ndarray and out.dtype == np.float64 and out.shape == (3,)
+            assert out is not result and np.array_equal(out, np.asarray(result, dtype=float))
+    H = _objective_returning(np.eye(3, dtype=np.int64)).dense_hessian(x)
+    assert H.dtype == np.float64 and np.array_equal(H, np.eye(3))
+
+
+def test_value_returns_a_python_float():
+    x = np.ones(3)
+    for result in (1.5, np.float64(1.5), np.float32(1.5), 2, np.int64(2), True,
+                   np.array(1.5), np.array(2, dtype=np.int8)):
+        out = Objective(3, lambda x: result, lambda x: x, lambda x, v: v).value(x)
+        assert type(out) is float and out == float(result)
