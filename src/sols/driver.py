@@ -183,13 +183,14 @@ def _step(
     """Backtrack along ``sel.d`` from ``x`` and record the accepted step as row ``k``."""
     res = backtrack(obj, x, f_x, sel.d, cfg, kind=sel.kind)
     x_next = x + res.alpha * sel.d
+    g_norm = norm(g)  # before the next gradient, which may reuse g's buffer
     g_next = obj.gradient(x_next)
     rec = IterationRecord(
         k=k,
         phase=phase,
         step_kind=sel.kind,
         f=f_x,
-        g_norm=norm(g),
+        g_norm=g_norm,
         x_norm=norm(x),
         R=sel.R,
         lam=sel.lam,

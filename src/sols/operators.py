@@ -78,6 +78,11 @@ class Objective:
     of the wrong shape raises a ValueError naming the callback and both
     shapes, and one that numpy reads as complex, string or object values
     (``None`` included) one naming the callback and the dtype.
+
+    A gradient callback may return one buffer that it overwrites on each
+    call: the solvers read everything they need from a gradient before they
+    ask for the next one. Hessian-vector results are used before the next
+    product, so the same holds for them.
     """
 
     def __init__(

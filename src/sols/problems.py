@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import Array, Objective, ProblemConstants, banded_product, pow_or_inf
+from .operators import Array, Objective, ProblemConstants, banded_product, norm, pow_or_inf
 from .steps import SolverConfig, StepKind
 
 MARGIN = 1.1
@@ -45,6 +45,8 @@ class SuiteProblem:
     branch_coverage: frozenset
     coverage_config: SolverConfig
     _factory: object
+    _coefficients: object  # x -> the coefficients of the Hessian at x
+    _hessian_norm: object  # coefficients -> the 2-norm of their Hessian
 
     def make_objective(self) -> Objective:
         return self._factory()
@@ -96,14 +98,17 @@ def _finite(name: str, label: str, a, n: int | None = None, expected: str = "") 
 
 def _suite_problem(
     name: str, x0: Array, x_star: Array, bounds, value, gradient,
-    coefficients, product, dense, branch_coverage, coverage_config: SolverConfig,
+    coefficients, product, dense, hessian_norm, branch_coverage,
+    coverage_config: SolverConfig,
 ) -> SuiteProblem:
     """A verified suite problem whose Hessian at x is given by ``coefficients(x)``.
 
     ``bounds`` are the closed-form (L_H, U_g, U_H, f_low); the declared
     constants inflate the first three by ``MARGIN``. ``product(c, v)`` is the
-    Hessian-vector product and ``dense(c)`` the dense Hessian for the
-    coefficients ``c`` of one point.
+    Hessian-vector product, ``dense(c)`` the dense Hessian and
+    ``hessian_norm(c)`` its 2-norm, for the coefficients ``c`` of one point.
+    The Hessian is linear in ``c``, entry by entry, which
+    ``verify_constants`` relies on.
 
     Every product and the dense Hessian at one iterate share the iterate's
     coefficients, so each objective computes them once per point, in a
@@ -146,6 +151,8 @@ def _suite_problem(
         branch_coverage=frozenset(branch_coverage),
         coverage_config=coverage_config,
         _factory=factory,
+        _coefficients=coefficients,
+        _hessian_norm=hessian_norm,
     )
     verify_constants(problem)
     return problem
@@ -184,12 +191,14 @@ def separable_quartic(
     # the order Python evaluated the literal expressions, (0.5 * d).dot(x**2)
     # and d + (3.0 * beta) * x**2, so every bit stays the same.
     half_d, quarter_beta, three_beta = 0.5 * d, 0.25 * beta, 3.0 * beta
-    # The Hessian is diagonal: its coefficients at x are the curvatures d + 3 beta x^2.
+    # The Hessian is diagonal: its coefficients at x are the curvatures
+    # d + 3 beta x^2, and its 2-norm is their largest magnitude.
     return _suite_problem(
         name, x0, x_star, bounds,
         lambda x: float(half_d.dot(x**2) + quarter_beta.dot(x**4) + c0),
         lambda x: d * x + beta * x**3,
         lambda x: d + three_beta * x**2, np.multiply, np.diag,
+        lambda c: float(np.abs(c).max()),
         branch_coverage, coverage_config,
     )
 
@@ -263,6 +272,13 @@ def _tridiagonal(bands: tuple[Array, Array]) -> Array:
     return H
 
 
+def _tridiagonal_norm(bands: tuple[Array, Array]) -> float:
+    """The 2-norm of the symmetric tridiagonal matrix ``(diag, off)``: its
+    largest |eigenvalue|, by a dense ``eigvalsh``. The bands alone would give
+    it in O(n) through LAPACK ``dstebz``, but the exact path loads no scipy."""
+    return float(np.abs(np.linalg.eigvalsh(_tridiagonal(bands))).max())
+
+
 def rosenbrock(
     name: str,
     n: int,
@@ -283,9 +299,14 @@ def rosenbrock(
     return _suite_problem(
         name, x0, np.ones(n), _rosenbrock_constants(n, a, x0),
         lambda x: _rosenbrock_value(x, a), lambda x: _rosenbrock_gradient(x, a),
-        lambda x: _rosenbrock_bands(x, a), banded_product, _tridiagonal,
+        lambda x: _rosenbrock_bands(x, a), banded_product, _tridiagonal, _tridiagonal_norm,
         branch_coverage, coverage_config,
     )
+
+
+def _minus(a, b):
+    """``a - b`` entry by entry, for coefficients in one array or in a tuple of bands."""
+    return tuple(map(np.subtract, a, b)) if isinstance(a, tuple) else a - b
 
 
 def verify_constants(
@@ -297,6 +318,16 @@ def verify_constants(
     accepts moves staying in the level set, plus blends toward the known
     minimizer, so the check works in any dimension. Violations raise; the
     declared margins mean an honest declaration always passes.
+
+    The walk's step does not scale with n, so in high dimension a step
+    almost never stays in the level set: on a 2000-D double-well the walk
+    accepts no move, and the checks run at x0 and the blends toward x_star
+    only.
+
+    Each norm is taken from the Hessian coefficients of a point, and only
+    those are kept, never a matrix. A Hessian is linear in its coefficients
+    entry by entry, so the Hessian difference of two points is the Hessian
+    of their coefficient difference.
     """
     obj = problem.make_objective()
     x0 = problem.start_point()
@@ -325,27 +356,25 @@ def verify_constants(
             points.append(y)
             values.append(f_y)
 
-    hessians = [obj.dense_hessian(p) for p in points]
-    for p, f_p, H in zip(points, values, hessians):
+    coeffs = [problem._coefficients(p) for p in points]
+    for p, f_p, c in zip(points, values, coeffs):
         if f_p < pc.f_low - 1e-12:
             raise ConstantsError(f"{problem.name}: sampled f below declared f_low")
-        gn = float(np.linalg.norm(obj.gradient(p)))
+        gn = norm(obj.gradient(p))
         if gn > pc.U_g:
             raise ConstantsError(
                 f"{problem.name}: sampled gradient norm {gn:.6g} exceeds U_g {pc.U_g:.6g}"
             )
-        # H is symmetric, as is each difference below: its 2-norm is its
-        # largest |eigenvalue|, which needs no SVD.
-        hn = float(np.abs(np.linalg.eigvalsh(H)).max())
+        hn = problem._hessian_norm(c)
         if hn > pc.U_H:
             raise ConstantsError(
                 f"{problem.name}: sampled Hessian norm {hn:.6g} exceeds U_H {pc.U_H:.6g}"
             )
     for i in range(len(points) - 1):
-        dx = float(np.linalg.norm(points[i + 1] - points[i]))
+        dx = norm(points[i + 1] - points[i])
         if dx == 0.0:
             continue
-        dh = float(np.abs(np.linalg.eigvalsh(hessians[i + 1] - hessians[i])).max())
+        dh = problem._hessian_norm(_minus(coeffs[i + 1], coeffs[i]))
         if dh > pc.L_H * dx:
             raise ConstantsError(
                 f"{problem.name}: sampled Hessian variation {dh / dx:.6g} exceeds "

@@ -338,6 +338,35 @@ def test_trace_rows_are_numbered_by_step(law_corpus):
         assert [r.k for r in records] == list(range(report.iterations))
 
 
+def test_each_row_starts_from_the_gradient_its_predecessor_ended_at(law_corpus):
+    for run in law_corpus:
+        for prev, row in zip(run.records, run.records[1:]):
+            assert repr(row.g_norm) == repr(prev.g_next_norm), (run.problem.name, row.k)
+
+
+@pytest.mark.parametrize("algo", ["exact", "inexact"])
+def test_a_gradient_callback_may_reuse_its_output_buffer(algo):
+    p = get_problem("rosenbrock-10d")
+    run = run_inexact if algo == "inexact" else run_exact
+    inner = p.make_objective()
+    buffer = np.empty(p.dim)
+
+    def gradient(x):
+        buffer[:] = inner.gradient(x)
+        return buffer
+
+    reusing = Objective(
+        p.dim, inner.value, gradient, inner.hessian_vector, inner.dense_hessian,
+        constants=p.constants, name=p.name,
+    )
+    report, records = run(reusing, p.start_point(), p.coverage_config)
+    fresh_report, fresh_records = run(p.make_objective(), p.start_point(), p.coverage_config)
+    assert len(records) > 1
+    assert trace_rows(records) == trace_rows(fresh_records)
+    assert report.certificate.g_norm_min == fresh_report.certificate.g_norm_min
+    assert report.g_norm_final == fresh_report.g_norm_final
+
+
 # --- inexact loop ---------------------------------------------------------------
 
 def test_inexact_unit_newton_on_quadratic():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -128,10 +129,10 @@ def test_sampling_verifier_accepts_declared_constants():
 
 
 def test_sampling_verifier_keeps_f_from_the_sampling(monkeypatch):
-    # The checks run on the Hessians of the sampled points; f of each point
-    # was kept when it was sampled, so no f evaluation follows a Hessian.
+    # The checks begin with the gradient of the first sampled point; f of
+    # each point was kept when it was sampled, so no f evaluation follows.
     calls = []
-    for name in ("value", "dense_hessian"):
+    for name in ("value", "gradient"):
         real = getattr(Objective, name)
         monkeypatch.setattr(
             Objective, name,
@@ -140,9 +141,77 @@ def test_sampling_verifier_keeps_f_from_the_sampling(monkeypatch):
     for p in suite():
         calls.clear()
         verify_constants(p, n_points=60, seed=777)
-        first_hessian = calls.index("dense_hessian")
-        assert "value" in calls[:first_hessian]
-        assert "value" not in calls[first_hessian:]
+        first_check = calls.index("gradient")
+        assert "value" in calls[:first_check]
+        assert "value" not in calls[first_check:]
+
+
+def _verifier_norms(p, *args) -> tuple[list, list]:
+    """The points at which ``verify_constants(p, *args)`` took Hessian
+    coefficients, and the norms it computed from them, in call order."""
+    points, norms = [], []
+
+    def coefficients(x):
+        points.append(x.copy())
+        return p._coefficients(x)
+
+    def hessian_norm(c):
+        norms.append(p._hessian_norm(c))
+        return norms[-1]
+
+    spied = dataclasses.replace(p, _coefficients=coefficients, _hessian_norm=hessian_norm)
+    verify_constants(spied, *args)
+    return points, norms
+
+
+@pytest.mark.parametrize("args", [(), (60, 777)], ids=["default", "60-777"])
+def test_verifier_norms_bitwise_equal_to_dense_eigvalsh(args):
+    # The norms come from the coefficients; the dense 2-norm they replace is
+    # the largest |eigenvalue| of each Hessian and of each difference of the
+    # Hessians of consecutive, distinct points.
+    def dense_norm(H):
+        return float(np.abs(np.linalg.eigvalsh(H)).max())
+
+    for p in suite():
+        points, norms = _verifier_norms(p, *args)
+        obj = p.make_objective()
+        hessians = [obj.dense_hessian(x) for x in points]
+        expected = [dense_norm(H) for H in hessians] + [
+            dense_norm(H1 - H0)
+            for x0, x1, H0, H1 in zip(points, points[1:], hessians, hessians[1:])
+            if np.linalg.norm(x1 - x0) != 0.0
+        ]
+        assert len(points) > 5, p.name  # more than x0 and the blends: the walk moved
+        assert _same_bytes(np.array(norms), np.array(expected)), p.name
+
+
+def test_diagonal_family_verifies_without_a_dense_matrix(monkeypatch):
+    # The double-well of d = -linspace(0.5, 1.5, n), started at x_star but
+    # for its first 50 coordinates, at 0. At n = 2000 a dense check would
+    # form 2000 x 2000 Hessians; this one forms none.
+    dense_calls = []
+    real_diag = np.diag
+    monkeypatch.setattr(
+        np, "diag", lambda *a, **k: dense_calls.append("diag") or real_diag(*a, **k)
+    )
+    real_dense = Objective.dense_hessian
+    monkeypatch.setattr(
+        Objective, "dense_hessian",
+        lambda self, x: dense_calls.append("dense_hessian") or real_dense(self, x),
+    )
+    n = 2000
+    d = -np.linspace(0.5, 1.5, n)
+    x0 = np.sqrt(-d)
+    x0[:50] = 0.0
+    p = separable_quartic(
+        "double-well-2000", d=d, beta=1.0, c0=0.0, x0=x0,
+        branch_coverage=[], coverage_config=SolverConfig(),
+    )
+    points, _ = _verifier_norms(p)
+    assert len(points) == 5  # x0 and the four blends: the walk accepted no move
+    for name in ("quad-convex-10d", "quartic-saddle-50d"):
+        get_problem.__wrapped__(name)  # built and verified afresh, not from the cache
+    assert dense_calls == []
 
 
 def test_sampling_verifier_rejects_misdeclared_constants():
