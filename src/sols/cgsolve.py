@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import EigEstimate
+from .eigen import EigEstimate, _lapack
 from .operators import Array, NonFiniteError, pow_or_inf
 
 
@@ -63,6 +63,28 @@ def cg_iteration_cap(n: int, m: float, M: float, zeta: float) -> int:
     return n if not cap < n else max(1, math.ceil(cap))
 
 
+def tridiagonal_solver(bands: tuple[Array, Array], shift: float):
+    """r -> (T + shift I)^{-1} r for the symmetric tridiagonal T = ``bands``,
+    or None where T + shift I has a pivot that is not positive.
+
+    T + shift I is factored once, as L D L' by LAPACK ``dpttrf``, and each
+    call is one O(n) ``dpttrs`` solve into a fresh array. At n = 1 the solve
+    is a division: the f2py wrapper rejects an empty off-diagonal.
+    ``dpttrf`` stops at the first pivot that is not positive, which happens
+    only when T + shift I is not positive definite to working precision.
+    """
+    diag, off = bands
+    diag = diag + shift
+    if len(diag) == 1:
+        pivot = float(diag[0])
+        return (lambda r: r / pivot) if pivot > 0.0 else None
+    lapack = _lapack()
+    d, e, info = lapack.dpttrf(diag, off)
+    if info != 0:
+        return None
+    return lambda r: lapack.dpttrs(d, e, r)[0]
+
+
 def cg_capped(
     apply_A,
     g: Array,
@@ -70,6 +92,7 @@ def cg_capped(
     M: float,
     zeta: float,
     n: int,
+    precondition=None,
 ) -> CgOutcome:
     """Conjugate gradient for A d = -g with a two-sided stop and a hard cap.
 
@@ -84,6 +107,14 @@ def cg_capped(
     passed the search direction, which is then updated in place, so it must
     not keep its argument.
 
+    ``precondition``, if given, maps a residual r to z = P^{-1} r for a
+    symmetric positive-definite P, as a fresh array. CG then steps by
+    alpha = r'z / p'Ap and p <- -z + (r'z)_new / (r'z) p; the residual test,
+    the cap and both curvature exits stay as above. With P = A
+    (``tridiagonal_solver``) the first iteration is a direct solve, checked
+    by the residual test like any other iterate. Without it z is r, and the
+    operations are those of plain CG.
+
     Each exit returns its own ``CgOutcome``: nonpositive curvature or
     convergence at iteration q, or the cap after ``cap`` iterations, with
     the residual norm of the last iterate (||g|| before the first).
@@ -97,7 +128,12 @@ def cg_capped(
 
     cap = cg_iteration_cap(n, m, M, zeta)
     d = np.zeros_like(g)
-    p = -r
+    # z = P^{-1} r, and rz = r'z; unpreconditioned, z is r itself.
+    z, rz = r, rr
+    if precondition is not None:
+        z = precondition(r)
+        rz = float(r.dot(z))
+    p = -z
     rnorm = gnorm
 
     for q in range(1, cap + 1):
@@ -107,7 +143,7 @@ def cg_capped(
             raise NonFiniteError(f"non-finite curvature p'Ap in CG iteration {q}")
         if pAp <= 0.0:
             return CgOutcome(d, q, rnorm, "nonpositive_curvature", p=p, p_curvature=pAp)
-        alpha = rr / pAp
+        alpha = rz / pAp
         d += alpha * p
         r += alpha * Ap
         rr_new = float(r.dot(r))
@@ -115,10 +151,13 @@ def cg_capped(
         dnorm = math.sqrt(float(d.dot(d)))
         if rnorm <= 0.5 * zeta * min(gnorm, m * dnorm):
             return CgOutcome(d, q, rnorm, "converged")
-        # t - r, the same IEEE result as -r + t.
-        p *= rr_new / rr
-        p -= r
-        rr = rr_new
+        rz_new = rr_new
+        if precondition is not None:
+            z = precondition(r)
+            rz_new = float(r.dot(z))
+        # t - z, the same IEEE result as -z + t.
+        p *= rz_new / rz
+        p -= z
+        rz = rz_new
 
     return CgOutcome(d, cap, rnorm, "cap_reached")
-

@@ -206,6 +206,9 @@ def _step(
         n_grad=obj.counters.n_grad,
         n_hv=obj.counters.n_hv,
     )
+    # The search rejects a NaN or +inf trial value but accepts -inf, which
+    # no objective bounded below can return.
+    _require_finite(res.f_new, f"the objective after step {k}")
     _require_finite(rec.g_next_norm, f"the gradient norm after step {k}")
     return rec, x_next, res.f_new, g_next
 
@@ -249,6 +252,7 @@ def _run_loop(
     reentries = 0
     cert: Certificate | None = None
     status = "max_iters"
+    second_order_ok: bool | None = None
     final_lam: float | None = None
     error_msg: str | None = None
     # "local" after a certificate on exact-local: the Newton-dominant loop,
@@ -306,17 +310,16 @@ def _run_loop(
                 status = "converged"
                 break
             phase = "local"
+        if status == "converged" and not inexact:
+            # One extra eigenvalue check classifies whether the final point
+            # itself satisfies the pointwise second-order condition. A
+            # converged exact run has a certificate, so it has used the dense
+            # Hessian; a non-finite one here ends the run "nonfinite" too.
+            est = min_eigenpair_exact(obj.dense_hessian(x))
+            second_order_ok = bool(check_termination(norm(g), est.lam, cfg))
     except tuple(HARD_ERROR_STATUS) as exc:
         status = next(s for cls, s in HARD_ERROR_STATUS.items() if isinstance(exc, cls))
         error_msg = str(exc)
-
-    second_order_ok = None
-    if status == "converged" and not inexact:
-        # One extra eigenvalue check classifies whether the final point
-        # itself satisfies the pointwise second-order condition. A converged
-        # exact run has a certificate, so it has used the dense Hessian.
-        est = min_eigenpair_exact(obj.dense_hessian(x))
-        second_order_ok = bool(check_termination(norm(g), est.lam, cfg))
 
     report = RunReport(
         status=status,

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cgsolve import CgCapError, cg_capped, solve_exact
+from .cgsolve import CgCapError, cg_capped, solve_exact, tridiagonal_solver
 from .eigen import EigEstimate, lanczos_min_eig, min_eigenpair_exact
 from .operators import (
     Array, NonFiniteError, Objective, banded_product, norm, pow_or_inf, rayleigh_quotient,
@@ -274,11 +274,15 @@ def select_direction_inexact(
     R^n, CG instead runs in its basis Q on (T + shift I) z = -Q g and the
     step is d = Q'z: Q is orthonormal, so every norm CG tests and the
     curvature of every search direction equal those of the solve in x, and
-    T answers the products at no evaluation cost. If CG uncovers
-    nonpositive curvature (a low-probability estimator failure), the
-    violating direction is rescaled into a negative-curvature step so the
-    cubic decrease law still applies; the event is flagged for the run
-    report's probability accounting.
+    T answers the products at no evaluation cost. That CG is preconditioned
+    by the exact LDL' factorization of T + shift I (``tridiagonal_solver``),
+    so its first iteration is a direct solve, still checked against the
+    residual target; where the factorization meets a pivot that is not
+    positive, which takes an eps_H below rounding, CG runs without it. If
+    CG uncovers nonpositive curvature (a low-probability estimator
+    failure), the violating direction is rescaled into a negative-curvature
+    step so the cubic decrease law still applies; the event is flagged for
+    the run report's probability accounting.
 
     A ``bound`` carried between calls, moved to x on every call, skips the
     Lanczos call where it already decides the branch: any estimate is at
@@ -315,15 +319,18 @@ def select_direction_inexact(
 
     kind, shift = newton_kind(lam_i, newton_cut, cfg, inexact=True)
     if Q is None:
-        product, rhs = hv, g
+        product, rhs, precondition = hv, g, None
     else:
         product, rhs = functools.partial(banded_product, est.bands), Q.dot(g)
+        precondition = tridiagonal_solver(est.bands, shift)
 
     def apply_A(v: Array) -> Array:
         av = product(v)
         return av if shift == 0.0 else av + shift * v
 
-    outcome = cg_capped(apply_A, rhs, cfg.eps_H, U_H + shift, cfg.zeta, obj.dim)
+    outcome = cg_capped(
+        apply_A, rhs, cfg.eps_H, U_H + shift, cfg.zeta, obj.dim, precondition=precondition
+    )
     d = outcome.d if Q is None else outcome.d.dot(Q)
     fallback = outcome.status == "nonpositive_curvature"
     if fallback:

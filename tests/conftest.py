@@ -157,21 +157,25 @@ def scaling_systems() -> list:
 
 
 @functools.cache
-def bench_hessians() -> tuple:
-    """``(id, hv, n, U_H)`` for the Hessians the benchmark's inexact runs
-    see: quartic-saddle-50d and the chained Rosenbrock function at n = 100
-    from its alternating -1.2/1.0 start, each at its start point and at
-    three seeded points near it. ``hv`` goes through
-    ``Objective.hessian_vector``, as in the solver."""
-    rosen100 = rosenbrock(
+def rosenbrock_100d():
+    """The chained Rosenbrock function at n = 100 from its alternating
+    -1.2/1.0 start, as the benchmark's ``rosen100-inexact`` builds it."""
+    return rosenbrock(
         "rosenbrock-100d",
         n=100,
         x0=[-1.2 if i % 2 == 0 else 1.0 for i in range(100)],
         branch_coverage=[],
         coverage_config=SolverConfig(),
     )
+
+
+def bench_hessians() -> tuple:
+    """``(id, hv, n, U_H)`` for the Hessians the benchmark's inexact runs
+    see: quartic-saddle-50d and ``rosenbrock_100d``, each at its start point
+    and at three seeded points near it. ``hv`` goes through
+    ``Objective.hessian_vector``, as in the solver."""
     cases = []
-    for problem in (get_problem("quartic-saddle-50d"), rosen100):
+    for problem in (get_problem("quartic-saddle-50d"), rosenbrock_100d()):
         obj = problem.make_objective()
         rng = np.random.default_rng(17)
         x0 = problem.start_point()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -14,6 +15,9 @@ from sols import (
     CgOutcome, NonFiniteError, SolverConfig, StepKind, cg_capped, cg_iteration_cap, get_problem,
     min_eigenpair_exact, run_exact, solve_exact,
 )
+from sols.cgsolve import tridiagonal_solver
+from sols.eigen import lanczos_min_eig
+from sols.operators import banded_product
 
 from conftest import POWER_OF_TWO_SCALES, bench_hessians, cg_iterates, scaling_systems
 
@@ -396,3 +400,109 @@ def test_bitwise_cases_reach_every_exit():
         exits.add(out.status if out.status != "nonpositive_curvature"
                   else f"npc-q{min(out.iters, 2)}")
     assert exits == {"converged", "cap_reached", "npc-q1", "npc-q2"}
+
+
+@pytest.mark.parametrize(
+    "apply_A, g, m, M, zeta, n", [pytest.param(*c[1:], id=c[0]) for c in BITWISE_CASES]
+)
+def test_identity_preconditioner_is_plain_cg(apply_A, g, m, M, zeta, n):
+    # z = r, as a fresh array: every operation of the preconditioned loop is
+    # then that of the plain one, so the two agree bit for bit.
+    ref = cg_capped(apply_A, g, m, M, zeta, n)
+    out = cg_capped(apply_A, g, m, M, zeta, n, precondition=lambda r: r.copy())
+    assert (out.status, out.iters) == (ref.status, ref.iters)
+    for a, b in ((out.d, ref.d), (out.final_residual_norm, ref.final_residual_norm),
+                 (out.p, ref.p), (out.p_curvature, ref.p_curvature)):
+        assert _same_bytes(a, b)
+
+
+# --- CG preconditioned by the exact factorization of T + shift I ------------
+
+def tridiagonal_dense(bands) -> np.ndarray:
+    diag, off = bands
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def lanczos_bands():
+    """``(id, bands, n, U_H)``: the tridiagonal T of a full-span Lanczos call
+    at each of the benchmark's Hessians, as ``select_direction_inexact`` sees
+    it. At the saddle's start point H = -I, so that call breaks down at once."""
+    for name, hv, n, U_H in bench_hessians():
+        est = lanczos_min_eig(hv, n, U_H + 2.0, 1e-3, 0.0, np.random.default_rng(3))
+        if est.converged_by == "full_n":
+            yield name, est.bands, n, U_H
+
+
+LANCZOS_BANDS = list(lanczos_bands())
+
+
+def test_lanczos_bands_span_both_benchmark_problems():
+    assert [c[0] for c in LANCZOS_BANDS] == [
+        "quartic-saddle-50d-x1", "quartic-saddle-50d-x2", "quartic-saddle-50d-x3",
+        *(f"rosenbrock-100d-x{i}" for i in range(4)),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 50])
+@pytest.mark.parametrize("shift", [0.0, 0.3])
+def test_tridiagonal_solver_solves_the_shifted_system(n, shift):
+    rng = np.random.default_rng(n)
+    # Diagonally dominant, so positive definite.
+    bands = (rng.uniform(2.5, 5.0, n), rng.uniform(-1.0, 1.0, n - 1))
+    r = rng.standard_normal(n)
+    r_before = r.copy()
+    z = tridiagonal_solver(bands, shift)(r)
+    A = tridiagonal_dense(bands) + shift * np.eye(n)
+    assert np.allclose(z, np.linalg.solve(A, r), rtol=1e-13, atol=0.0)
+    # The solve returns a fresh array and leaves its argument alone.
+    assert z is not r and np.array_equal(r, r_before)
+
+
+@pytest.mark.parametrize(
+    "bands, shift",
+    [
+        (([1.0, 1.0], [1.0]), 0.0),  # positive semidefinite: the second pivot is 0
+        (([1.0, 1.0], [2.0]), 0.0),  # indefinite
+        (([1.0, -3.0, 1.0], [0.0, 0.0]), 2.0),  # a diagonal entry still below -shift
+        (([0.0], []), 0.0),
+        (([-2.0], []), 1.0),
+    ],
+    ids=["semidefinite", "indefinite", "diagonal", "n1-zero", "n1-negative"],
+)
+def test_tridiagonal_solver_declines_without_positive_pivots(bands, shift):
+    bands = tuple(np.array(b, dtype=float) for b in bands)
+    assert tridiagonal_solver(bands, shift) is None
+
+
+@pytest.mark.parametrize("zeta", [0.5, 1e-3])
+@pytest.mark.parametrize("shift_units", [0.0, 2.0])
+@pytest.mark.parametrize(
+    "bands, n, U_H", [pytest.param(*c[1:], id=c[0]) for c in LANCZOS_BANDS]
+)
+def test_exact_tridiagonal_preconditioner_converges_in_one_iteration(
+    bands, n, U_H, shift_units, zeta
+):
+    # The basis solve of the inexact loop at eps_H = 0.01; on the saddle's
+    # indefinite Hessians only the shift past -lambda_min is positive definite.
+    shift = shift_units * 0.01
+    lam_min = float(scipy.linalg.eigvalsh_tridiagonal(*bands, select="i", select_range=(0, 0))[0])
+    if lam_min + shift <= 0.01:
+        shift = 0.01 - lam_min + 0.02
+    g = np.random.default_rng(n).standard_normal(n)
+    out = cg_capped(
+        shifted(functools.partial(banded_product, bands), shift), g, 0.01, U_H + shift, zeta, n,
+        precondition=tridiagonal_solver(bands, shift),
+    )
+    assert (out.status, out.iters) == ("converged", 1)
+
+
+def test_preconditioned_solve_raises_on_a_non_finite_product():
+    bands = (np.array([2.0, 3.0, 4.0]), np.array([0.5, -0.5]))
+    solve = tridiagonal_solver(bands, 0.0)
+    g = np.array([1.0, -2.0, 0.5])
+    with pytest.raises(NonFiniteError, match="iteration 1"):
+        cg_capped(lambda v: np.full(3, np.nan), g, 1.0, 5.0, 0.5, 3, precondition=solve)
+    # A preconditioner that returns NaN is caught at the next curvature.
+    with pytest.raises(NonFiniteError, match="iteration 1"):
+        cg_capped(functools.partial(banded_product, bands), g, 1.0, 5.0, 0.5, 3,
+                  precondition=lambda r: np.full(3, np.nan))

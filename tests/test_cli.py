@@ -273,7 +273,7 @@ def test_run_output_that_cannot_be_written_exits_2(tmp_path, capsys, jobs, block
 def test_run_cg_cap_exits_3(tmp_path, capsys, monkeypatch):
     # d = -g puts the residual target at (zeta/2) eps_H ||g||, within float64's
     # reach, and a cap below n = 2 is one the condition-number bound set.
-    def capped_cg(apply_A, g, m, M, zeta, n):
+    def capped_cg(apply_A, g, m, M, zeta, n, precondition=None):
         return CgOutcome(d=-g, iters=1, final_residual_norm=1.0, status="cap_reached")
 
     monkeypatch.setattr(sols.steps, "cg_capped", capped_cg)
@@ -288,14 +288,16 @@ def test_run_cg_cap_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_run_cg_cap_at_n_names_both_causes(tmp_path, capsys):
-    # U_H = 110 bounds the largest eigenvalue, 100, and the target lies above
-    # n eps_mach ||g||; the cap of n = 10 is what binds.
-    code = main(["run", "--problem", "quad-convex-10d", "--algo", "inexact", "--eps-H", "1e-12",
-                 "--out", str(tmp_path)])
+    # Near the minimizer the carried curvature bound picks the Newton step
+    # without a Lanczos call, so CG runs on Hessian-vector products. Its
+    # target (zeta = 1e-9) lies above n eps_mach ||g||, and float64 CG does
+    # not reach it within the cap of n = 2, which is what binds.
+    code = main(["run", "--problem", "rosenbrock-2d", "--algo", "inexact", "--eps-g", "1e-10",
+                 "--zeta", "1e-9", "--out", str(tmp_path)])
     assert code == 3
-    assert read_report(tmp_path, "quad-convex-10d", "inexact")["runs"][0]["status"] == "cg_cap"
+    assert read_report(tmp_path, "rosenbrock-2d", "inexact")["runs"][0]["status"] == "cg_cap"
     assert capsys.readouterr().err == (
-        "error: seed 0: CG reached its cap (10 iterations) with residual 2.056e-05; "
+        "error: seed 0: CG reached its cap (2 iterations) with residual 2.414e-23; "
         "that cap is n, which ends CG only in exact arithmetic: float64 CG can need "
         "more iterations, or the certified spectrum bounds are violated\n"
     )
@@ -304,9 +306,9 @@ def test_run_cg_cap_at_n_names_both_causes(tmp_path, capsys):
 @pytest.mark.parametrize(
     "problem, flags, iters, residual, target, floor",
     [
-        ("quad-convex-2d", ["--zeta", "1e-200"], 2, "1.241e-16", "7.071e-203", "9.930e-16"),
-        ("quad-convex-10d", ["--zeta", "0"], 10, "2.056e-05", "0.000e+00", "2.219e-13"),
-        ("rosenbrock-2d", ["--eps-H", "1e-30"], 2, "4.658e-13", "9.537e-32", "1.034e-13"),
+        ("quad-convex-2d", ["--zeta", "1e-200"], 2, "2.465e-32", "7.071e-203", "9.930e-16"),
+        ("quad-convex-10d", ["--zeta", "0"], 10, "1.777e-151", "0.000e+00", "2.219e-13"),
+        ("rosenbrock-2d", ["--eps-H", "1e-30"], 2, "2.602e-29", "9.537e-32", "1.034e-13"),
     ],
     ids=["quad-convex-2d-zeta-1e-200", "quad-convex-10d-zeta-0", "rosenbrock-2d-eps-H-1e-30"],
 )
@@ -339,7 +341,7 @@ def test_run_runtime_error_exits_3_as_solver_failure(tmp_path, capsys, monkeypat
 
 
 def test_run_indefinite_system_exits_3(tmp_path, capsys, monkeypatch):
-    def zero_curvature_cg(apply_A, g, m, M, zeta, n):
+    def zero_curvature_cg(apply_A, g, m, M, zeta, n, precondition=None):
         return CgOutcome(d=np.zeros_like(g), iters=1, final_residual_norm=1.0,
                          status="nonpositive_curvature", p=-g, p_curvature=0.0)
 

@@ -469,8 +469,42 @@ def test_driver_counts_cg_fallback_events(monkeypatch):
     assert all(r.step_kind == StepKind.NEGATIVE_CURVATURE for r in fallback_rows)
 
 
+def count_dense_hessians(obj: Objective, nan_at: int | None = None) -> list:
+    """Wrap ``obj``'s dense Hessian so that it logs each call's point and
+    returns NaN at call number ``nan_at`` (1-based); returns the log."""
+    real, calls = obj._dense_hessian, []
+
+    def dense_hessian(x):
+        calls.append(x)
+        H = real(x)
+        return H * np.nan if len(calls) == nan_at else H
+
+    obj._dense_hessian = dense_hessian
+    return calls
+
+
+@pytest.mark.parametrize("local_phase", [False, True], ids=["exact", "exact-local"])
+def test_a_non_finite_hessian_at_the_final_check_ends_nonfinite(local_phase):
+    # The check of the final point makes the run's last dense Hessian. A NaN
+    # there ends the run "nonfinite", keeping its rows and its certificate.
+    p = get_problem("rosenbrock-2d")
+    obj = p.make_objective()
+    calls = count_dense_hessians(obj)
+    clean, clean_records = run_exact(obj, p.start_point(), p.coverage_config,
+                                     local_phase=local_phase)
+    assert clean.status == "converged" and len(calls) > 1
+    obj = p.make_objective()
+    count_dense_hessians(obj, nan_at=len(calls))
+    report, records = run_exact(obj, p.start_point(), p.coverage_config, local_phase=local_phase)
+    assert (report.status, report.error) == ("nonfinite", "non-finite entry in the dense Hessian")
+    assert records == clean_records
+    assert (report.certificate.steps, report.certificate.lam) == (
+        clean.certificate.steps, clean.certificate.lam
+    )
+
+
 def test_driver_reports_cg_cap_status(monkeypatch):
-    def capped_cg(apply_A, g, m, M, zeta, n):
+    def capped_cg(apply_A, g, m, M, zeta, n, precondition=None):
         return CgOutcome(d=np.zeros_like(g), iters=n, final_residual_norm=1.0,
                          status="cap_reached")
 
@@ -942,17 +976,34 @@ def _nan_basin_objective() -> Objective:
     )
 
 
-@BOTH_LOOPS
-def test_stall_through_nan_trial_values_names_them(run, cfg):
+@pytest.mark.parametrize(
+    "run, cfg, nan_trials",
+    [(run_exact, SolverConfig(), 54), (run_inexact, SolverConfig(U_H=10.0), 52)],
+    ids=["exact", "inexact"],
+)
+def test_stall_through_nan_trial_values_names_them(run, cfg, nan_trials):
     # The minimizer lies where f is NaN, so the last search backtracks through
     # NaN trials to float64 resolution; the reason says the trials were NaN.
     report, records = run(_nan_basin_objective(), np.array([0.5, 0.1, 0.2]), cfg)
     assert report.status == "ls_stall"
     assert report.error == (
         "line-search stall: trial point equals x at j=54 (step below float64 resolution); "
-        "54 of its trial values were NaN"
+        f"{nan_trials} of its trial values were NaN"
     )
     assert report.iterations == len(records) >= 1
+
+
+@BOTH_LOOPS
+def test_an_accepted_minus_inf_value_ends_nonfinite(run, cfg):
+    # f = x^2/2, but -inf near 0, where the first Newton step lands: the
+    # search accepts -inf as a decrease, and the run ends there.
+    obj = Objective(
+        1, lambda x: -math.inf if abs(x[0]) < 0.1 else 0.5 * float(x[0]) ** 2,
+        lambda x: x.copy(), lambda x, v: v.copy(), lambda x: np.eye(1),
+    )
+    report, records = run(obj, np.array([1.0]), cfg)
+    assert (report.status, report.error) == ("nonfinite", "the objective after step 0 is not finite")
+    assert records == [] and report.f_final == 0.5
 
 
 @pytest.mark.parametrize(

@@ -92,6 +92,9 @@ def test_random_instances_keep_the_laws():
             outcomes[f"{loop} {report.status}"] += 1
             assert report.status in STATUSES
             assert report.iterations == len(records)
+            # Each row's gradient is the one the row before it ended at.
+            for before, after in zip(records, records[1:]):
+                assert after.g_norm == before.g_next_norm, (name, loop, after.k)
             for r in records:
                 # Criterion 01.
                 assert r.decrease > (cfg.eta / 6.0) * r.alpha**3 * r.d_norm**3

@@ -33,7 +33,7 @@ from sols.eigen import EigEstimate
 from sols.operators import Objective, ProblemConstants, norm
 from sols.steps import ConfigError, CurvatureBound
 
-from conftest import LAW_CONFIGS
+from conftest import LAW_CONFIGS, rosenbrock_100d
 from test_operators import quadratic_objective
 
 CFG = SolverConfig(eps_g=0.5, eps_H=0.25)
@@ -256,7 +256,7 @@ def test_cg_zero_curvature_direction_raises(monkeypatch):
 
 
 def test_cg_cap_reached_raises(monkeypatch):
-    def capped_cg(apply_A, g, m, M, zeta, n):
+    def capped_cg(apply_A, g, m, M, zeta, n, precondition=None):
         return CgOutcome(d=np.zeros_like(g), iters=n, final_residual_norm=1.0,
                          status="cap_reached")
 
@@ -338,9 +338,13 @@ def test_newton_cg_after_a_full_span_lanczos_call_costs_no_products(spied_runs):
     assert paths == {True, False}
 
 
-def test_newton_steps_in_the_lanczos_basis_meet_the_cg_target_in_x(spied_runs):
+def basis_newton_steps_checked(runs: list[SpiedRun]) -> int:
+    """Check every Newton step solved in a Lanczos basis: the residual
+    ||(H + shift I) d + g||, with the dense Hessian, meets CG's target
+    (zeta/2) min(||g||, eps_H ||d||), and the preconditioned solve took one
+    iteration. Returns the number of steps checked."""
     checked = 0
-    for run in spied_runs:
+    for run in runs:
         cfg, obj = run.cfg, run.problem.make_objective()
         for x, g, est, sel in run.calls:
             if getattr(sel, "kind", None) not in NEWTON_SHIFT or est is None or est.basis is None:
@@ -350,8 +354,82 @@ def test_newton_steps_in_the_lanczos_basis_meet_the_cg_target_in_x(spied_runs):
             A = obj.dense_hessian(x) + NEWTON_SHIFT[sel.kind] * cfg.eps_H * np.eye(n)
             target = 0.5 * cfg.zeta * min(norm(g), cfg.eps_H * norm(sel.d))
             assert norm(A @ sel.d + g) <= target * (1.0 + 1e-6), (run.problem.name, x)
+            assert sel.cg_iters == 1, (run.problem.name, x)
             checked += 1
-    assert checked >= 20
+    return checked
+
+
+def test_newton_steps_in_the_lanczos_basis_meet_the_cg_target_in_x(spied_runs):
+    assert basis_newton_steps_checked(spied_runs) >= 20
+
+
+def test_benchmark_newton_steps_in_the_lanczos_basis_meet_the_cg_target_in_x():
+    # The benchmark's two inexact workloads at their config, on their own
+    # seeds: nearly every rosen100 step is a basis Newton step.
+    q50 = get_problem("quartic-saddle-50d")
+    runs = spy_inexact(
+        [(q50, SolverConfig(rng_seed=s)) for s in range(101, 105)]
+        + [(rosenbrock_100d(), SolverConfig(rng_seed=s)) for s in (101, 102)]
+    )
+    assert all(run.records for run in runs)
+    assert basis_newton_steps_checked(runs) >= 300
+
+
+def rotated_quadratic(lam_small: float, angle: float) -> Objective:
+    """f = x'Hx/2, with H the rotation by ``angle`` of diag(lam_small, 1)."""
+    c, s = math.cos(angle), math.sin(angle)
+    R = np.array([[c, -s], [s, c]])
+    H = R @ np.diag([lam_small, 1.0]) @ R.T
+    H = 0.5 * (H + H.T)
+    return Objective(
+        2, lambda x: 0.5 * float(x @ H @ x), lambda x: H @ x, lambda x, v: H @ v, lambda x: H
+    )
+
+
+def spy_factorizations(monkeypatch) -> list:
+    """The results of every ``tridiagonal_solver`` call the selector makes."""
+    real, factored = sols.steps.tridiagonal_solver, []
+
+    def factor(bands, shift):
+        factored.append(real(bands, shift))
+        return factored[-1]
+
+    monkeypatch.setattr(sols.steps, "tridiagonal_solver", factor)
+    return factored
+
+
+def test_a_failed_factorization_runs_cg_without_a_preconditioner(monkeypatch):
+    # H has eigenvalues 1e-17 and 1, so at eps_H = 1e-30 the Ritz value
+    # picks the plain Newton step while T's LDL' meets a nonpositive pivot
+    # in rounding. CG then runs as it did before the preconditioner.
+    real_cg, solves = sols.steps.cg_capped, []
+
+    def cg(*args, precondition=None):
+        solves.append((precondition, real_cg(*args, precondition=precondition)))
+        return solves[-1][1]
+
+    factored = spy_factorizations(monkeypatch)
+    monkeypatch.setattr(sols.steps, "cg_capped", cg)
+    cfg = SolverConfig(eps_g=1e-12, eps_H=1e-30, U_H=2.0)
+    report, records = run_inexact(rotated_quadratic(1e-17, 0.3), np.ones(2), cfg)
+    # The first step's factorization succeeds, the second's does not.
+    assert [solve is None for solve in factored] == [False, True]
+    assert [(pre is None, out.status) for pre, out in solves] == [
+        (False, "converged"), (True, "cap_reached"),
+    ]
+    assert (report.status, len(records)) == ("cg_cap", 1)
+
+
+def test_a_nan_product_in_a_preconditioned_solve_ends_nonfinite(monkeypatch):
+    # The basis solve's products come from T; one NaN among them ends the run
+    # as a non-finite curvature, after the factorization succeeded.
+    factored = spy_factorizations(monkeypatch)
+    monkeypatch.setattr(sols.steps, "banded_product", lambda bands, v: np.full_like(v, np.nan))
+    p = get_problem("quad-convex-10d")
+    report, records = run_inexact(p.make_objective(), p.start_point(), p.coverage_config)
+    assert len(factored) == 1 and factored[0] is not None
+    assert (report.status, records) == ("nonfinite", [])
+    assert report.error == "non-finite curvature p'Ap in CG iteration 1"
 
 
 # --- the curvature bound carried between calls ------------------------------
@@ -428,10 +506,12 @@ def test_the_curvature_bound_falls_by_the_path_walked():
     assert bound.at(np.zeros(2)) == 1.0 - 2.0 * 6.0
 
 
-def test_a_convex_quadratic_makes_one_lanczos_call(spied_runs):
-    # L_H = 0: the first full-span call decides every later branch.
-    (run,) = [r for r in spied_runs if r.problem.name == "quad-convex-10d"]
-    assert run.cfg == run.problem.coverage_config
+def test_a_convex_quadratic_makes_one_lanczos_call():
+    # L_H = 0: the first full-span call decides every later branch. Its
+    # Newton step is a direct solve, so eps_g sits below the gradient it
+    # leaves, 2.5e-14, and the run takes a second step.
+    p = get_problem("quad-convex-10d")
+    (run,) = spy_inexact([(p, p.coverage_config.with_updates(eps_g=1e-14))])
     assert sum(est is not None for _x, _g, est, _sel in run.calls) == 1
     assert len(run.calls) > 1
 

@@ -90,10 +90,15 @@ def run_specs(problems: list[str]):
         yield f"{problem}_inexact_{flag[2:]}{value}", [
             "--problem", problem, "--algo", "inexact", flag, value,
         ]
-    # CG at its cap of n with a target float64 can reach: exit 3, and the
-    # message names both causes it cannot tell apart.
+    # Plain float64 CG in the Lanczos basis misses this target within its
+    # cap of n (exit 3); the preconditioned solve meets it in one iteration.
     yield "quad-convex-10d_inexact_eps-H1e-12", [
         "--problem", "quad-convex-10d", "--algo", "inexact", "--eps-H", "1e-12",
+    ]
+    # CG on Hessian-vector products at its cap of n with a target float64 can
+    # reach: exit 3, and the message names both causes it cannot tell apart.
+    yield "rosenbrock-2d_inexact_eps-g1e-10_zeta1e-9", [
+        "--problem", "rosenbrock-2d", "--algo", "inexact", "--eps-g", "1e-10", "--zeta", "1e-9",
     ]
 
 
