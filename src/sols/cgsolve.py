@@ -65,7 +65,8 @@ def cg_iteration_cap(n: int, m: float, M: float, zeta: float) -> int:
 
 def tridiagonal_solver(bands: tuple[Array, Array], shift: float):
     """r -> (T + shift I)^{-1} r for the symmetric tridiagonal T = ``bands``,
-    or None where T + shift I has a pivot that is not positive.
+    or None where T + shift I has a pivot that is not positive; ``cg_capped``
+    reads None as P = I, so CG then runs unpreconditioned.
 
     T + shift I is factored once, as L D L' by LAPACK ``dpttrf``, and each
     call is one O(n) ``dpttrs`` solve into a fresh array. At n = 1 the solve
@@ -107,13 +108,12 @@ def cg_capped(
     passed the search direction, which is then updated in place, so it must
     not keep its argument.
 
-    ``precondition``, if given, maps a residual r to z = P^{-1} r for a
-    symmetric positive-definite P, as a fresh array. CG then steps by
-    alpha = r'z / p'Ap and p <- -z + (r'z)_new / (r'z) p; the residual test,
-    the cap and both curvature exits stay as above. With P = A
-    (``tridiagonal_solver``) the first iteration is a direct solve, checked
-    by the residual test like any other iterate. Without it z is r, and the
-    operations are those of plain CG.
+    ``precondition`` maps a residual r to z = P^{-1} r for a symmetric
+    positive-definite P, as a fresh array, and CG steps by
+    alpha = r'z / p'Ap and p <- -z + (r'z)_new / (r'z) p. None means P = I:
+    z is a copy of r and the steps are those of plain CG, bit for bit. With
+    P = A (``tridiagonal_solver``) the first iteration is a direct solve,
+    checked by the residual test like any other iterate.
 
     Each exit returns its own ``CgOutcome``: nonpositive curvature or
     convergence at iteration q, or the cap after ``cap`` iterations, with
@@ -121,18 +121,16 @@ def cg_capped(
     """
     g = np.asarray(g, dtype=float)
     r = g.copy()  # residual of A d + g at d = 0
-    rr = float(r.dot(r))
-    gnorm = math.sqrt(rr)
+    gnorm = math.sqrt(float(r.dot(r)))
     if gnorm == 0.0:
         raise ValueError("cg_capped requires a nonzero right-hand side")
 
     cap = cg_iteration_cap(n, m, M, zeta)
     d = np.zeros_like(g)
-    # z = P^{-1} r, and rz = r'z; unpreconditioned, z is r itself.
-    z, rz = r, rr
-    if precondition is not None:
-        z = precondition(r)
-        rz = float(r.dot(z))
+    if precondition is None:
+        precondition = np.copy  # P = I
+    z = precondition(r)
+    rz = float(r.dot(z))
     p = -z
     rnorm = gnorm
 
@@ -146,15 +144,12 @@ def cg_capped(
         alpha = rz / pAp
         d += alpha * p
         r += alpha * Ap
-        rr_new = float(r.dot(r))
-        rnorm = math.sqrt(rr_new)
+        rnorm = math.sqrt(float(r.dot(r)))
         dnorm = math.sqrt(float(d.dot(d)))
         if rnorm <= 0.5 * zeta * min(gnorm, m * dnorm):
             return CgOutcome(d, q, rnorm, "converged")
-        rz_new = rr_new
-        if precondition is not None:
-            z = precondition(r)
-            rz_new = float(r.dot(z))
+        z = precondition(r)
+        rz_new = float(r.dot(z))
         # t - z, the same IEEE result as -z + t.
         p *= rz_new / rz
         p -= z

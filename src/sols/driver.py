@@ -355,9 +355,11 @@ def run_exact(
     the current Hessian is certified. With ``local_phase`` the run
     continues in the quadratically convergent Newton loop instead of
     stopping. ``strict_second_order`` disables the post-line-search stop
-    so termination always happens at a pointwise certified iterate.
+    so termination always happens at a pointwise certified iterate. An
+    objective without a dense Hessian raises before any evaluation.
     """
     cfg.validate()
+    obj.require_dense_hessian()
     select = functools.partial(select_direction_exact, obj, cfg=cfg)
     algo = "exact-local" if local_phase else "exact"
     return _run_loop(obj, x0, cfg, algo, select, strict_second_order)

@@ -129,9 +129,12 @@ class Objective:
             return out
         return self._array(out, "hessian_vector", (self.dim,))
 
-    def dense_hessian(self, x: Array) -> Array:
+    def require_dense_hessian(self) -> None:
         if self._dense_hessian is None:
             raise ValueError(f"objective {self.name!r} does not provide a dense Hessian")
+
+    def dense_hessian(self, x: Array) -> Array:
+        self.require_dense_hessian()
         out = self._dense_hessian(x)
         shape = (self.dim, self.dim)
         if type(out) is Array and out.dtype is FLOAT64 and out.shape == shape:

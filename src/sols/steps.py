@@ -278,11 +278,11 @@ def select_direction_inexact(
     by the exact LDL' factorization of T + shift I (``tridiagonal_solver``),
     so its first iteration is a direct solve, still checked against the
     residual target; where the factorization meets a pivot that is not
-    positive, which takes an eps_H below rounding, CG runs without it. If
-    CG uncovers nonpositive curvature (a low-probability estimator
-    failure), the violating direction is rescaled into a negative-curvature
-    step so the cubic decrease law still applies; the event is flagged for
-    the run report's probability accounting.
+    positive, which takes an eps_H below rounding, CG runs with P = I, as on
+    Hessian-vector products. If CG uncovers nonpositive curvature (a
+    low-probability estimator failure), the violating direction is rescaled
+    into a negative-curvature step so the cubic decrease law still applies;
+    the event is flagged for the run report's probability accounting.
 
     A ``bound`` carried between calls, moved to x on every call, skips the
     Lanczos call where it already decides the branch: any estimate is at
@@ -325,8 +325,7 @@ def select_direction_inexact(
         precondition = tridiagonal_solver(est.bands, shift)
 
     def apply_A(v: Array) -> Array:
-        av = product(v)
-        return av if shift == 0.0 else av + shift * v
+        return product(v) + shift * v
 
     outcome = cg_capped(
         apply_A, rhs, cfg.eps_H, U_H + shift, cfg.zeta, obj.dim, precondition=precondition

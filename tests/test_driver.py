@@ -34,7 +34,7 @@ from sols.steps import ConfigError
 
 from conftest import LAW_CONFIGS, exhaustive_backtrack
 from test_operators import quadratic_objective
-from sols.problems import separable_quartic
+from sols.problems import rosenbrock, separable_quartic
 
 
 def trace_rows(records):
@@ -620,11 +620,21 @@ def test_start_point_already_certified():
 
 
 def test_nonfinite_start_rejected():
-    obj = quadratic_objective(np.eye(1))
-    bad = Objective(1, lambda x: float("inf"), lambda x: np.zeros(1), lambda x, v: v)
-    with pytest.raises(ValueError):
+    bad = Objective(
+        1, lambda x: float("inf"), lambda x: np.zeros(1), lambda x, v: v, lambda x: np.eye(1)
+    )
+    with pytest.raises(ValueError, match="the objective at the start point is not finite"):
         run_exact(bad, np.zeros(1), SolverConfig())
-    del obj
+
+
+@pytest.mark.parametrize("local_phase", [False, True])
+def test_exact_loops_reject_an_objective_without_a_dense_hessian(local_phase):
+    # Rejected before any evaluation, like a start point of the wrong shape.
+    obj = Objective(2, lambda x: float(x @ x), lambda x: 2.0 * x, lambda x, v: 2.0 * v,
+                    name="bowl")
+    with pytest.raises(ValueError, match="objective 'bowl' does not provide a dense Hessian"):
+        run_exact(obj, np.ones(2), SolverConfig(), local_phase=local_phase)
+    assert obj.counters == EvalCounters()
 
 
 @pytest.mark.parametrize("x0", [[1.0, 2.0, 3.0], [[1.0, 2.0]], 1.0], ids=["long", "row", "scalar"])
@@ -1042,3 +1052,42 @@ def test_run_outputs_hold_python_floats(law_corpus):
                         assert "None" in f.type, f.name
                     else:
                         assert type(value) is float, (type(obj).__name__, f.name, type(value))
+
+
+# ROADMAP item 6: two float64-floor defects, pinned so that a fix flips them.
+R9_X0 = [-1.2259160595644087, 0.45716628753606736, 0.6506030108721443, 0.5272197443317226,
+         0.39577689120944815, -1.3969391324323897, 1.770833109685062, -0.9139552177949244,
+         0.30410437897152365]
+R9_CONFIG = SolverConfig(eps_g=3.527418588364305e-07, eps_H=0.14091572541513264,
+                         theta=0.15357881736435408, eta=2.204319888512492,
+                         zeta=0.5364380644314443)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 6: a main-phase inexact search stalls at the float64 floor "
+    "just above eps_g (trial point equals x)",
+)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_inexact_search_does_not_stall_just_above_eps_g(seed):
+    # Ends ls_stall at ||g|| = 4.86e-7 (seed 0) and 6.09e-7 (seed 1), eps_g = 3.53e-7.
+    # Nor is it converged above eps_g: the fix names the float64 floor.
+    prob = rosenbrock("r9", 9, R9_X0, [], R9_CONFIG)
+    report, _records = run_inexact(prob.make_objective(), prob.start_point(),
+                                   R9_CONFIG.with_updates(rng_seed=seed))
+    assert report.status not in ("ls_stall", "converged"), report.error
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 6: exact-local contracts the gradient only sublinearly at a "
+    "degenerate minimizer and spends max_iters",
+)
+def test_exact_local_does_not_spend_max_iters_at_a_degenerate_minimizer():
+    # As exact, the run converges in 11 rows; as exact-local it ends
+    # max_iters after 10 000 rows.
+    prob = separable_quartic("q", d=[0.0, -1e-300], beta=[1.0, 1.0], c0=0.0, x0=[1.0, 0.0],
+                             branch_coverage=[], coverage_config=SolverConfig())
+    report, _records = run_exact(prob.make_objective(), prob.start_point(), SolverConfig(),
+                                 local_phase=True)
+    assert report.status != "max_iters"

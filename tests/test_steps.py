@@ -401,7 +401,7 @@ def spy_factorizations(monkeypatch) -> list:
 def test_a_failed_factorization_runs_cg_without_a_preconditioner(monkeypatch):
     # H has eigenvalues 1e-17 and 1, so at eps_H = 1e-30 the Ritz value
     # picks the plain Newton step while T's LDL' meets a nonpositive pivot
-    # in rounding. CG then runs as it did before the preconditioner.
+    # in rounding. CG then runs with P = I, which is plain CG.
     real_cg, solves = sols.steps.cg_capped, []
 
     def cg(*args, precondition=None):
