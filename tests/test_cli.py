@@ -387,6 +387,22 @@ def test_run_without_a_certificate_does_not_pass_its_envelope_checks(tmp_path, c
     assert row.split()[-1] == "FAILED"
 
 
+def test_envelope_of_runs_without_an_envelope_prints_no_scaling_table(tmp_path, capsys):
+    # A run of an objective without declared constants has no envelope.
+    main(["run", "--problem", "quad-convex-2d", "--seed", "0,1", "--out", str(tmp_path)])
+    report = read_report(tmp_path, "quad-convex-2d", "exact")
+    for run in report["runs"]:
+        run["envelope"], run["envelope_checks"] = None, {}
+    (tmp_path / "quad-convex-2d_exact_report.json").write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["envelope", "--in", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    rows = [line.split() for line in out.splitlines() if line.startswith("quad-convex-2d")]
+    assert [row[2] for row in rows] == ["0", "1"]
+    assert all(row[3:] == ["converged", "-", "-", "-", "-", "-"] for row in rows)
+    assert "K_iter" not in out
+
+
 def test_run_flags_mirror_config_fields():
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

@@ -572,7 +572,14 @@ def _sum_rosenbrock_value(x: np.ndarray, a: float) -> float:
 
 
 def _matmul_quartic_value(d, beta, c0, x):
-    return float(0.5 * d @ x**2 + 0.25 * beta @ x**4 + c0)
+    x2 = x * x
+    return float(0.5 * d @ x2 + 0.25 * beta @ (x2 * x2) + c0)
+
+
+def _guard_quartic_coefficients(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(d, beta)`` of the guard quartic of dimension n: mixed-sign curvature."""
+    d = np.linspace(-1.0, 2.0, n) if n > 1 else np.array([-0.5])
+    return d, np.linspace(0.5, 1.5, n)
 
 
 @functools.cache
@@ -580,8 +587,7 @@ def _guard_problems(n: int) -> tuple:
     """``(problem, reference value, reference dense Hessian)`` of each guard
     objective of dimension n: a separable quartic with mixed-sign curvature
     and, for n >= 2, the chained Rosenbrock function."""
-    d = np.linspace(-1.0, 2.0, n) if n > 1 else np.array([-0.5])
-    beta = np.linspace(0.5, 1.5, n)
+    d, beta = _guard_quartic_coefficients(n)
     quartic = separable_quartic(
         f"guard-quartic-{n}", d=d, beta=beta, c0=0.25, x0=np.full(n, 0.5),
         branch_coverage=[], coverage_config=SolverConfig(),
@@ -628,6 +634,32 @@ def test_value_callbacks_bitwise_equal_to_numpy_function_forms(points, a):
         value = problem.make_objective().value(x)
         assert type(value) is float
         assert _same_bytes(value, value_of(x))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(guard_points(), st.sampled_from([1.0, 1e80, 1e160]))
+def test_quartic_callbacks_stay_within_rounding_of_the_pow_forms(points, scale):
+    """The quartic value and gradient multiply where x**4 and x**3 call libm
+    pow. Each finite result stays within 4 eps of its terms' magnitudes of
+    the pow form; scaled points that overflow give inf and NaN on both."""
+    (x,) = points
+    x = scale * x
+    d, beta = _guard_quartic_coefficients(x.size)
+    obj = _guard_problems(x.size)[0][0].make_objective()
+    eps = np.finfo(float).eps
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, g = obj.value(x), obj.gradient(x)
+        f_pow = float(0.5 * d @ x**2 + 0.25 * beta @ x**4 + 0.25)
+        g_pow = d * x + beta * x**3
+        f_scale = 0.5 * np.abs(d) @ x**2 + 0.25 * beta @ x**4 + 0.25
+        g_scale = np.abs(d * x) + beta * np.abs(x) ** 3
+    if np.isfinite(f_pow):
+        assert abs(f - f_pow) <= 4.0 * eps * f_scale
+    else:
+        assert f == f_pow or (np.isnan(f) and np.isnan(f_pow))
+    finite = np.isfinite(g_pow)
+    assert np.array_equal(g[~finite], g_pow[~finite], equal_nan=True)
+    assert np.all(np.abs(g[finite] - g_pow[finite]) <= 4.0 * eps * g_scale[finite])
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)

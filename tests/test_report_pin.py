@@ -107,7 +107,7 @@ PINNED = {
         "config/theta": 0.5,
         "config/zeta": 0.5,
         "problem": "quartic-saddle-2d",
-        "runs/0/certificate/g_norm_min": 6.631865925605026e-07,
+        "runs/0/certificate/g_norm_min": 6.631865925377808e-07,
         "runs/0/certificate/lambda": 0.30547611130282903,
         "runs/0/certificate/n_f": 8,
         "runs/0/certificate/n_grad": 7,
@@ -136,7 +136,7 @@ PINNED = {
         "runs/0/f_final": 1.099120794378905e-13,
         "runs/0/fallback_count": 0,
         "runs/0/final_point_second_order_ok": None,
-        "runs/0/g_norm_final": 6.631865925605026e-07,
+        "runs/0/g_norm_final": 6.631865925377808e-07,
         "runs/0/iterations": 6,
         "runs/0/lambda_final": 0.30547611130282903,
         "runs/0/reentries": 0,

@@ -12,15 +12,21 @@ the package is relative, so this is checked first.
 The problem and solver config are those of ``tools/seed_counts.py``, built
 by each tree from this checkout's ``bench/workloads.py``. For each seed
 FIRST..LAST (both included) the run is made on both trees back to back, the
-side that goes first alternating from seed to seed, and both must end with
-equal status, counts and ``x_final`` bytes. ``rosen10`` runs ``run_exact``
+side that goes first alternating from seed to seed. Both must end with
+equal status, counts and iterations, or the script stops; seeds whose
+``x_final`` bytes differ are counted, not refused, so a change that moves
+only rounding can be timed too. ``rosen10`` runs ``run_exact``
 as ``exact`` and then ``exact-local``; its loops draw no random numbers, so
 there a seed only numbers one repetition of the pair. One untimed run per
 side comes first, so lazy set-up is not timed.
 
 Prints each side's quartiles of wall ms per run, the ratio of the new
-median to the base median, and the share of seeds on which the new tree was
-faster (ties count for neither side).
+median to the base median, the median over seeds of each seed's new/base
+ratio, the share of seeds on which the new tree was faster (ties count for
+neither side) and the count of seeds whose ``x_final`` bytes differ. The
+per-seed ratio pairs two runs of one seed made back to back, so it moves
+less than the ratio of medians when a shared host drifts during the
+comparison.
 """
 
 from __future__ import annotations
@@ -97,7 +103,7 @@ def as_sols(package):
 
 def side(package, workload: str):
     """A function running one seed of ``workload`` on ``package``: it returns the
-    wall seconds of the runs and what they did."""
+    wall seconds of the runs, what they did and the bytes of their ``x_final``."""
     from seed_counts import configuration
 
     with as_sols(package):
@@ -111,7 +117,7 @@ def side(package, workload: str):
                      for algo in CliWorkload.algos]
         else:
             calls = [(driver.run_inexact, cfg.with_updates(rng_seed=seed), {})]
-        wall, outcomes = 0.0, []
+        wall, outcomes, finals = 0.0, [], []
         for run, run_cfg, kwargs in calls:
             obj = problem.make_objective()
             x0 = problem.start_point()
@@ -119,9 +125,9 @@ def side(package, workload: str):
             report, _records = run(obj, x0, run_cfg, **kwargs)
             wall += time.perf_counter() - start
             c = report.counters
-            outcomes.append((report.status, c.n_f, c.n_grad, c.n_hv, report.iterations,
-                             np.ascontiguousarray(report.x_final).tobytes()))
-        return wall, outcomes
+            outcomes.append((report.status, c.n_f, c.n_grad, c.n_hv, report.iterations))
+            finals.append(np.ascontiguousarray(report.x_final).tobytes())
+        return wall, outcomes, finals
 
     return runs
 
@@ -160,22 +166,25 @@ def main(argv=None) -> int:
         runners[s](args.first)
 
     walls = {s: [] for s in SIDES}
-    wins = 0
+    wins = moved = 0
     for i, seed in enumerate(range(args.first, args.last + 1)):
         done = {}
         for s in SIDES if i % 2 == 0 else SIDES[::-1]:
             done[s] = runners[s](seed)
             walls[s].append(done[s][0])
         if done["base"][1] != done["new"][1]:
-            raise SystemExit(f"seed {seed}: the trees disagree on status, counts or x_final")
+            raise SystemExit(f"seed {seed}: the trees disagree on status, counts or iterations")
         wins += done["new"][0] < done["base"][0]
+        moved += done["new"][2] != done["base"][2]
 
     n = len(walls["new"])
     for s, src in zip(SIDES, (args.base, args.src)):
         print(f"{s:4} {src}: {quartiles_ms(walls[s])} over {n} seeds")
     ratio = statistics.median(walls["new"]) / statistics.median(walls["base"])
-    print(f"new/base median {ratio:.4f} ({ratio - 1.0:+.2%}); new faster on {wins}/{n} "
-          f"seeds ({wins / n:.1%})")
+    per_seed = statistics.median(new / base for new, base in zip(walls["new"], walls["base"]))
+    print(f"new/base median {ratio:.4f} ({ratio - 1.0:+.2%}); median per-seed new/base "
+          f"{per_seed:.4f} ({per_seed - 1.0:+.2%}); new faster on {wins}/{n} seeds "
+          f"({wins / n:.1%}); x_final bytes differ on {moved}/{n} seeds")
     return 0
 
 

@@ -24,12 +24,17 @@ this script, the listing is followed by a comparison, every line of it a
 one ``moved`` line per file whose bytes differ or that only one side has.
 A moved ``*_report.json`` says which run outcomes moved: the exit code of
 the command that wrote it, and per seed the status, iterations, counters and
-certificate counters. When none did, it says "float bytes only".
+certificate counters. A moved ``*_trace.csv`` names its first data row
+(counted from 1 below the header) and column that moved among the columns
+that say what a step did: ``k``, ``phase``, ``step_kind``, ``j``, the inner
+iteration counts, ``cg_fallback`` and the counters; or a change in its row
+count. When none did, either says "float bytes only".
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -38,6 +43,11 @@ import sys
 from pathlib import Path
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# The trace columns that say what a step did, not where its floats landed.
+TRACE_OUTCOME = (
+    "k", "phase", "step_kind", "j", "lanczos_iters", "cg_iters", "cg_fallback",
+    "n_f", "n_grad", "n_hv",
+)
 
 
 def run_specs(problems: list[str]):
@@ -157,6 +167,22 @@ def report_moves(old_dir: Path, new_dir: Path, rel: str) -> str:
     return "; ".join(moves) or "float bytes only"
 
 
+def trace_moves(old_dir: Path, new_dir: Path, rel: str) -> str:
+    """The first data row and ``TRACE_OUTCOME`` column that moved between the
+    two sides of the trace at ``rel``, a change in its row count, or only
+    float bytes."""
+    old_rows, new_rows = (
+        list(csv.DictReader((d / rel).read_text().splitlines())) for d in (old_dir, new_dir)
+    )
+    for i, (old, new) in enumerate(zip(old_rows, new_rows), start=1):
+        for column in TRACE_OUTCOME:
+            if old.get(column) != new.get(column):
+                return f"row {i} {column} {old.get(column)} -> {new.get(column)}"
+    if len(old_rows) != len(new_rows):
+        return f"rows {len(old_rows)} -> {len(new_rows)}"
+    return "float bytes only"
+
+
 def compare(old_dir: Path, new_dir: Path, new: dict[str, str]) -> list[str]:
     """The ``#`` lines that name each file that moved from ``old_dir`` to ``new_dir``."""
     old = digests(old_dir)
@@ -167,6 +193,8 @@ def compare(old_dir: Path, new_dir: Path, new: dict[str, str]) -> list[str]:
             note = "only in " + ("the new outputs" if rel in new else "the old outputs")
         elif rel.endswith("_report.json"):
             note = report_moves(old_dir, new_dir, rel)
+        elif rel.endswith("_trace.csv"):
+            note = trace_moves(old_dir, new_dir, rel)
         else:
             note = None
         lines.append(f"# moved  {rel}" + (f"  ({note})" if note else ""))
