@@ -215,16 +215,16 @@ def _format_table(rows: list[list[str]], header: list[str]) -> str:
     return "\n".join(lines)
 
 
-def _text(data: dict, key: str) -> str:
-    """``data[key]``, a field a report holds as a string."""
+def _field(data: dict, key: str, kind: type):
+    """``data[key]``, a field a report holds as a ``kind``."""
     value = data[key]
-    if not isinstance(value, str):
-        raise TypeError(f"{key!r} is {value!r}, not a string")
+    if not isinstance(value, kind):
+        raise TypeError(f"{key!r} is {value!r}, not a {kind.__name__}")
     return value
 
 
 def _envelope_row(data: dict, run: dict) -> list[str]:
-    algo, status = _text(data, "algo"), _text(run, "status")
+    algo, status = _field(data, "algo", str), _field(run, "status", str)
     checks = run["envelope_checks"]
     if checks:
         cost_keys, label = COST_CHECK[algo == "inexact"]
@@ -233,14 +233,15 @@ def _envelope_row(data: dict, run: dict) -> list[str]:
             observed, bound = checks[keys[0]], checks[keys[1]]
             ratio = observed / bound if bound else 0.0
             cells += [f"{observed}/{bound:.3g}{unit}", f"{ratio:.2e}"]
-        verdict = "ok" if envelope_checks_pass(checks) else "VIOLATED"
+        flags = {k: _field(checks, k, bool) for k in checks if k.endswith("_ok")}
+        verdict = "ok" if envelope_checks_pass(flags) else "VIOLATED"
     else:
         cells, verdict = ["-"] * 4, "-"
     # A run that did not converge never reads "ok", even when the
     # bounds held up to its first certificate.
     if status != "converged" and verdict != "VIOLATED":
         verdict = "FAILED"
-    return [_text(data, "problem"), algo, str(run["seed"]), status, *cells, verdict]
+    return [_field(data, "problem", str), algo, str(run["seed"]), status, *cells, verdict]
 
 
 def _scaling_row(data: dict) -> list[str] | None:
@@ -249,8 +250,8 @@ def _scaling_row(data: dict) -> list[str] | None:
     if env is None:
         return None
     return [
-        _text(data, "problem"),
-        _text(data, "algo"),
+        _field(data, "problem", str),
+        _field(data, "algo", str),
         f"{cfg['eps_g']:.3g}",
         f"{cfg['eps_H']:.3g}",
         f"{env['max_term']:.6g}",

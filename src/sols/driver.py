@@ -236,7 +236,7 @@ def _run_loop(
 ) -> tuple[RunReport, list[IterationRecord]]:
     inexact = algo == "inexact"
     _check_ls_budget(obj, cfg, inexact)
-    x = np.asarray(x0, dtype=float)
+    x = np.array(x0, dtype=float)
     if x.shape != (obj.dim,):
         raise ValueError(f"x0 has shape {x.shape}, but the objective has dim = {obj.dim}")
     f_x = obj.value(x)

@@ -68,10 +68,6 @@ def min_eigenpair_exact(H: Array) -> EigEstimate:
     )
 
 
-# Every Lanczos call of a run asks for the same (n, M, eps, delta). Typed, so
-# that each argument type keeps its own result (n = 5 and n = 5.0 differ);
-# a call that raises is never cached.
-@functools.lru_cache(maxsize=64, typed=True)
 def lanczos_iteration_cap(n: int, M: float, eps: float, delta: float) -> int:
     """Iteration budget for the randomized estimator.
 

@@ -71,7 +71,7 @@ def backtrack(
         raise ValueError("backtrack requires a nonzero direction")
     base = (cfg.eta / 6.0) * pow_or_inf(dnorm, 3)
     alpha = 1.0
-    x_key = None
+    x_key = np.asarray(x, dtype=float).tobytes()
     nans = 0
     for j in range(cfg.max_ls_steps + 1):
         trial = x + alpha * d
@@ -84,10 +84,6 @@ def backtrack(
                 alpha=alpha, j=j, decrease=f_x - f_trial, probes=j + 1, f_new=f_trial
             )
         nans += math.isnan(f_trial)
-        if not j:
-            # Keyed on bytes like the problems' point memo, and taken only
-            # once a probe has failed: a search accepted at j = 0 pays nothing.
-            x_key = np.asarray(x, dtype=float).tobytes()
         alpha *= cfg.theta
     else:
         reason = f"no acceptable step within {cfg.max_ls_steps} backtracks"

@@ -512,6 +512,10 @@ def test_run_nonfinite_product_exits_3(tmp_path, capsys, monkeypatch):
         pytest.param((("runs", 0, "envelope_checks", "iteration_bound"), 10**400),
                      id="iteration_bound-huge-int"),
         pytest.param((("config", "eps_g"), 10**400), id="eps_g-huge-int"),
+        # An envelope flag that is not a JSON boolean.
+        pytest.param((("runs", 0, "envelope_checks", "iterations_ok"), "no"),
+                     id="iterations_ok-string"),
+        pytest.param((("runs", 0, "envelope_checks", "f_evals_ok"), 1), id="f_evals_ok-int"),
     ],
 )
 def test_envelope_bad_report_exits_2(tmp_path, capsys, broken):

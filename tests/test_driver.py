@@ -619,6 +619,16 @@ def test_start_point_already_certified():
     assert report.certificate.steps == 0
 
 
+@pytest.mark.parametrize("run", [run_exact, run_inexact], ids=["exact", "inexact"])
+def test_a_run_without_steps_keeps_its_own_copy_of_x0(run):
+    x0 = np.zeros(2)
+    report, _ = run(get_problem("quad-convex-2d").make_objective(), x0,
+                    SolverConfig(eps_g=1e-6, eps_H=0.5))
+    assert report.iterations == 0
+    x0[0] = 5.0
+    assert report.x_final.tolist() == report.certificate.point.tolist() == [0.0, 0.0]
+
+
 def test_nonfinite_start_rejected():
     bad = Objective(
         1, lambda x: float("inf"), lambda x: np.zeros(1), lambda x, v: v, lambda x: np.eye(1)

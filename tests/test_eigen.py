@@ -107,29 +107,12 @@ def test_cap_never_exceeds_dimension():
 
 
 def test_cap_rejects_bad_inputs():
-    # A call that raises is not cached, so a repeated bad call raises again.
-    for _ in range(3):
-        for eps in (0.0, -0.0, -1e-3):
-            with pytest.raises(ValueError, match="eps must be positive"):
-                lanczos_iteration_cap(10, 1.0, eps, 0.1)
-        for delta in (1.0, 1.5, -1e-12):
-            with pytest.raises(ValueError, match="delta must lie in"):
-                lanczos_iteration_cap(10, 1.0, 0.1, delta)
-
-
-def test_cached_cap_equals_the_formula():
-    formula = lanczos_iteration_cap.__wrapped__
-    grid = [
-        (n, M, eps, delta)
-        for n in (1, 5, 50, 1000, 5.0)
-        for M in (0.0, 1e-3, 10.0, 1e300, math.inf)
-        for eps in (1e-300, 1e-4, 0.5, 10.0)
-        for delta in (0.0, 1e-300, 1e-6, 0.5, 0.999)
-    ]
-    for _ in range(2):  # the second pass reads the cache
-        for args in grid:
-            cap, expected = lanczos_iteration_cap(*args), formula(*args)
-            assert cap == expected and type(cap) is type(expected), args
+    for eps in (0.0, -0.0, -1e-3):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            lanczos_iteration_cap(10, 1.0, eps, 0.1)
+    for delta in (1.0, 1.5, -1e-12):
+        with pytest.raises(ValueError, match="delta must lie in"):
+            lanczos_iteration_cap(10, 1.0, 0.1, delta)
 
 
 # --- Lanczos ------------------------------------------------------------------

@@ -1,0 +1,110 @@
+"""The comparison tools every refactor's same-behaviour claim rests on."""
+
+from __future__ import annotations
+
+import importlib
+import json
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.fixture
+def tool(monkeypatch):
+    """A function importing a module of ``tools/`` by name. Importing
+    ``pair_timing`` pins the BLAS variables in ``os.environ``; they are
+    blank while the test runs and put back as they were when it ends."""
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    for var in BLAS_THREADS:
+        monkeypatch.setenv(var, "")
+    loaded = []
+
+    def load(name: str):
+        loaded.append(name)
+        return importlib.import_module(name)
+
+    yield load
+    for name in loaded:
+        sys.modules.pop(name, None)
+
+
+def test_importing_pair_timing_pins_blas_threads_in_its_own_process(tool):
+    tool("pair_timing")
+    assert all(os.environ[var] == "1" for var in BLAS_THREADS)
+
+
+def test_sols_imports_itself_only_relatively(tool, tmp_path):
+    # Else two trees could not share the process pair_timing times them in.
+    absolute_self_imports = tool("pair_timing").absolute_self_imports
+    assert absolute_self_imports(ROOT / "src" / "sols") == []
+    (tmp_path / "a.py").write_text("from . import b\nimport sols.b\n")
+    (tmp_path / "b.py").write_text("import numpy\nfrom sols import a\n")
+    assert absolute_self_imports(tmp_path) == [f"{tmp_path / 'a.py'}:2", f"{tmp_path / 'b.py'}:2"]
+
+
+@pytest.mark.parametrize(
+    "n, ranks",
+    [
+        (5, None),  # 2 / 2**5 > 5%: even the extremes miss too often
+        (6, (1, 6)),  # 2 / 2**6 = 3.1%
+        (10, (2, 9)),  # 2 * (1 + 10) / 2**10 = 2.1%; with C(10, 2) it would be 10.9%
+        (17, (5, 13)),  # 2 * (1 + 17 + 136 + 680 + 2380) / 2**17 = 4.9%
+    ],
+)
+def test_median_interval_takes_the_binomial_ranks(tool, n, ranks):
+    values = [float(v) for v in range(n, 0, -1)]  # the value at rank r is r
+    assert tool("pair_timing").median_interval(values) == (ranks and tuple(map(float, ranks)))
+
+
+def write_tree(root: Path, files: dict[str, str]) -> Path:
+    for rel, text in files.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(text)
+    return root
+
+
+REPORT = "runs/p_exact/p_exact_report.json"
+TRACE = "runs/p_exact/p_exact_seed0_trace.csv"
+HEADER = "k,phase,step_kind,j,lanczos_iters,cg_iters,cg_fallback,n_f,n_grad,n_hv,f\n"
+
+
+def outputs(exit_code=0, f_final=1.0, trace_rows=((0, 1.5), (0, 0.25))) -> dict[str, str]:
+    """A spec_checksums output dir with one run: its exit code, report and trace."""
+    run = {"seed": 0, "status": "converged", "iterations": len(trace_rows), "f_final": f_final,
+           "counters": {"n_f": 3, "n_grad": 3, "n_hv": 2}, "certificate": None}
+    rows = "".join(f"{k},main,newton,{j},0,0,0,3,3,2,{f}\n" for k, (j, f) in enumerate(trace_rows))
+    return {
+        "logs/run_p_exact.exit": f"{exit_code}\n",
+        REPORT: json.dumps({"runs": [run]}),
+        TRACE: HEADER + rows,
+    }
+
+
+@pytest.mark.parametrize(
+    "change, moved",
+    [
+        ({}, {}),
+        ({"f_final": 1.5, "trace_rows": ((0, 1.5), (0, 0.125))},
+         {REPORT: "float bytes only", TRACE: "float bytes only"}),
+        ({"trace_rows": ((0, 1.5), (1, 0.25))}, {TRACE: "row 2 j 0 -> 1"}),
+        ({"trace_rows": ((0, 1.5), (0, 0.25), (0, 0.0))},
+         {REPORT: "seed 0 iterations 2 -> 3", TRACE: "rows 2 -> 3"}),
+        ({"exit_code": 1, "f_final": 1.5},
+         {"logs/run_p_exact.exit": None, REPORT: "exit code 0 -> 1"}),
+    ],
+    ids=["nothing", "float-only", "j", "extra-row", "exit-code"],
+)
+def test_spec_checksums_names_what_moved(tool, tmp_path, change, moved):
+    spec_checksums = tool("spec_checksums")
+    old = write_tree(tmp_path / "old", outputs())
+    new = write_tree(tmp_path / "new", outputs(**change))
+    lines = spec_checksums.compare(old, new, spec_checksums.digests(new))
+    assert lines[0] == f"# against {old}: {len(moved)} of 3 files moved"
+    assert lines[1:] == [
+        f"# moved  {rel}" + (f"  ({note})" if note else "") for rel, note in sorted(moved.items())
+    ]

@@ -26,7 +26,9 @@ ratio, the share of seeds on which the new tree was faster (ties count for
 neither side) and the count of seeds whose ``x_final`` bytes differ. The
 per-seed ratio pairs two runs of one seed made back to back, so it moves
 less than the ratio of medians when a shared host drifts during the
-comparison.
+comparison. Its median comes with a distribution-free 95% interval, from
+the order statistics at the Binomial(n, 1/2) ranks; a ratio whose interval
+holds 1 is unresolved by the run.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import ast
 import contextlib
 import importlib
 import importlib.util
+import math
 import os
 import statistics
 import sys
@@ -138,6 +141,32 @@ def quartiles_ms(seconds: list[float]) -> str:
     return f"median {q2:.4f} ms (q1 {q1:.4f}, q3 {q3:.4f})"
 
 
+def median_interval(values: list[float]) -> tuple[float, float] | None:
+    """A distribution-free 95% interval for the median of ``values``.
+
+    With the values sorted, it runs from the k-th smallest to the k-th
+    largest, k the largest rank with P(Binomial(n, 1/2) <= k - 1) <= 2.5%,
+    so it misses the median with probability at most 5% whatever the
+    distribution. None below 6 values, where even the extremes cover less.
+    """
+    ordered, n = sorted(values), len(values)
+    k = tail = 0  # tail = 2**n * P(Binomial(n, 1/2) <= k - 1), in exact integers
+    while 40 * (tail + math.comb(n, k)) <= 2**n:
+        tail += math.comb(n, k)
+        k += 1
+    return (ordered[k - 1], ordered[n - k]) if k else None
+
+
+def interval_note(interval: tuple[float, float] | None) -> str:
+    if interval is None:
+        return "too few seeds for a 95% interval"
+    low, high = interval
+    verdict = ("holds 1, unresolved" if low <= 1.0 <= high
+               else "new faster" if high < 1.0 else "new slower")
+    return (f"95% interval {low:.4f} to {high:.4f} "
+            f"({low - 1.0:+.2%} to {high - 1.0:+.2%}): {verdict}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload", choices=("q50", "rosen100", "rosen10"))
@@ -181,10 +210,12 @@ def main(argv=None) -> int:
     for s, src in zip(SIDES, (args.base, args.src)):
         print(f"{s:4} {src}: {quartiles_ms(walls[s])} over {n} seeds")
     ratio = statistics.median(walls["new"]) / statistics.median(walls["base"])
-    per_seed = statistics.median(new / base for new, base in zip(walls["new"], walls["base"]))
+    ratios = [new / base for new, base in zip(walls["new"], walls["base"])]
+    per_seed = statistics.median(ratios)
     print(f"new/base median {ratio:.4f} ({ratio - 1.0:+.2%}); median per-seed new/base "
-          f"{per_seed:.4f} ({per_seed - 1.0:+.2%}); new faster on {wins}/{n} seeds "
-          f"({wins / n:.1%}); x_final bytes differ on {moved}/{n} seeds")
+          f"{per_seed:.4f} ({per_seed - 1.0:+.2%}), {interval_note(median_interval(ratios))}; "
+          f"new faster on {wins}/{n} seeds ({wins / n:.1%}); x_final bytes differ on "
+          f"{moved}/{n} seeds")
     return 0
 
 
