@@ -10,6 +10,7 @@ import operator
 import os
 import sys
 from dataclasses import asdict, fields
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -216,9 +217,9 @@ def _format_table(rows: list[list[str]], header: list[str]) -> str:
 
 
 def _field(data: dict, key: str, kind: type):
-    """``data[key]``, a field a report holds as a ``kind``."""
+    """``data[key]``, a field a report holds as a ``kind``. A bool is not a number."""
     value = data[key]
-    if not isinstance(value, kind):
+    if isinstance(value, bool) or not isinstance(value, kind):
         raise TypeError(f"{key!r} is {value!r}, not a {kind.__name__}")
     return value
 
@@ -228,20 +229,24 @@ def _envelope_row(data: dict, run: dict) -> list[str]:
     checks = run["envelope_checks"]
     if checks:
         cost_keys, label = COST_CHECK[algo == "inexact"]
-        cells = []
+        cells, oks = [], []
         for keys, unit in ((ITERATION_CHECK, ""), (cost_keys, " " + label)):
-            observed, bound = checks[keys[0]], checks[keys[1]]
+            observed, bound = (_field(checks, key, Real) for key in keys[:2])
+            # The verdict is recomputed; sols run never stores a flag that says otherwise.
+            ok = observed <= bound
+            if checks[keys[2]] is not ok:
+                raise ValueError(f"{keys[2]!r} is {checks[keys[2]]!r}, not {observed} <= {bound}")
             ratio = observed / bound if bound else 0.0
             cells += [f"{observed}/{bound:.3g}{unit}", f"{ratio:.2e}"]
-        flags = {k: _field(checks, k, bool) for k in checks if k.endswith("_ok")}
-        verdict = "ok" if envelope_checks_pass(flags) else "VIOLATED"
+            oks.append(ok)
+        verdict = "ok" if all(oks) else "VIOLATED"
     else:
         cells, verdict = ["-"] * 4, "-"
     # A run that did not converge never reads "ok", even when the
     # bounds held up to its first certificate.
     if status != "converged" and verdict != "VIOLATED":
         verdict = "FAILED"
-    return [_field(data, "problem", str), algo, str(run["seed"]), status, *cells, verdict]
+    return [_field(data, "problem", str), algo, str(_field(run, "seed", int)), status, *cells, verdict]
 
 
 def _scaling_row(data: dict) -> list[str] | None:

@@ -495,6 +495,33 @@ def test_run_nonfinite_product_exits_3(tmp_path, capsys, monkeypatch):
     assert row.split()[3] == "nonfinite" and row.split()[-1] == "FAILED"
 
 
+CHECKS = ("runs", 0, "envelope_checks")
+
+
+def edited_report(out_dir: Path, edits: dict) -> dict:
+    """The ``quad-convex-2d`` exact report in ``out_dir`` with ``edits``:
+    {path to a field: its new value}."""
+    report = read_report(out_dir, "quad-convex-2d", "exact")
+    for (*parents, key), value in edits.items():
+        field = report
+        for parent in parents:
+            field = field[parent]
+        field[key] = value
+    return report
+
+
+def test_envelope_reads_violated_when_observed_is_above_bound(tmp_path, capsys):
+    main(["run", "--problem", "quad-convex-2d", "--out", str(tmp_path)])
+    edits = {CHECKS + ("observed_iterations",): 10**12, CHECKS + ("iterations_ok",): False}
+    (tmp_path / "quad-convex-2d_exact_report.json").write_text(
+        json.dumps(edited_report(tmp_path, edits)))
+    capsys.readouterr()
+    assert main(["envelope", "--in", str(tmp_path)]) == 0
+    row = next(line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("quad-convex-2d"))
+    assert row.split()[-1] == "VIOLATED"
+
+
 @pytest.mark.parametrize(
     "broken",
     [
@@ -502,20 +529,26 @@ def test_run_nonfinite_product_exits_3(tmp_path, capsys, monkeypatch):
         '{"problem": "quad-convex-2d", "algo": "exact"}',
         "[]",
         pytest.param("[" * 100_000 + "]" * 100_000, id="nested-too-deep"),
-        # The written report with one field changed: (path to the field, new value).
-        pytest.param((("runs", 0, "status"), 3), id="status-int"),
-        pytest.param((("problem",), None), id="problem-null"),
-        pytest.param((("algo",), ["x"]), id="algo-list"),
+        # The written report with fields changed: {path to a field: its new value}.
+        pytest.param({("runs", 0, "status"): 3}, id="status-int"),
+        pytest.param({("problem",): None}, id="problem-null"),
+        pytest.param({("algo",): ["x"]}, id="algo-list"),
         # sols run writes no report without a run.
-        pytest.param((("runs",), []), id="runs-empty"),
+        pytest.param({("runs",): []}, id="runs-empty"),
         # Integers too large for a float.
-        pytest.param((("runs", 0, "envelope_checks", "iteration_bound"), 10**400),
-                     id="iteration_bound-huge-int"),
-        pytest.param((("config", "eps_g"), 10**400), id="eps_g-huge-int"),
+        pytest.param({CHECKS + ("iteration_bound",): 10**400}, id="iteration_bound-huge-int"),
+        pytest.param({("config", "eps_g"): 10**400}, id="eps_g-huge-int"),
         # An envelope flag that is not a JSON boolean.
-        pytest.param((("runs", 0, "envelope_checks", "iterations_ok"), "no"),
-                     id="iterations_ok-string"),
-        pytest.param((("runs", 0, "envelope_checks", "f_evals_ok"), 1), id="f_evals_ok-int"),
+        pytest.param({CHECKS + ("iterations_ok",): "no"}, id="iterations_ok-string"),
+        pytest.param({CHECKS + ("f_evals_ok",): 1}, id="f_evals_ok-int"),
+        # A seed, count or bound that is null or a bool.
+        pytest.param({("runs", 0, "seed"): None, CHECKS + ("observed_iterations",): 0,
+                      CHECKS + ("iteration_bound",): True}, id="seed-null-bound-bool"),
+        pytest.param({("runs", 0, "seed"): "0"}, id="seed-string"),
+        pytest.param({CHECKS + ("observed_f_evals",): None}, id="observed_f_evals-null"),
+        pytest.param({CHECKS + ("f_eval_bound",): False}, id="f_eval_bound-bool"),
+        # A stored flag that observed <= bound contradicts.
+        pytest.param({CHECKS + ("observed_iterations",): 10**12}, id="iterations_ok-stale"),
     ],
 )
 def test_envelope_bad_report_exits_2(tmp_path, capsys, broken):
@@ -523,13 +556,7 @@ def test_envelope_bad_report_exits_2(tmp_path, capsys, broken):
     if isinstance(broken, str):
         text = broken
     else:
-        (*parents, key), value = broken
-        report = read_report(tmp_path, "quad-convex-2d", "exact")
-        field = report
-        for parent in parents:
-            field = field[parent]
-        field[key] = value
-        text = json.dumps(report)
+        text = json.dumps(edited_report(tmp_path, broken))
     (tmp_path / "broken_report.json").write_text(text)
     capsys.readouterr()
     code = main(["envelope", "--in", str(tmp_path)])

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
 
 import pytest
+
+from sols import get_problem, run_inexact
 
 ROOT = Path(__file__).resolve().parent.parent
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -59,6 +63,66 @@ def test_sols_imports_itself_only_relatively(tool, tmp_path):
 def test_median_interval_takes_the_binomial_ranks(tool, n, ranks):
     values = [float(v) for v in range(n, 0, -1)]  # the value at rank r is r
     assert tool("pair_timing").median_interval(values) == (ranks and tuple(map(float, ranks)))
+
+
+@pytest.fixture
+def pair_timing(tool, monkeypatch):
+    """``pair_timing.main``, run in this process. The ``sols`` trees it loads,
+    and what it imports from ``bench/``, are dropped when the test ends."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    yield tool("pair_timing").main
+    for name in list(sys.modules):
+        if name.split(".")[0] in ("sols_base", "sols_new", "workloads", "checkout"):
+            del sys.modules[name]
+
+
+def sols_copy(tmp_path: Path) -> Path:
+    """A ``src`` directory in ``tmp_path`` holding a copy of this checkout's ``sols``."""
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src" / "sols", src / "sols", ignore=shutil.ignore_patterns("__pycache__"))
+    return src
+
+
+def test_pair_timing_prints_what_run_inexact_did_on_one_tree(pair_timing, monkeypatch, capsys):
+    assert pair_timing(["q50", "0", "1"]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    workloads = importlib.import_module("workloads")
+    cfg, problem = workloads.MC_CFG, get_problem("quartic-saddle-50d")
+    expected = []
+    for seed in (0, 1):
+        obj = problem.make_objective()
+        report, _records = run_inexact(obj, problem.start_point(), cfg.with_updates(rng_seed=seed))
+        cert, c = report.certificate, report.counters
+        failure = workloads.certificate_failure(
+            obj.dense_hessian, cert.point, cert.g_norm_min, cfg.eps_g, cfg.eps_H)
+        expected.append({
+            "seed": seed, "status": report.status, "n_f": c.n_f, "n_grad": c.n_grad,
+            "n_hv": c.n_hv, "iterations": report.iterations,
+            "envelope_ok": report.all_envelope_checks_pass(), "oracle_ok": failure is None,
+            "x_final_sha256": hashlib.sha256(report.x_final.tobytes()).hexdigest(),
+        })
+    assert rows[:2] == expected
+    assert all(r["status"] == "converged" and r["oracle_ok"] for r in expected)
+    means = {f"mean_{k}": (expected[0][k] + expected[1][k]) / 2
+             for k in ("n_f", "n_grad", "n_hv", "iterations")}
+    assert rows[2:] == [{"seeds": 2, **means}]
+
+
+def test_pair_timing_times_a_tree_against_its_copy(pair_timing, tmp_path, capsys):
+    assert pair_timing(["q50", "0", "5", "--base", str(sols_copy(tmp_path))]) == 0
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert "95% interval" in summary and summary.endswith("x_final bytes differ on 0/6 seeds")
+
+
+def test_pair_timing_stops_when_the_trees_disagree_on_counts(pair_timing, tmp_path):
+    base = sols_copy(tmp_path)
+    steps = base / "sols" / "steps.py"
+    default = "max_iters: int = 10_000"
+    assert default in steps.read_text()
+    steps.write_text(steps.read_text().replace(default, "max_iters: int = 5"))
+    with pytest.raises(SystemExit, match="seed 0: the trees disagree on status, counts or iterations"):
+        pair_timing(["q50", "0", "5", "--base", str(base)])
 
 
 def write_tree(root: Path, files: dict[str, str]) -> Path:

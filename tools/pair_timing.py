@@ -1,24 +1,37 @@
-"""Time two ``sols`` source trees seed by seed in one process.
+"""Run the benchmark configurations seed by seed on one ``sols`` source tree,
+or time two trees against each other in one process.
 
 Usage:
-    python tools/pair_timing.py {q50,rosen100,rosen10} FIRST LAST --base BASE_SRC [--src SRC]
+    python tools/pair_timing.py {q50,rosen100} FIRST LAST [--base BASE_SRC] [--src SRC]
+    python tools/pair_timing.py rosen10 [FIRST LAST --base BASE_SRC] [--src SRC]
 
-Loads the ``sols`` package of ``BASE_SRC`` (say, a checkout of the parent
-commit) and of ``SRC`` (default: the ``src`` directory of this checkout)
-side by side, as the packages ``sols_base`` and ``sols_new``, with one BLAS
-thread. Two copies can live in one process only because every import inside
-the package is relative, so this is checked first.
+The problem, the solver config and the certificate oracle of a workload are
+those of ``bench/workloads.py`` in this checkout. ``q50`` and ``rosen100``
+run ``run_inexact`` once per seed FIRST..LAST (both included). ``rosen10``
+runs ``rosenbrock-10d`` at the tolerances of the ``rosen10-cli`` workload
+through ``run_exact``, as ``exact`` and then as ``exact-local``; its loops
+draw no random numbers. The ``sols`` package comes from ``SRC`` (default:
+the ``src`` directory of this checkout) and runs with one BLAS thread.
 
-The problem and solver config are those of ``tools/seed_counts.py``, built
-by each tree from this checkout's ``bench/workloads.py``. For each seed
-FIRST..LAST (both included) the run is made on both trees back to back, the
-side that goes first alternating from seed to seed. Both must end with
-equal status, counts and iterations, or the script stops; seeds whose
-``x_final`` bytes differ are counted, not refused, so a change that moves
-only rounding can be timed too. ``rosen10`` runs ``run_exact``
-as ``exact`` and then ``exact-local``; its loops draw no random numbers, so
-there a seed only numbers one repetition of the pair. One untimed run per
-side comes first, so lazy set-up is not timed.
+Without ``--base``, each run prints one JSON line: its seed (``rosen10``:
+its ``algo``), its status, the counts ``n_f``, ``n_grad`` and ``n_hv``, the
+iterations, the envelope verdict (null when the run has no envelope
+checks), the dense-oracle verdict on its certificate (null without one) and
+the sha256 of the ``x_final`` bytes. A last line holds the means over the
+seeds; ``rosen10`` takes no seed range and has no such line. Diff the
+outputs of two checkouts to compare them seed by seed.
+
+With ``--base``, the ``sols`` packages of ``BASE_SRC`` (say, a checkout of
+the parent commit) and of ``SRC`` are loaded side by side, as ``sols_base``
+and ``sols_new``. Two copies can live in one process only because every
+import inside the package is relative, so this is checked first. Each seed
+is run on both trees back to back, the side that goes first alternating
+from seed to seed. Both must end with equal status, counts and iterations,
+or the script stops; seeds whose ``x_final`` bytes differ are counted, not
+refused, so a change that moves only rounding can be timed too. For
+``rosen10`` a seed only numbers one repetition of the pair of runs. One
+untimed run per side comes first, so lazy set-up is not timed. The oracle
+and the hash are computed outside the timer.
 
 Prints each side's quartiles of wall ms per run, the ratio of the new
 median to the base median, the median over seeds of each seed's new/base
@@ -36,8 +49,10 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
+import hashlib
 import importlib
 import importlib.util
+import json
 import math
 import os
 import statistics
@@ -52,6 +67,8 @@ import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("base", "new")
+COUNTS = ("n_f", "n_grad", "n_hv", "iterations")
+DECISIONS = ("status", *COUNTS)
 
 
 def absolute_self_imports(package_dir: Path) -> list[str]:
@@ -104,40 +121,76 @@ def as_sols(package):
         sys.modules.update(saved)
 
 
+def configuration(name: str):
+    """The problem and solver config of a workload: ``q50-inexact``,
+    ``rosen100-inexact`` or ``rosen10-cli``."""
+    from sols.problems import get_problem
+    from sols.steps import SolverConfig
+    from workloads import MC_CFG, CliWorkload, rosenbrock_100d
+
+    if name == "q50":
+        return get_problem("quartic-saddle-50d"), MC_CFG
+    if name == "rosen10":
+        tolerances = SolverConfig(eps_g=CliWorkload.eps_g, eps_H=CliWorkload.eps_H)
+        return get_problem(CliWorkload.problem_name), tolerances
+    return rosenbrock_100d(), SolverConfig()
+
+
 def side(package, workload: str):
     """A function running one seed of ``workload`` on ``package``: it returns the
-    wall seconds of the runs, what they did and the bytes of their ``x_final``."""
-    from seed_counts import configuration
-
+    wall seconds of the runs and a row of what each run did."""
     with as_sols(package):
         problem, cfg = configuration(workload)
-        from workloads import CliWorkload
+        from workloads import CliWorkload, certificate_failure
     driver = package.driver
+
+    def outcome(obj, report) -> dict:
+        """Status, counts, verdicts and the ``x_final`` hash of one run."""
+        checks = report.envelope_checks()
+        cert = report.certificate
+        oracle_ok = None
+        if cert is not None:
+            oracle_ok = certificate_failure(
+                obj.dense_hessian, cert.point, cert.g_norm_min, cfg.eps_g, cfg.eps_H
+            ) is None
+        c = report.counters
+        return {
+            "status": report.status,
+            "n_f": c.n_f,
+            "n_grad": c.n_grad,
+            "n_hv": c.n_hv,
+            "iterations": report.iterations,
+            "envelope_ok": driver.envelope_checks_pass(checks) if checks else None,
+            "oracle_ok": oracle_ok,
+            "x_final_sha256": hashlib.sha256(np.ascontiguousarray(report.x_final).tobytes()).hexdigest(),
+        }
 
     def runs(seed: int):
         if workload == "rosen10":
-            calls = [(driver.run_exact, cfg, {"local_phase": algo == "exact-local"})
+            calls = [({"algo": algo}, driver.run_exact, cfg, {"local_phase": algo == "exact-local"})
                      for algo in CliWorkload.algos]
         else:
-            calls = [(driver.run_inexact, cfg.with_updates(rng_seed=seed), {})]
-        wall, outcomes, finals = 0.0, [], []
-        for run, run_cfg, kwargs in calls:
+            calls = [({"seed": seed}, driver.run_inexact, cfg.with_updates(rng_seed=seed), {})]
+        wall, rows = 0.0, []
+        for key, run, run_cfg, kwargs in calls:
             obj = problem.make_objective()
             x0 = problem.start_point()
             start = time.perf_counter()
             report, _records = run(obj, x0, run_cfg, **kwargs)
             wall += time.perf_counter() - start
-            c = report.counters
-            outcomes.append((report.status, c.n_f, c.n_grad, c.n_hv, report.iterations))
-            finals.append(np.ascontiguousarray(report.x_final).tobytes())
-        return wall, outcomes, finals
+            rows.append({**key, **outcome(obj, report)})
+        return wall, rows
 
     return runs
 
 
+def quartiles(values: list[float]) -> list[float]:
+    """q1, the median and q3 of ``values``; one value is all three."""
+    return statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+
+
 def quartiles_ms(seconds: list[float]) -> str:
-    ms = [1e3 * s for s in seconds]
-    q1, q2, q3 = statistics.quantiles(ms, n=4, method="inclusive") if len(ms) > 1 else ms * 3
+    q1, q2, q3 = quartiles([1e3 * s for s in seconds])
     return f"median {q2:.4f} ms (q1 {q1:.4f}, q3 {q3:.4f})"
 
 
@@ -159,7 +212,7 @@ def median_interval(values: list[float]) -> tuple[float, float] | None:
 
 def interval_note(interval: tuple[float, float] | None) -> str:
     if interval is None:
-        return "too few seeds for a 95% interval"
+        return "too few pairs for a 95% interval"
     low, high = interval
     verdict = ("holds 1, unresolved" if low <= 1.0 <= high
                else "new faster" if high < 1.0 else "new slower")
@@ -167,48 +220,71 @@ def interval_note(interval: tuple[float, float] | None) -> str:
             f"({low - 1.0:+.2%} to {high - 1.0:+.2%}): {verdict}")
 
 
+def print_rows(runs, workload: str, seeds: range) -> None:
+    """One JSON line per run, and for a seeded workload a line of means."""
+    rows = []
+    for seed in seeds:
+        for row in runs(seed)[1]:
+            rows.append(row)
+            print(json.dumps(row), flush=True)
+    if workload != "rosen10":
+        means = {f"mean_{k}": sum(r[k] for r in rows) / len(rows) for k in COUNTS}
+        print(json.dumps({"seeds": len(rows), **means}))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload", choices=("q50", "rosen100", "rosen10"))
-    parser.add_argument("first", type=int)
-    parser.add_argument("last", type=int)
-    parser.add_argument("--base", type=Path, required=True,
-                        help="directory holding the sols package to compare against")
+    parser.add_argument("first", type=int, nargs="?")
+    parser.add_argument("last", type=int, nargs="?")
+    parser.add_argument("--base", type=Path,
+                        help="directory holding the sols package to time against "
+                             "(default: none; print what each seed did instead)")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the new sols package (default: this checkout's src)")
     args = parser.parse_args(argv)
-    if args.last < args.first:
+    ranged = args.workload != "rosen10" or args.base is not None
+    if ranged and (args.first is None or args.last is None):
+        parser.error(f"{args.workload} needs FIRST and LAST")
+    if not ranged and args.first is not None:
+        parser.error("rosen10 takes no seed range without --base")
+    if ranged and args.last < args.first:
         parser.error("LAST must not be below FIRST")
-    for src in (args.base, args.src):
+    # rosen10 draws no random numbers, so on one tree it runs once.
+    seeds = range(args.first, args.last + 1) if ranged else range(1)
+    trees = {"new": args.src} if args.base is None else dict(zip(SIDES, (args.base, args.src)))
+    for src in trees.values():
         found = absolute_self_imports(src / "sols")
         if found:
             parser.error(f"sols imports itself by absolute name, so two copies cannot "
                          f"share a process: {', '.join(found)}")
-    # seed_counts and the workload definitions come from this checkout.
-    sys.path[:0] = [str(ROOT / "tools"), str(ROOT / "bench")]
+    # The workload definitions come from this checkout.
+    sys.path.insert(0, str(ROOT / "bench"))
+    runners = {s: side(load_tree(src, f"sols_{s}"), args.workload) for s, src in trees.items()}
+    if args.base is None:
+        print_rows(runners["new"], args.workload, seeds)
+        return 0
 
-    runners = {
-        s: side(load_tree(src, f"sols_{s}"), args.workload)
-        for s, src in zip(SIDES, (args.base, args.src))
-    }
     for s in SIDES:
-        runners[s](args.first)
-
+        runners[s](seeds[0])
     walls = {s: [] for s in SIDES}
     wins = moved = 0
-    for i, seed in enumerate(range(args.first, args.last + 1)):
+    for i, seed in enumerate(seeds):
         done = {}
         for s in SIDES if i % 2 == 0 else SIDES[::-1]:
-            done[s] = runners[s](seed)
-            walls[s].append(done[s][0])
-        if done["base"][1] != done["new"][1]:
+            wall, rows = runners[s](seed)
+            walls[s].append(wall)
+            done[s] = rows
+        decisions = {s: [[row[k] for k in DECISIONS] for row in rows] for s, rows in done.items()}
+        if decisions["base"] != decisions["new"]:
             raise SystemExit(f"seed {seed}: the trees disagree on status, counts or iterations")
-        wins += done["new"][0] < done["base"][0]
-        moved += done["new"][2] != done["base"][2]
+        wins += walls["new"][-1] < walls["base"][-1]
+        hashes = {s: [row["x_final_sha256"] for row in rows] for s, rows in done.items()}
+        moved += hashes["new"] != hashes["base"]
 
     n = len(walls["new"])
-    for s, src in zip(SIDES, (args.base, args.src)):
-        print(f"{s:4} {src}: {quartiles_ms(walls[s])} over {n} seeds")
+    for s in SIDES:
+        print(f"{s:4} {trees[s]}: {quartiles_ms(walls[s])} over {n} seeds")
     ratio = statistics.median(walls["new"]) / statistics.median(walls["base"])
     ratios = [new / base for new, base in zip(walls["new"], walls["base"])]
     per_seed = statistics.median(ratios)

@@ -14,9 +14,10 @@ checkout's ``src``) back to back, the side that goes first alternating from
 pair to pair.
 
 Prints, per side, the median and quartiles of import ms, build ms and their
-sum, then the ratio of the new median to the base median of each and the
-share of pairs the new tree was faster on. Times are as measured, not
-scaled to a reference host speed.
+sum. Then, for each, the ratio of the new median to the base median, the
+median of the per-pair new/base ratios with the distribution-free 95%
+interval of ``tools/pair_timing.py``, and the share of pairs the new tree
+was faster on. Times are as measured, not scaled to a reference host speed.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+from pair_timing import interval_note, median_interval, quartiles
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("base", "new")
@@ -66,13 +69,6 @@ def probe(src: Path, workload: str) -> dict:
     return times
 
 
-def quartiles(values: list[float]) -> tuple[float, float, float]:
-    if len(values) == 1:
-        return values[0], values[0], values[0]
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, q2, q3
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload", help="a workload name of bench/workloads.py")
@@ -102,8 +98,11 @@ def main(argv=None) -> int:
     print(f"over {args.pairs} pairs of {args.workload}; new/base:")
     for field in FIELDS:
         ratio = medians["new", field] / medians["base", field]
-        wins = sum(n[field] < b[field] for n, b in zip(samples["new"], samples["base"]))
-        print(f"  {field:9} median ratio {ratio:.4f} ({ratio - 1.0:+.2%}); "
+        ratios = [n[field] / b[field] for n, b in zip(samples["new"], samples["base"])]
+        per_pair = statistics.median(ratios)
+        wins = sum(r < 1.0 for r in ratios)
+        print(f"  {field:9} median ratio {ratio:.4f} ({ratio - 1.0:+.2%}); median per-pair "
+              f"ratio {per_pair:.4f} ({per_pair - 1.0:+.2%}), {interval_note(median_interval(ratios))}; "
               f"new faster in {wins}/{args.pairs} pairs")
     return 0
 
