@@ -9,22 +9,25 @@ import json
 import operator
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, is_dataclass
 from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
+from .bounds import ComplexityEnvelope
 from .driver import (
     COST_CHECK,
     ITERATION_CHECK,
     SCHEMA_VERSION,
     TRACE_COLUMNS,
+    Certificate,
     RunReport,
     envelope_checks_pass,
     run_exact,
     run_inexact,
 )
+from .operators import EvalCounters
 from .problems import get_problem, suite
 from .steps import ConfigError, SolverConfig
 
@@ -38,6 +41,10 @@ _RUN_FLAGS = tuple(name for name in _CONFIG_TYPES if name != "rng_seed")
 # One trace row per record. csv.writer writes None as "", a float by repr()
 # and an int by str().
 _trace_row = operator.attrgetter(*TRACE_COLUMNS)
+
+# The type rule of a report field by its annotation: a JSON type, or a dataclass.
+_READ_AS = {"str": str, "int": int, "float": Real, "bool": bool, "Array": list} | {
+    c.__name__: c for c in (SolverConfig, RunReport, Certificate, EvalCounters, ComplexityEnvelope)}
 
 
 def _parse_config_file(path: str) -> dict:
@@ -216,53 +223,55 @@ def _format_table(rows: list[list[str]], header: list[str]) -> str:
     return "\n".join(lines)
 
 
-def _field(data: dict, key: str, kind: type):
-    """``data[key]``, a field a report holds as a ``kind``. A bool is not a number."""
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise TypeError(f"{key!r} is {value!r}, not a {kind.__name__}")
+def _read(annotation: str, value, key: str):
+    """Report field ``key`` read as its ``annotation`` says. A bool is no number."""
+    if value is None and annotation.endswith(" | None"):
+        return None
+    kind = _READ_AS[annotation.removesuffix(" | None")]
+    if is_dataclass(kind):
+        return kind(**{f.name: _read(f.type, value[f.name], f.name) for f in fields(kind)})
+    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
+        raise TypeError(f"{key!r} is {value!r}, not of type {annotation}")
     return value
 
 
-def _envelope_row(data: dict, run: dict) -> list[str]:
-    algo, status = _field(data, "algo", str), _field(run, "status", str)
-    checks = run["envelope_checks"]
+def _read_run(algo: str, run: dict) -> RunReport:
+    """The RunReport that ``_report_run_dict`` wrote as ``run``, its changes undone."""
+    cert = run["certificate"]
+    if isinstance(cert, dict):
+        cert["lam"] = cert.pop("lambda")
+        cert["counters"] = {f.name: cert.pop(f.name) for f in fields(EvalCounters)}
+    return _read("RunReport", {**run, "algo": algo}, "run")
+
+
+def _envelope_row(problem: str, run: dict, report: RunReport) -> list[str]:
+    checks, seed = report.envelope_checks(), _read("int", run["seed"], "seed")
+    if json.dumps(run["envelope_checks"], sort_keys=True) != json.dumps(checks, sort_keys=True):
+        raise ValueError(f"seed {seed}: envelope_checks differ from the run's own {checks}")
     if checks:
-        cost_keys, label = COST_CHECK[algo == "inexact"]
-        cells, oks = [], []
+        cost_keys, label = COST_CHECK[report.algo == "inexact"]
+        cells = []
         for keys, unit in ((ITERATION_CHECK, ""), (cost_keys, " " + label)):
-            observed, bound = (_field(checks, key, Real) for key in keys[:2])
-            # The verdict is recomputed; sols run never stores a flag that says otherwise.
-            ok = observed <= bound
-            if checks[keys[2]] is not ok:
-                raise ValueError(f"{keys[2]!r} is {checks[keys[2]]!r}, not {observed} <= {bound}")
+            observed, bound = checks[keys[0]], checks[keys[1]]
             ratio = observed / bound if bound else 0.0
             cells += [f"{observed}/{bound:.3g}{unit}", f"{ratio:.2e}"]
-            oks.append(ok)
-        verdict = "ok" if all(oks) else "VIOLATED"
+        verdict = "ok" if envelope_checks_pass(checks) else "VIOLATED"
     else:
         cells, verdict = ["-"] * 4, "-"
     # A run that did not converge never reads "ok", even when the
     # bounds held up to its first certificate.
-    if status != "converged" and verdict != "VIOLATED":
+    if not report.converged and verdict != "VIOLATED":
         verdict = "FAILED"
-    return [_field(data, "problem", str), algo, str(_field(run, "seed", int)), status, *cells, verdict]
+    return [problem, report.algo, str(seed), report.status, *cells, verdict]
 
 
-def _scaling_row(data: dict) -> list[str] | None:
-    cfg = data["config"]
-    env = next((r["envelope"] for r in data["runs"] if r["envelope"]), None)
+def _scaling_row(problem: str, config: dict, reports: list[RunReport]) -> list[str] | None:
+    cfg = _read("SolverConfig", config, "config")
+    env = next((r.envelope for r in reports if r.envelope is not None), None)
     if env is None:
         return None
-    return [
-        _field(data, "problem", str),
-        _field(data, "algo", str),
-        f"{cfg['eps_g']:.3g}",
-        f"{cfg['eps_H']:.3g}",
-        f"{env['max_term']:.6g}",
-        f"{env['K_iter']:.6g}",
-        f"{env['K_hat']:.6g}",
-    ]
+    return [problem, reports[0].algo, f"{cfg.eps_g:.3g}", f"{cfg.eps_H:.3g}",
+            f"{env.max_term:.6g}", f"{env.K_iter:.6g}", f"{env.K_hat:.6g}"]
 
 
 def cmd_envelope(args: argparse.Namespace) -> int:
@@ -276,10 +285,12 @@ def cmd_envelope(args: argparse.Namespace) -> int:
     for path in report_files:
         try:
             data = json.loads(path.read_text())
+            problem = _read("str", data["problem"], "problem")
             if not data["runs"]:
                 raise ValueError("it holds no runs")
-            rows += [_envelope_row(data, run) for run in data["runs"]]
-            scaling = _scaling_row(data)
+            reports = [_read_run(data["algo"], run) for run in data["runs"]]
+            rows += [_envelope_row(problem, *pair) for pair in zip(data["runs"], reports)]
+            scaling = _scaling_row(problem, data["config"], reports)
         except (OSError, KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             print(f"error: {path}: not a sols report: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 2

@@ -496,23 +496,29 @@ def test_run_nonfinite_product_exits_3(tmp_path, capsys, monkeypatch):
 
 
 CHECKS = ("runs", 0, "envelope_checks")
+DELETED = object()  # an edit that deletes the field
 
 
 def edited_report(out_dir: Path, edits: dict) -> dict:
     """The ``quad-convex-2d`` exact report in ``out_dir`` with ``edits``:
-    {path to a field: its new value}."""
+    {path to a field: its new value, or DELETED}."""
     report = read_report(out_dir, "quad-convex-2d", "exact")
     for (*parents, key), value in edits.items():
         field = report
         for parent in parents:
             field = field[parent]
-        field[key] = value
+        if value is DELETED:
+            del field[key]
+        else:
+            field[key] = value
     return report
 
 
 def test_envelope_reads_violated_when_observed_is_above_bound(tmp_path, capsys):
     main(["run", "--problem", "quad-convex-2d", "--out", str(tmp_path)])
-    edits = {CHECKS + ("observed_iterations",): 10**12, CHECKS + ("iterations_ok",): False}
+    # The run's certificate takes the steps too, so the report still agrees with itself.
+    edits = {CHECKS + ("observed_iterations",): 10**12, CHECKS + ("iterations_ok",): False,
+             ("runs", 0, "certificate", "steps"): 10**12}
     (tmp_path / "quad-convex-2d_exact_report.json").write_text(
         json.dumps(edited_report(tmp_path, edits)))
     capsys.readouterr()
@@ -549,6 +555,17 @@ def test_envelope_reads_violated_when_observed_is_above_bound(tmp_path, capsys):
         pytest.param({CHECKS + ("f_eval_bound",): False}, id="f_eval_bound-bool"),
         # A stored flag that observed <= bound contradicts.
         pytest.param({CHECKS + ("observed_iterations",): 10**12}, id="iterations_ok-stale"),
+        # Stored checks that the run's own certificate and envelope contradict.
+        pytest.param({CHECKS + ("observed_iterations",): 10**12, CHECKS + ("iteration_bound",): 1e13},
+                     id="observed-and-bound-raised"),
+        pytest.param({("runs", 0, "envelope", "K_iter"): 1.0}, id="K_iter-moved"),
+        pytest.param({("runs", 0, "certificate", "steps"): 10**12}, id="steps-moved"),
+        # A config, envelope or certificate field of the wrong type, or missing.
+        pytest.param({("config", "eps_g"): True}, id="eps_g-bool"),
+        pytest.param({("runs", 0, "envelope", "K_iter"): True}, id="K_iter-bool"),
+        pytest.param({("runs", 0, "certificate", "steps"): True}, id="steps-bool"),
+        pytest.param({("runs", 0, "envelope", "success_prob"): DELETED}, id="success_prob-missing"),
+        pytest.param({("runs", 0, "certificate"): "cert"}, id="certificate-string"),
     ],
 )
 def test_envelope_bad_report_exits_2(tmp_path, capsys, broken):
@@ -699,7 +716,8 @@ FUZZ_MAX_ITERS = mostly(st.integers(1, 100), st.sampled_from([-1, 0, 1, 2, 100])
 
 
 def assert_run_exit_classified(argv: list[str]) -> None:
-    """``sols run`` exits 0-3, or argparse rejects a flag with 2: never a traceback."""
+    """``sols run`` exits 0-3, or argparse rejects a flag with 2: never a traceback.
+    The report it writes, if any, is one ``sols envelope`` reads."""
     with tempfile.TemporaryDirectory() as out:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             try:
@@ -707,7 +725,13 @@ def assert_run_exit_classified(argv: list[str]) -> None:
             except SystemExit as exc:  # argparse rejecting a flag
                 assert exc.code == 2
                 return
-    assert code in (0, 1, 2, 3)
+        assert code in (0, 1, 2, 3)
+        # sols envelope reads back every report sols run writes.
+        if any(Path(out).glob("*_report.json")):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["envelope", "--in", out])
+            assert code == 0, err.getvalue()
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)

@@ -83,6 +83,22 @@ def sols_copy(tmp_path: Path) -> Path:
     return src
 
 
+def test_load_tree_drops_a_tree_loaded_before_under_the_same_name(tool, tmp_path):
+    load_tree = tool("pair_timing").load_tree
+    first, second = sols_copy(tmp_path / "first"), sols_copy(tmp_path / "second")
+    (second / "sols" / "extra.py").write_text("from . import driver\n")
+    try:
+        load_tree(first, "sols_x")
+        package = load_tree(second, "sols_x")
+        loaded = {k: m for k, m in sys.modules.items() if k.split(".")[0] == "sols_x"}
+        assert {"sols_x", "sols_x.cli", "sols_x.extra"} <= loaded.keys()
+        assert package is loaded["sols_x"] and package.cli is loaded["sols_x.cli"]
+        assert all(Path(m.__file__).is_relative_to(second) for m in loaded.values())
+    finally:
+        for key in [k for k in sys.modules if k.split(".")[0] == "sols_x"]:
+            del sys.modules[key]
+
+
 def test_pair_timing_prints_what_run_inexact_did_on_one_tree(pair_timing, monkeypatch, capsys):
     assert pair_timing(["q50", "0", "1"]) == 0
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
@@ -135,15 +151,19 @@ def write_tree(root: Path, files: dict[str, str]) -> Path:
 REPORT = "runs/p_exact/p_exact_report.json"
 TRACE = "runs/p_exact/p_exact_seed0_trace.csv"
 HEADER = "k,phase,step_kind,j,lanczos_iters,cg_iters,cg_fallback,n_f,n_grad,n_hv,f\n"
+ENVELOPE = "logs/envelope_p_exact.stdout"
+ROW = "p        exact    0     converged  1/7.2e+07       1.39e-08  2/1.03e+09 f-evals  ok"
 
 
-def outputs(exit_code=0, f_final=1.0, trace_rows=((0, 1.5), (0, 0.25))) -> dict[str, str]:
-    """A spec_checksums output dir with one run: its exit code, report and trace."""
+def outputs(exit_code=0, f_final=1.0, trace_rows=((0, 1.5), (0, 0.25)), row=ROW) -> dict[str, str]:
+    """A spec_checksums output dir with one run: its exit code, report and
+    trace, and the stdout of ``sols envelope`` on it."""
     run = {"seed": 0, "status": "converged", "iterations": len(trace_rows), "f_final": f_final,
            "counters": {"n_f": 3, "n_grad": 3, "n_hv": 2}, "certificate": None}
     rows = "".join(f"{k},main,newton,{j},0,0,0,3,3,2,{f}\n" for k, (j, f) in enumerate(trace_rows))
     return {
         "logs/run_p_exact.exit": f"{exit_code}\n",
+        ENVELOPE: f"problem  algo  ...\n-------  ----  ...\n{row}\n",
         REPORT: json.dumps({"runs": [run]}),
         TRACE: HEADER + rows,
     }
@@ -159,16 +179,19 @@ def outputs(exit_code=0, f_final=1.0, trace_rows=((0, 1.5), (0, 0.25))) -> dict[
         ({"trace_rows": ((0, 1.5), (0, 0.25), (0, 0.0))},
          {REPORT: "seed 0 iterations 2 -> 3", TRACE: "rows 2 -> 3"}),
         ({"exit_code": 1, "f_final": 1.5},
-         {"logs/run_p_exact.exit": None, REPORT: "exit code 0 -> 1"}),
+         {"logs/run_p_exact.exit": "line 1: 0 -> 1", REPORT: "exit code 0 -> 1"}),
+        ({"row": ROW.replace("1/7.2e+07       1.39e-08", "1000000000000/7.2e+07  1.39e+04")},
+         {ENVELOPE: "line 3: ...nverged  1/7.2e+07       1.39e-08  2/1.03e+09 f-evals  ok "
+                    "-> ...nverged  1000000000000/7.2e+07  1.39e+04  2/1.03e+09 f..."}),
     ],
-    ids=["nothing", "float-only", "j", "extra-row", "exit-code"],
+    ids=["nothing", "float-only", "j", "extra-row", "exit-code", "envelope-stdout"],
 )
 def test_spec_checksums_names_what_moved(tool, tmp_path, change, moved):
     spec_checksums = tool("spec_checksums")
     old = write_tree(tmp_path / "old", outputs())
     new = write_tree(tmp_path / "new", outputs(**change))
     lines = spec_checksums.compare(old, new, spec_checksums.digests(new))
-    assert lines[0] == f"# against {old}: {len(moved)} of 3 files moved"
+    assert lines[0] == f"# against {old}: {len(moved)} of 4 files moved"
     assert lines[1:] == [
         f"# moved  {rel}" + (f"  ({note})" if note else "") for rel, note in sorted(moved.items())
     ]

@@ -37,6 +37,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from pair_timing import quartiles
+
 
 def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """The last JSON line of one ``bench/run.py`` invocation in ``checkout``."""
@@ -46,13 +48,6 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) 
     if proc.returncode not in (0, 1):  # 1: a self-check failed, reported as correct=false
         raise SystemExit(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n{proc.stderr}")
     return json.loads(proc.stdout.splitlines()[-1])
-
-
-def quartiles(values: list[float]) -> list[float]:
-    if len(values) == 1:
-        return values * 3
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return [q1, q2, q3]
 
 
 def summarise(pairs: list[dict], better: dict[str, str]) -> dict:

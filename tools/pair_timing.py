@@ -88,7 +88,10 @@ def absolute_self_imports(package_dir: Path) -> list[str]:
 
 
 def load_tree(src: Path, name: str):
-    """The ``sols`` package under ``src`` imported as ``name``, every module loaded."""
+    """The ``sols`` package under ``src`` imported as ``name``, every module loaded.
+    A tree loaded earlier under ``name`` is dropped first, or its modules would stay."""
+    for key in [key for key in sys.modules if key == name or key.startswith(name + ".")]:
+        del sys.modules[key]
     package_dir = src.resolve() / "sols"
     spec = importlib.util.spec_from_file_location(
         name, package_dir / "__init__.py", submodule_search_locations=[str(package_dir)]

@@ -28,7 +28,10 @@ certificate counters. A moved ``*_trace.csv`` names its first data row
 (counted from 1 below the header) and column that moved among the columns
 that say what a step did: ``k``, ``phase``, ``step_kind``, ``j``, the inner
 iteration counts, ``cg_fallback`` and the counters; or a change in its row
-count. When none did, either says "float bytes only".
+count. When none did, either says "float bytes only". A moved log
+(``.stdout``, ``.stderr`` or ``.exit``) names its first line that moved, as
+``line N: OLD -> NEW`` with each side cut to ``LOG_WIDTH`` characters from a
+little before where they part; or a change in its line count.
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ TRACE_OUTCOME = (
     "k", "phase", "step_kind", "j", "lanczos_iters", "cg_iters", "cg_fallback",
     "n_f", "n_grad", "n_hv",
 )
+# The characters a moved log line is shown with, and those kept before where the sides part.
+LOG_WIDTH, LOG_LEAD = 60, 10
 
 
 def run_specs(problems: list[str]):
@@ -183,6 +188,25 @@ def trace_moves(old_dir: Path, new_dir: Path, rel: str) -> str:
     return "float bytes only"
 
 
+def clip(line: str, skip: int) -> str:
+    """``line`` from character ``skip`` on, at most ``LOG_WIDTH`` characters."""
+    text = ("..." if skip else "") + line[skip:]
+    return text if len(text) <= LOG_WIDTH else text[: LOG_WIDTH - 3] + "..."
+
+
+def log_moves(old_dir: Path, new_dir: Path, rel: str) -> str:
+    """The first line that moved between the two sides of the log at ``rel``,
+    a change in its line count, or only its line ends."""
+    old_lines, new_lines = ((d / rel).read_text().splitlines() for d in (old_dir, new_dir))
+    for i, (old, new) in enumerate(zip(old_lines, new_lines), start=1):
+        if old != new:
+            skip = max(0, len(os.path.commonprefix([old, new])) - LOG_LEAD)
+            return f"line {i}: {clip(old, skip)} -> {clip(new, skip)}"
+    if len(old_lines) != len(new_lines):
+        return f"lines {len(old_lines)} -> {len(new_lines)}"
+    return "line ends only"
+
+
 def compare(old_dir: Path, new_dir: Path, new: dict[str, str]) -> list[str]:
     """The ``#`` lines that name each file that moved from ``old_dir`` to ``new_dir``."""
     old = digests(old_dir)
@@ -195,6 +219,8 @@ def compare(old_dir: Path, new_dir: Path, new: dict[str, str]) -> list[str]:
             note = report_moves(old_dir, new_dir, rel)
         elif rel.endswith("_trace.csv"):
             note = trace_moves(old_dir, new_dir, rel)
+        elif rel.startswith("logs/"):
+            note = log_moves(old_dir, new_dir, rel)
         else:
             note = None
         lines.append(f"# moved  {rel}" + (f"  ({note})" if note else ""))
