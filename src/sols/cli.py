@@ -18,6 +18,7 @@ import numpy as np
 from .bounds import ComplexityEnvelope
 from .driver import (
     COST_CHECK,
+    HARD_ERROR_STATUS,
     ITERATION_CHECK,
     SCHEMA_VERSION,
     TRACE_COLUMNS,
@@ -37,6 +38,10 @@ DEFAULT_OUT_ENV = "SOLS_OUT_DIR"
 # SolverConfig field except ``rng_seed``, which ``--seed`` sets per run.
 _CONFIG_TYPES = {f.name: int if f.type == "int" else float for f in fields(SolverConfig)}
 _RUN_FLAGS = tuple(name for name in _CONFIG_TYPES if name != "rng_seed")
+
+# The ``run --algo`` choices, and every status a run can end with.
+_ALGOS = ("exact", "exact-local", "inexact")
+_STATUSES = ("converged", "max_iters", *HARD_ERROR_STATUS.values())
 
 # One trace row per record. csv.writer writes None as "", a float by repr()
 # and an int by str().
@@ -235,13 +240,27 @@ def _read(annotation: str, value, key: str):
     return value
 
 
+def _one_of(key: str, value, allowed: tuple):
+    """``value`` of report field ``key``, if it is one of the ``allowed`` that
+    ``sols run`` writes: of the same type, so neither true nor 1.0 is 1."""
+    if type(value) is not type(allowed[0]) or value not in allowed:
+        raise ValueError(f"{key!r} is {value!r}, not one of {allowed}")
+    return value
+
+
 def _read_run(algo: str, run: dict) -> RunReport:
-    """The RunReport that ``_report_run_dict`` wrote as ``run``, its changes undone."""
+    """The RunReport that ``_report_run_dict`` wrote as ``run``, its changes
+    undone; a ValueError unless its status is one a run ends with and its
+    error is set exactly on a hard-error status."""
     cert = run["certificate"]
     if isinstance(cert, dict):
         cert["lam"] = cert.pop("lambda")
         cert["counters"] = {f.name: cert.pop(f.name) for f in fields(EvalCounters)}
-    return _read("RunReport", {**run, "algo": algo}, "run")
+    report = _read("RunReport", {**run, "algo": algo}, "run")
+    _one_of("status", report.status, _STATUSES)
+    if (report.error is None) == (report.status in HARD_ERROR_STATUS.values()):
+        raise ValueError(f"'error' is {report.error!r} on a {report.status!r} run")
+    return report
 
 
 def _envelope_row(problem: str, run: dict, report: RunReport) -> list[str]:
@@ -285,10 +304,12 @@ def cmd_envelope(args: argparse.Namespace) -> int:
     for path in report_files:
         try:
             data = json.loads(path.read_text())
+            _one_of("schema_version", data["schema_version"], (SCHEMA_VERSION,))
             problem = _read("str", data["problem"], "problem")
+            algo = _one_of("algo", data["algo"], _ALGOS)
             if not data["runs"]:
                 raise ValueError("it holds no runs")
-            reports = [_read_run(data["algo"], run) for run in data["runs"]]
+            reports = [_read_run(algo, run) for run in data["runs"]]
             rows += [_envelope_row(problem, *pair) for pair in zip(data["runs"], reports)]
             scaling = _scaling_row(problem, data["config"], reports)
         except (OSError, KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
@@ -363,9 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a solver over a seed grid")
     run.add_argument("--problem", required=True, help="suite problem id")
-    run.add_argument(
-        "--algo", choices=("exact", "exact-local", "inexact"), default="exact"
-    )
+    run.add_argument("--algo", choices=_ALGOS, default="exact")
     for name in _RUN_FLAGS:
         run.add_argument(
             "--" + name.replace("_", "-"), dest=name, type=_CONFIG_TYPES[name], default=None

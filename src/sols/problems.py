@@ -245,25 +245,34 @@ def _rosenbrock_constants(n: int, a: float, x0: Array) -> tuple[float, float, fl
     return L_H, U_g, U_H, 0.0
 
 
+# Each Rosenbrock callback slices x[:-1] once, squares by one multiplication
+# and allocates by np.zeros, so an integer x gives float results. The gradient
+# and bands keep every operation of their ** forms in order, and so their
+# bits; the value sums by dot, which has the n eps error bound of ndarray.sum
+# but rounds in another order, so f may move by an ulp or two.
 def _rosenbrock_value(x: Array, a: float) -> float:
-    r = x[1:] - x[:-1] ** 2
-    return float(a * (r**2).sum() + ((1.0 - x[:-1]) ** 2).sum())
+    head = x[:-1]
+    r = x[1:] - head * head
+    s = 1.0 - head
+    return float(a * r.dot(r) + s.dot(s))
 
 
 def _rosenbrock_gradient(x: Array, a: float) -> Array:
-    g = np.zeros_like(x)
-    r = x[1:] - x[:-1] ** 2
-    g[:-1] = -4.0 * a * x[:-1] * r - 2.0 * (1.0 - x[:-1])
+    g = np.zeros(x.shape)
+    head = x[:-1]
+    r = x[1:] - head * head
+    g[:-1] = -4.0 * a * head * r - 2.0 * (1.0 - head)
     g[1:] += 2.0 * a * r
     return g
 
 
 def _rosenbrock_bands(x: Array, a: float) -> tuple[Array, Array]:
     """Diagonal and off-diagonal of the tridiagonal Rosenbrock Hessian."""
-    diag = np.zeros_like(x)
-    diag[:-1] = 12.0 * a * x[:-1] ** 2 - 4.0 * a * x[1:] + 2.0
+    diag = np.zeros(x.shape)
+    head = x[:-1]
+    diag[:-1] = 12.0 * a * (head * head) - 4.0 * a * x[1:] + 2.0
     diag[1:] += 2.0 * a
-    off = -4.0 * a * x[:-1]
+    off = -4.0 * a * head
     return diag, off
 
 

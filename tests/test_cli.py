@@ -566,6 +566,15 @@ def test_envelope_reads_violated_when_observed_is_above_bound(tmp_path, capsys):
         pytest.param({("runs", 0, "certificate", "steps"): True}, id="steps-bool"),
         pytest.param({("runs", 0, "envelope", "success_prob"): DELETED}, id="success_prob-missing"),
         pytest.param({("runs", 0, "certificate"): "cert"}, id="certificate-string"),
+        # A value that sols run never writes.
+        pytest.param({("algo",): "foo"}, id="algo-unknown"),
+        pytest.param({("schema_version",): "x"}, id="schema_version-string"),
+        pytest.param({("schema_version",): 99}, id="schema_version-99"),
+        pytest.param({("schema_version",): True}, id="schema_version-true"),
+        pytest.param({("schema_version",): DELETED}, id="schema_version-missing"),
+        pytest.param({("runs", 0, "error"): "boom"}, id="error-on-converged"),
+        pytest.param({("runs", 0, "status"): "ls_stall"}, id="ls_stall-without-error"),
+        pytest.param({("runs", 0, "status"): "weird"}, id="status-unknown"),
     ],
 )
 def test_envelope_bad_report_exits_2(tmp_path, capsys, broken):
@@ -581,6 +590,25 @@ def test_envelope_bad_report_exits_2(tmp_path, capsys, broken):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "broken_report.json" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ({("schema_version",): 0}, "'schema_version' is 0, not one of (1,)"),
+        ({("algo",): "foo"}, "'algo' is 'foo', not one of"),
+        ({("runs", 0, "status"): "weird"}, "'status' is 'weird', not one of"),
+        ({("runs", 0, "error"): "boom"}, "'error' is 'boom' on a 'converged' run"),
+    ],
+)
+def test_envelope_names_the_field_and_the_value_it_found(tmp_path, capsys, edits, message):
+    main(["run", "--problem", "quad-convex-2d", "--out", str(tmp_path)])
+    (tmp_path / "quad-convex-2d_exact_report.json").write_text(
+        json.dumps(edited_report(tmp_path, edits)))
+    capsys.readouterr()
+    assert main(["envelope", "--in", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "quad-convex-2d_exact_report.json" in err and message in err
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ import sols.problems
 from sols.problems import (
     ConstantsError,
     _rosenbrock_bands,
+    _rosenbrock_gradient,
     _rosenbrock_value,
     _tridiagonal,
     rosenbrock,
@@ -536,6 +537,20 @@ def test_rosenbrock_bands_computed_once_per_point_and_objective(monkeypatch):
     assert len(calls) == 3
 
 
+@pytest.mark.parametrize("name", problem_names())
+def test_callbacks_at_an_integer_point_equal_those_at_its_float_copy(name):
+    """Every callback takes an int64 point and direction as their float64
+    copies: the small integers below are exact in both."""
+    problem = get_problem(name)
+    x, v = np.arange(problem.dim) % 3 - 1, np.arange(problem.dim) % 2 + 1
+    xf, vf = x.astype(float), v.astype(float)
+    obj = problem.make_objective()
+    assert _same_bytes(obj.value(x), obj.value(xf))
+    assert _same_bytes(obj.gradient(x), obj.gradient(xf))
+    assert _same_bytes(obj.hessian_vector(x, v), problem.make_objective().hessian_vector(xf, vf))
+    assert _same_bytes(obj.dense_hessian(x), problem.make_objective().dense_hessian(xf))
+
+
 def test_dense_hessian_shares_the_memo_of_the_products(monkeypatch):
     calls = []
     bands = sols.problems._rosenbrock_bands
@@ -560,15 +575,42 @@ def test_dense_hessian_shares_the_memo_of_the_products(monkeypatch):
 # The value callbacks use ndarray methods and the dense Hessians share the
 # per-point memo of the products. These copies keep the forms written with
 # numpy functions and assembled without the memo; every result must match
-# them to the bit, signed zeros and subnormals included.
+# them to the bit, signed zeros and subnormals included. The Rosenbrock value
+# sums by dot, so its reference is the np.dot form; its distance from the
+# np.sum form is bounded on its own, as the quartic's is from the pow form.
 
 GUARD_DIMS = (1, 2, 10, 50, 100)
 SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e-200)
 
 
-def _sum_rosenbrock_value(x: np.ndarray, a: float) -> float:
+def _dot_rosenbrock_value(x: np.ndarray, a: float) -> float:
+    r = x[1:] - x[:-1] ** 2
+    s = 1.0 - x[:-1]
+    return float(a * np.dot(r, r) + np.dot(s, s))
+
+
+def _sum_rosenbrock_terms(x: np.ndarray, a: float) -> float:
+    """The Rosenbrock value summed by np.sum: the form the callback had before
+    it summed by dot. Every term is nonnegative, so it is also their magnitude."""
     r = x[1:] - x[:-1] ** 2
     return float(a * np.sum(r**2) + np.sum((1.0 - x[:-1]) ** 2))
+
+
+def _pow_rosenbrock_gradient(x: np.ndarray, a: float) -> np.ndarray:
+    """The gradient as it was written with ** and zeros_like."""
+    g = np.zeros_like(x)
+    r = x[1:] - x[:-1] ** 2
+    g[:-1] = -4.0 * a * x[:-1] * r - 2.0 * (1.0 - x[:-1])
+    g[1:] += 2.0 * a * r
+    return g
+
+
+def _pow_rosenbrock_bands(x: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """The Hessian bands as they were written with ** and zeros_like."""
+    diag = np.zeros_like(x)
+    diag[:-1] = 12.0 * a * x[:-1] ** 2 - 4.0 * a * x[1:] + 2.0
+    diag[1:] += 2.0 * a
+    return diag, -4.0 * a * x[:-1]
 
 
 def _matmul_quartic_value(d, beta, c0, x):
@@ -599,7 +641,7 @@ def _guard_problems(n: int) -> tuple:
             f"guard-rosenbrock-{n}", n=n, x0=[-1.2 if i % 2 == 0 else 1.0 for i in range(n)],
             branch_coverage=[], coverage_config=SolverConfig(),
         )
-        guards.append((chain, lambda x: _sum_rosenbrock_value(x, 100.0),
+        guards.append((chain, lambda x: _dot_rosenbrock_value(x, 100.0),
                        lambda x: _rosenbrock_hessian(x, 100.0)))
     return tuple(guards)
 
@@ -629,11 +671,36 @@ def guard_points(draw, count: int = 1):
 @given(guard_points(), st.sampled_from([100.0, 1.0, 3.7]))
 def test_value_callbacks_bitwise_equal_to_numpy_function_forms(points, a):
     (x,) = points
-    assert _same_bytes(_rosenbrock_value(x, a), _sum_rosenbrock_value(x, a))
+    assert _same_bytes(_rosenbrock_value(x, a), _dot_rosenbrock_value(x, a))
     for problem, value_of, _ in _guard_problems(x.size):
         value = problem.make_objective().value(x)
         assert type(value) is float
         assert _same_bytes(value, value_of(x))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(guard_points(), st.sampled_from([100.0, 1.0, 3.7]))
+def test_rosenbrock_gradient_and_bands_bitwise_equal_to_the_pow_forms(points, a):
+    (x,) = points
+    assert _same_bytes(_rosenbrock_gradient(x, a), _pow_rosenbrock_gradient(x, a))
+    for band, pow_band in zip(_rosenbrock_bands(x, a), _pow_rosenbrock_bands(x, a)):
+        assert _same_bytes(band, pow_band)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(guard_points(), st.sampled_from([1.0, 1e80, 1e160]))
+def test_rosenbrock_value_stays_within_rounding_of_the_sum_form(points, scale):
+    """The Rosenbrock value sums by dot where the sum form calls np.sum. Each
+    finite value stays within 4 eps of the sum form, which is also the sum of
+    the terms' magnitudes; scaled points that overflow give inf on both."""
+    (x,) = points
+    x = scale * x
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, f_sum = _rosenbrock_value(x, 100.0), _sum_rosenbrock_terms(x, 100.0)
+    if np.isfinite(f_sum):
+        assert abs(f - f_sum) <= 4.0 * np.finfo(float).eps * f_sum
+    else:
+        assert f == f_sum or (np.isnan(f) and np.isnan(f_sum))
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
