@@ -265,6 +265,11 @@ def _read_run(algo: str, run: dict) -> RunReport:
 
 def _envelope_row(problem: str, run: dict, report: RunReport) -> list[str]:
     checks, seed = report.envelope_checks(), _read("int", run["seed"], "seed")
+    # The trace name is the one place a run records its problem, algo and
+    # seed together; exact and exact-local reports agree on everything else.
+    trace_file = f"{problem}_{report.algo}_seed{seed}_trace.csv"
+    if run["trace_file"] != trace_file:
+        raise ValueError(f"'trace_file' is {run['trace_file']!r}, not {trace_file!r}")
     if json.dumps(run["envelope_checks"], sort_keys=True) != json.dumps(checks, sort_keys=True):
         raise ValueError(f"seed {seed}: envelope_checks differ from the run's own {checks}")
     if checks:

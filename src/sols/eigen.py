@@ -225,11 +225,16 @@ def lanczos_min_eig(
     w = np.empty(n)
     tmp = np.empty(n)
 
+    # The loop runs once per product, so its ufunc and math names are bound
+    # once per call, and ufuncs take their output by position.
+    multiply, subtract, divide = np.multiply, np.subtract, np.divide
+    sqrt, isfinite = math.sqrt, math.isfinite
+
     nv = 0.0
     while nv == 0.0:
         v = rng.standard_normal(n)
-        nv = math.sqrt(float(v.dot(v)))
-    v = np.divide(v, nv, out=V[0])
+        nv = sqrt(float(v.dot(v)))
+    v = divide(v, nv, V[0])
 
     # The last LDL' pivot of T_k - sigma I, tracked while none is negative.
     # After a zero pivot, T_k has a Ritz value below sigma by strict
@@ -239,12 +244,12 @@ def lanczos_min_eig(
     converged_by = None
 
     # k counts the products; the loop ends at the budget, at a breakdown or
-    # at the early stop.
+    # at the early stop. ``prev`` is the basis row before v, from k = 2 on.
     k = 0
     while True:
         hvk = hv(v)
         alpha = float(v.dot(hvk))
-        if not math.isfinite(alpha):
+        if not isfinite(alpha):
             raise NonFiniteError(f"non-finite Hessian-vector product in Lanczos step {k}")
         alphas[k] = alpha
         # Comparisons, not max(): this runs once per product.
@@ -257,14 +262,15 @@ def lanczos_min_eig(
             # T_k never reads the next beta.
             break
 
-        np.subtract(hvk, np.multiply(v, alpha, out=tmp), out=w)
+        subtract(hvk, multiply(v, alpha, tmp), w)
         if k > 1:
-            w -= np.multiply(V[k - 2], beta, out=tmp)
-        # Full reorthogonalization against the stored basis.
+            subtract(w, multiply(prev, beta, tmp), w)
+        # Full reorthogonalization against the stored basis: (Vk w)' Vk makes
+        # the same BLAS gemv call as Vk' (Vk w), without the transposed view.
         Vk = V[:k]
-        w -= Vk.T.dot(Vk.dot(w))
+        subtract(w, Vk.dot(w).dot(Vk), w)
 
-        beta = math.sqrt(float(w.dot(w)))
+        beta = sqrt(float(w.dot(w)))
         if beta <= 1e-13 * scale:
             break
         betas[k - 1] = beta
@@ -275,7 +281,8 @@ def lanczos_min_eig(
             if lam < sigma and beta * abs(y[-1]) <= EARLY_STOP_RESIDUAL * abs(lam):
                 converged_by = "below_sigma"
                 break
-        v = np.divide(w, beta, out=V[k])
+        prev = v
+        v = divide(w, beta, V[k])
 
     if converged_by is None:
         lam, y = _ritz_min(alphas[:k], betas[: k - 1])

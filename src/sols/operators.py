@@ -194,6 +194,9 @@ def banded_product(bands: tuple[Array, Array], v: Array) -> Array:
     fresh array."""
     diag, off = bands
     out = diag * v
-    out[:-1] += off * v[1:]
-    out[1:] += off * v[:-1]
+    # An add into a view taken once: ``out[:-1] += ...`` would also copy the
+    # sum back onto the slice it was computed in.
+    head, tail = out[:-1], out[1:]
+    np.add(head, np.multiply(off, v[1:]), head)
+    np.add(tail, np.multiply(off, v[:-1]), tail)
     return out

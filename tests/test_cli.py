@@ -575,6 +575,12 @@ def test_envelope_reads_violated_when_observed_is_above_bound(tmp_path, capsys):
         pytest.param({("runs", 0, "error"): "boom"}, id="error-on-converged"),
         pytest.param({("runs", 0, "status"): "ls_stall"}, id="ls_stall-without-error"),
         pytest.param({("runs", 0, "status"): "weird"}, id="status-unknown"),
+        # A report whose problem, algo or seed is not the one its trace names.
+        pytest.param({("algo",): "exact-local"}, id="algo-exact-local-on-exact"),
+        pytest.param({("problem",): "quad-convex-3d"}, id="problem-renamed"),
+        pytest.param({("runs", 0, "seed"): 1}, id="seed-renumbered"),
+        pytest.param({("runs", 0, "trace_file"): None}, id="trace_file-null"),
+        pytest.param({("runs", 0, "trace_file"): DELETED}, id="trace_file-missing"),
     ],
 )
 def test_envelope_bad_report_exits_2(tmp_path, capsys, broken):
@@ -599,6 +605,8 @@ def test_envelope_bad_report_exits_2(tmp_path, capsys, broken):
         ({("algo",): "foo"}, "'algo' is 'foo', not one of"),
         ({("runs", 0, "status"): "weird"}, "'status' is 'weird', not one of"),
         ({("runs", 0, "error"): "boom"}, "'error' is 'boom' on a 'converged' run"),
+        ({("algo",): "exact-local"}, "'trace_file' is 'quad-convex-2d_exact_seed0_trace.csv', "
+                                     "not 'quad-convex-2d_exact-local_seed0_trace.csv'"),
     ],
 )
 def test_envelope_names_the_field_and_the_value_it_found(tmp_path, capsys, edits, message):

@@ -641,12 +641,20 @@ def test_ritz_solve_failure_raises_linalg_error(monkeypatch, failing):
 
 # --- bitwise equality with the matmul loop ---------------------------------------
 
-def matmul_lanczos_min_eig(hv, n, M, eps, delta, rng):
+def matmul_lanczos_min_eig(hv, n, M, eps, delta, rng, sigma=-math.inf):
     """The Lanczos loop as written with ``@``, fresh arrays and Python lists
     before it moved to ``ndarray.dot`` and in-place ufuncs. The rewrite does
     the same floating-point operations in the same order, so the two agree
-    bit for bit. Returns ``(lam, v_unit, iters, converged_by)``."""
+    bit for bit. Returns ``(lam, v_unit, iters, converged_by, basis, bands)``,
+    the last two None unless the call ended "full_n"."""
     from scipy.linalg.lapack import dstebz, dstein
+
+    def ritz_min(alphas, betas):
+        if len(alphas) == 1:
+            return alphas[0], np.ones(1)
+        m, w, iblock, isplit, info = dstebz(alphas, betas, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+        y, info = dstein(alphas, betas, w[:m], iblock, isplit)
+        return float(w[0]), y[:, 0]
 
     budget = lanczos_iteration_cap(n, M, eps, delta)
     scale = 0.0
@@ -658,6 +666,9 @@ def matmul_lanczos_min_eig(hv, n, M, eps, delta, rng):
         v = rng.standard_normal(n)
         nv = np.linalg.norm(v)
     v = v / nv
+    # The LDL' pivot of T_k - sigma I, until one is negative.
+    pivot = math.inf
+    converged_by = None
     k = 0
     while True:
         V[k] = v
@@ -665,6 +676,12 @@ def matmul_lanczos_min_eig(hv, n, M, eps, delta, rng):
         alpha = float(v @ hvk)
         alphas.append(alpha)
         scale = max(scale, abs(alpha))
+        if pivot >= 0.0:
+            if pivot == 0.0:
+                pivot = -math.inf
+            else:
+                last = betas[-1] if betas else 0.0
+                pivot = alpha - sigma - last * last / pivot
         k += 1
         if k == budget:
             break
@@ -678,63 +695,78 @@ def matmul_lanczos_min_eig(hv, n, M, eps, delta, rng):
             break
         betas.append(beta)
         scale = max(scale, beta)
+        if pivot < 0.0:
+            lam, y = ritz_min(alphas, betas[:-1])
+            if lam < sigma and beta * abs(y[-1]) <= 0.5 * abs(lam):
+                converged_by = "below_sigma"
+                break
         v = w / beta
-    if k == 1:
-        lam, y = alphas[0], np.ones(1)
-    else:
-        m, w, iblock, isplit, info = dstebz(alphas, betas, 2, 0.0, 1.0, 1, 1, 0.0, "B")
-        y, info = dstein(alphas, betas, w[:m], iblock, isplit)
-        lam, y = float(w[0]), y[:, 0]
+    if converged_by is None:
+        lam, y = ritz_min(alphas, betas[: k - 1])
+        converged_by = "breakdown" if k < budget else "full_n" if k >= n else "lanczos_cap"
     v_ritz = y @ V[:k]
     nv = float(np.linalg.norm(v_ritz))
-    return lam, v_ritz / nv, k, "breakdown" if k < budget else "full_n" if k >= n else "lanczos_cap"
+    basis, bands = (V, (np.array(alphas), np.array(betas))) if converged_by == "full_n" else (None, None)
+    return lam, v_ritz / nv, k, converged_by, basis, bands
 
 
 def _bitwise_cases():
-    """``(id, hv, n, M, eps, delta, seed)``."""
+    """``(id, hv, n, M, eps, delta, seed, sigma)``."""
     for name, hv, n, U_H in bench_hessians():
         # The solver's own accuracy (a full-n budget) and a budget below n.
         for eps in (0.005, 5.0):
-            yield f"{name}-eps{eps}", hv, n, U_H + 2.0, eps, 1e-6, 31
+            yield f"{name}-eps{eps}", hv, n, U_H + 2.0, eps, 1e-6, 31, -math.inf
+        # The call the inexact loop makes at eps_H = 0.01: eps = eps_H / 2
+        # and the early stop at sigma = -eps_H / 2.
+        yield f"{name}-sigma", hv, n, U_H + 2.0, 0.005, 1e-6, 31, -0.005
     rng = np.random.default_rng(18)
     for n in (1, 2, 5, 50, 100):
         for trial in range(3):
             H = random_symmetric(rng, n, scale=float(rng.uniform(0.1, 5.0)))
             M = float(np.linalg.norm(H, 2)) + 1.0
             eps, delta = [(0.05, 0.0), (0.3, 0.1), (1e-3, 1e-6)][trial]
-            yield f"random-n{n}-{trial}", hv_of(H), n, M, eps, delta, 40 + trial
-    yield "minus-identity-breakdown", hv_of(-np.eye(6)), 6, 2.0, 0.1, 0.01, 7
-    yield "budget-one", hv_of(random_symmetric(rng, 20)), 20, 10.0, 1e6, 0.1, 3
-    yield "hv-returns-argument", lambda v: v, 8, 2.0, 0.1, 0.0, 5
+            yield f"random-n{n}-{trial}", hv_of(H), n, M, eps, delta, 40 + trial, -math.inf
+    yield "minus-identity-breakdown", hv_of(-np.eye(6)), 6, 2.0, 0.1, 0.01, 7, -math.inf
+    yield "budget-one", hv_of(random_symmetric(rng, 20)), 20, 10.0, 1e6, 0.1, 3, -math.inf
+    yield "hv-returns-argument", lambda v: v, 8, 2.0, 0.1, 0.0, 5, -math.inf
 
 
 BITWISE_CASES = list(_bitwise_cases())
 
 
+def _bytes(a):
+    """The dtype, shape and bytes of an array, of each array of a tuple, or None."""
+    if isinstance(a, tuple):
+        return tuple(map(_bytes, a))
+    return None if a is None else (a.dtype, a.shape, a.tobytes())
+
+
 @pytest.mark.parametrize(
-    "hv, n, M, eps, delta, seed", [pytest.param(*c[1:], id=c[0]) for c in BITWISE_CASES]
+    "hv, n, M, eps, delta, seed, sigma", [pytest.param(*c[1:], id=c[0]) for c in BITWISE_CASES]
 )
-def test_bitwise_equal_to_matmul_loop(hv, n, M, eps, delta, seed):
-    lam, v_unit, iters, converged_by = matmul_lanczos_min_eig(
-        hv, n, M, eps, delta, rng_for(seed)
+def test_bitwise_equal_to_matmul_loop(hv, n, M, eps, delta, seed, sigma):
+    lam, v_unit, iters, converged_by, basis, bands = matmul_lanczos_min_eig(
+        hv, n, M, eps, delta, rng_for(seed), sigma
     )
-    est = lanczos_min_eig(hv, n, M=M, eps=eps, delta=delta, rng=rng_for(seed))
+    est = lanczos_min_eig(hv, n, M=M, eps=eps, delta=delta, rng=rng_for(seed), sigma=sigma)
     assert type(est.lam) is float
     assert np.float64(est.lam).tobytes() == np.float64(lam).tobytes()
     assert est.v_unit.dtype == v_unit.dtype and est.v_unit.tobytes() == v_unit.tobytes()
     assert (est.iters, est.converged_by) == (iters, converged_by)
+    assert (_bytes(est.basis), _bytes(est.bands)) == (_bytes(basis), _bytes(bands))
 
 
 def test_bitwise_cases_reach_every_exit():
     exits = set()
-    for _, hv, n, M, eps, delta, seed in BITWISE_CASES:
-        est = lanczos_min_eig(hv, n, M=M, eps=eps, delta=delta, rng=rng_for(seed))
+    for _, hv, n, M, eps, delta, seed, sigma in BITWISE_CASES:
+        est = lanczos_min_eig(hv, n, M=M, eps=eps, delta=delta, rng=rng_for(seed), sigma=sigma)
         budget = lanczos_iteration_cap(n, M, eps, delta)
-        exits.add((est.converged_by, "budget" if est.iters == budget else "breakdown"))
+        exits.add((est.converged_by, "at budget" if est.iters == budget else "before budget"))
         if est.iters == 1:
             exits.add("k=1")
     assert exits == {
-        ("full_n", "budget"), ("lanczos_cap", "budget"), ("breakdown", "breakdown"), "k=1"
+        ("full_n", "at budget"), ("lanczos_cap", "at budget"), ("breakdown", "before budget"),
+        ("below_sigma", "before budget"), "k=1",
     }
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sols import Objective, get_problem, problem_names, rayleigh_quotient, suite
-from sols.operators import EvalCounters, ProblemConstants
+from sols.operators import EvalCounters, ProblemConstants, banded_product
 
 
 def quadratic_objective(A: np.ndarray, constants=None) -> Objective:
@@ -270,3 +270,31 @@ def test_value_returns_a_python_float():
                    np.array(1.5), np.array(2, dtype=np.int8)):
         out = Objective(3, lambda x: result, lambda x: x, lambda x, v: v).value(x)
         assert type(out) is float and out == float(result)
+
+
+def slice_add_banded_product(bands, v):
+    """``banded_product`` written with slice ``+=``: the same products and
+    sums in the same order, so the two agree bit for bit."""
+    diag, off = bands
+    out = diag * v
+    out[:-1] += off * v[1:]
+    out[1:] += off * v[:-1]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 100])
+def test_banded_product_bitwise_equal_to_slice_add_form(n):
+    rng = np.random.default_rng(n)
+    for trial in range(20):
+        # Bands and vectors of unequal magnitudes, so the sums round.
+        scales = 10.0 ** rng.uniform(-3.0, 3.0, size=3)
+        bands = (scales[0] * rng.standard_normal(n), scales[1] * rng.standard_normal(n - 1))
+        if trial == 0 and n > 1:
+            bands[1][0] = -0.0
+        both = scales[2] * rng.standard_normal(2 * n)
+        for v in (both[:n].copy(), both[::2]):  # contiguous and strided
+            kept = v.copy()
+            out, ref = banded_product(bands, v), slice_add_banded_product(bands, v)
+            assert out.dtype == ref.dtype and out.shape == (n,)
+            assert out.tobytes() == ref.tobytes()
+            assert v.tobytes() == kept.tobytes()

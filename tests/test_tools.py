@@ -195,3 +195,66 @@ def test_spec_checksums_names_what_moved(tool, tmp_path, change, moved):
     assert lines[1:] == [
         f"# moved  {rel}" + (f"  ({note})" if note else "") for rel, note in sorted(moved.items())
     ]
+
+
+@pytest.fixture
+def bench_pairs(tool):
+    tool("pair_timing")  # imported by bench_pairs; dropped with it when the test ends
+    return tool("bench_pairs")
+
+
+def gate(bench_pairs, parent: list[float], change: list[float], better: str = "lower"):
+    """``summarise`` and ``gate_lines`` on synthetic pairs of one metric with
+    bound 0.25: its summary row and the flags at the end of its gate line."""
+    def side(value):
+        return {"metrics": {"m": {"value": value, "unit": "ms"}}, "correct": True, "failed": 0}
+
+    pairs = [{"workload": "w", "parent": side(p), "change": side(c)} for p, c in zip(parent, change)]
+    summary = bench_pairs.summarise(pairs, {"m": better})
+    [line] = bench_pairs.gate_lines("w", summary, [{"name": "m", "better": better, "bound": 0.25}])
+    assert line.startswith("gate w m: parent ") and f" wins {summary['m']['change_wins']}/" in line
+    return summary["m"], {flag for flag in ("WORSE", "claim-ok") if flag in line.split()}
+
+
+TEN = [100.0 + i for i in range(10)]  # quartiles 102.25, 104.5, 106.75: IQR 4.5
+
+
+@pytest.mark.parametrize(
+    "change, better, flags",
+    [
+        ([125.0] * 10, "lower", set()),  # worse by exactly bound x the parent median
+        ([125.5] * 10, "lower", {"WORSE"}),
+        ([75.0] * 10, "higher", set()),
+        ([74.5] * 10, "higher", {"WORSE"}),
+        ([130.0] * 10, "higher", {"claim-ok"}),
+    ],
+)
+def test_gate_reads_worse_only_beyond_the_bound(bench_pairs, change, better, flags):
+    row, found = gate(bench_pairs, [100.0] * 10, change, better)
+    assert found == flags
+    assert row["change_wins"] == (10 if (change[0] > 100.0) == (better == "higher") else 0)
+
+
+@pytest.mark.parametrize(
+    "parent, change, wins, ties, claim",
+    [
+        (TEN, [p - 5.0 for p in TEN], 10, 0, True),  # a gain of 5 against an IQR of 4.5
+        (TEN, [p - 4.0 for p in TEN], 10, 0, False),  # within the parent's IQR
+        (TEN[:9], [p - 20.0 for p in TEN[:9]], 9, 0, False),  # nine pairs
+        (TEN, [p - 20.0 for p in TEN[:9]] + [TEN[9] + 1.0], 9, 0, True),
+        (TEN, [p - 20.0 for p in TEN[:8]] + [TEN[8] + 1.0, TEN[9] + 1.0], 8, 0, False),
+        (TEN, [p - 20.0 for p in TEN[:9]] + [TEN[9]], 9, 1, True),
+        (TEN, [p - 20.0 for p in TEN[:8]] + TEN[8:], 8, 2, False),  # ties are no wins
+        (TEN, TEN, 0, 10, False),
+    ],
+)
+def test_gate_claims_a_gain_only_on_ten_pairs_nine_wins_and_more_than_the_iqr(
+    bench_pairs, parent, change, wins, ties, claim
+):
+    row, found = gate(bench_pairs, parent, change)
+    assert (row["change_wins"], row["ties"]) == (wins, ties)
+    assert found == ({"claim-ok"} if claim else set())
+    # The same pairs with the metric's direction and both sides flipped.
+    row, found = gate(bench_pairs, [-p for p in parent], [-c for c in change], "higher")
+    assert (row["change_wins"], row["ties"]) == (wins, ties)
+    assert found == ({"claim-ok"} if claim else set())
