@@ -85,6 +85,13 @@ class SolverConfig:
     rng_seed: int = 0
 
     def validate(self) -> None:
+        for name in ("eps_g", "eps_H", "theta", "eta", "zeta", "delta", "U_H"):
+            value = getattr(self, name)
+            if name == "U_H" and value is None:
+                continue
+            # bool is a Real subclass, but True is no tolerance.
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
         if not 0.0 < self.eps_g < 1.0:
             raise ConfigError(f"eps_g must lie in (0, 1), got {self.eps_g}")
         if not 0.0 < self.eps_H < 1.0:

@@ -659,10 +659,18 @@ def test_basis_cg_nonpositive_curvature_maps_back_to_x(monkeypatch):
         {"rng_seed": 1.5},
         {"rng_seed": False},
         {"rng_seed": np.float64(2.0)},
+        {"eta": True},
+        {"zeta": False},
+        {"delta": False},
+        {"U_H": True},
+        {"eta": "1"},
+        {"eps_g": "0.1"},
+        {"zeta": None},
     ],
 )
 def test_config_validation_rejects_out_of_range(kwargs):
-    with pytest.raises(ConfigError):
+    (field,) = kwargs
+    with pytest.raises(ConfigError, match=f"^{field} "):
         SolverConfig(**kwargs).validate()
 
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import importlib
 import json
 import os
+import re
 import shutil
 import sys
 from pathlib import Path
@@ -127,8 +129,36 @@ def test_pair_timing_prints_what_run_inexact_did_on_one_tree(pair_timing, monkey
 
 def test_pair_timing_times_a_tree_against_its_copy(pair_timing, tmp_path, capsys):
     assert pair_timing(["q50", "0", "5", "--base", str(sols_copy(tmp_path))]) == 0
-    summary = capsys.readouterr().out.splitlines()[-1]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "cold set-up of q50-inexact, 6 pairs of fresh processes:"
+    for field in ("import_ms", "build_ms", "total_ms"):
+        assert [line.split()[0] for line in lines if line.split()[1] == field] == ["base", "new"]
+        [ratios] = [line for line in lines if line.split()[0] == field]
+        assert "95% interval" in ratios and re.search(r"new faster on \d/6 pairs \(.*\)$", ratios)
+    summary = lines[-1]
     assert "95% interval" in summary and summary.endswith("x_final bytes differ on 0/6 seeds")
+
+
+def test_probe_names_a_tree_whose_sols_cannot_be_imported(tool, tmp_path):
+    src = sols_copy(tmp_path)
+    (src / "sols" / "__init__.py").write_text("raise ImportError('broken tree')\n")
+    with pytest.raises(SystemExit, match=f"(?s)probe of {re.escape(str(src))} failed:.*broken tree"):
+        tool("pair_timing").probe(src, "rosen10-cli")
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["q50", "-2", "-1"], "FIRST must not be negative"),
+        (["rosen10", "-1", "0", "--base", "src"], "FIRST must not be negative"),
+        (["q50", "0", "1", "--base", "no-such-tree"], "no-such-tree holds no sols package"),
+    ],
+)
+def test_pair_timing_refuses_bad_arguments_with_a_parser_error(pair_timing, argv, error, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        pair_timing(argv)
+    assert exit_info.value.code == 2
+    assert error in capsys.readouterr().err
 
 
 def test_pair_timing_stops_when_the_trees_disagree_on_counts(pair_timing, tmp_path):
@@ -258,3 +288,32 @@ def test_gate_claims_a_gain_only_on_ten_pairs_nine_wins_and_more_than_the_iqr(
     row, found = gate(bench_pairs, [-p for p in parent], [-c for c in change], "higher")
     assert (row["change_wins"], row["ties"]) == (wins, ties)
     assert found == ({"claim-ok"} if claim else set())
+
+
+def test_untested_lines_counts_only_statements_that_compile_to_code(tool):
+    source = '''"""A module docstring."""
+import os
+
+
+@staticmethod
+def f(x):
+    """A docstring."""
+    global y
+    try:
+        y = (x +
+             1)
+    except ValueError:
+        pass
+    if (x and
+            y):
+        return 1
+'''
+    statements = sorted(tool("untested_lines")._statements(ast.parse(source)))
+    # The decorated def from its decorator down to its header; the multi-line
+    # `if` by its header alone, its body statement by statement.
+    assert statements == [(2, 2), (5, 6), (10, 11), (13, 13), (14, 15), (16, 16)]
+
+
+def test_readme_names_exactly_the_scripts_in_tools():
+    named = set(re.findall(r"tools/(\w+)\.py", (ROOT / "README.md").read_text()))
+    assert named == {path.stem for path in (ROOT / "tools").glob("*.py")}

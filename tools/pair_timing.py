@@ -42,6 +42,18 @@ less than the ratio of medians when a shared host drifts during the
 comparison. Its median comes with a distribution-free 95% interval, from
 the order statistics at the Binomial(n, 1/2) ranks; a ratio whose interval
 holds 1 is unresolved by the run.
+
+Before that summary, ``--base`` times the cold set-up that the benchmark's
+``setup_s`` gates, in min(LAST - FIRST + 1, 15) pairs of fresh processes
+with one BLAS thread, the side that goes first alternating from pair to
+pair. Each probe times ``import sols`` from one tree (numpy and the
+package's own imports included), then the build of the workload's
+benchmark namesake (``q50-inexact``, ``rosen100-inexact`` or
+``rosen10-cli``) from this checkout's ``bench/workloads.py``: the problem
+or the suite, with its constants verified. Interpreter start-up is not
+timed. Per side it prints the quartiles of import ms, build ms and their
+sum, and for each the same ratios, interval and wins over the pairs. Times
+are as measured, not scaled to a reference host speed.
 """
 
 from __future__ import annotations
@@ -56,6 +68,7 @@ import json
 import math
 import os
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -69,6 +82,29 @@ ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("base", "new")
 COUNTS = ("n_f", "n_grad", "n_hv", "iterations")
 DECISIONS = ("status", *COUNTS)
+# Each workload argument and the benchmark workload whose configuration it runs.
+BENCH_NAMES = {"q50": "q50-inexact", "rosen100": "rosen100-inexact", "rosen10": "rosen10-cli"}
+SETUP_FIELDS = ("import_ms", "build_ms", "total_ms")
+SETUP_PAIRS = 15
+
+# The set-up probe, run as ``python -c PROBE SRC BENCH WORKLOAD`` with this
+# process's environment, so with one BLAS thread.
+PROBE = """
+import json, os, sys, time
+src, bench, name = sys.argv[1:]
+sys.path[:0] = [src, bench]
+start = time.perf_counter()
+import sols
+imported = time.perf_counter()
+if not os.path.abspath(sols.__file__).startswith(os.path.join(src, "")):
+    sys.exit(f"sols was imported from {sols.__file__}, not from {src}")
+import workloads
+workload = workloads.make(name)
+built_from = time.perf_counter()
+workload.build()
+done = time.perf_counter()
+print(json.dumps({"import_ms": 1e3 * (imported - start), "build_ms": 1e3 * (done - built_from)}))
+"""
 
 
 def absolute_self_imports(package_dir: Path) -> list[str]:
@@ -125,18 +161,16 @@ def as_sols(package):
 
 
 def configuration(name: str):
-    """The problem and solver config of a workload: ``q50-inexact``,
-    ``rosen100-inexact`` or ``rosen10-cli``."""
+    """The problem and solver config of the benchmark workload ``BENCH_NAMES[name]``."""
     from sols.problems import get_problem
     from sols.steps import SolverConfig
-    from workloads import MC_CFG, CliWorkload, rosenbrock_100d
+    from workloads import CliWorkload, make
 
-    if name == "q50":
-        return get_problem("quartic-saddle-50d"), MC_CFG
     if name == "rosen10":
         tolerances = SolverConfig(eps_g=CliWorkload.eps_g, eps_H=CliWorkload.eps_H)
         return get_problem(CliWorkload.problem_name), tolerances
-    return rosenbrock_100d(), SolverConfig()
+    workload = make(BENCH_NAMES[name])
+    return workload.build(), workload.cfg
 
 
 def side(package, workload: str):
@@ -192,8 +226,8 @@ def quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
 
 
-def quartiles_ms(seconds: list[float]) -> str:
-    q1, q2, q3 = quartiles([1e3 * s for s in seconds])
+def quartiles_ms(ms: list[float]) -> str:
+    q1, q2, q3 = quartiles(ms)
     return f"median {q2:.4f} ms (q1 {q1:.4f}, q3 {q3:.4f})"
 
 
@@ -223,6 +257,46 @@ def interval_note(interval: tuple[float, float] | None) -> str:
             f"({low - 1.0:+.2%} to {high - 1.0:+.2%}): {verdict}")
 
 
+def paired_ratios(base: list[float], new: list[float], unit: str) -> str:
+    """The ratio of the medians of ``new`` and ``base``, the median of the paired
+    new/base ratios with its 95% interval, and the share of pairs ``new`` won."""
+    ratio = statistics.median(new) / statistics.median(base)
+    ratios = [n / b for n, b in zip(new, base)]
+    paired = statistics.median(ratios)
+    wins, pairs = sum(r < 1.0 for r in ratios), len(ratios)
+    return (f"new/base median {ratio:.4f} ({ratio - 1.0:+.2%}); median per-{unit} new/base "
+            f"{paired:.4f} ({paired - 1.0:+.2%}), {interval_note(median_interval(ratios))}; "
+            f"new faster on {wins}/{pairs} {unit}s ({wins / pairs:.1%})")
+
+
+def probe(src: Path, workload: str) -> dict:
+    """One cold set-up of the benchmark workload ``workload`` on the package in ``src``, in ms."""
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, str(src.resolve()), str(ROOT / "bench"), workload],
+        capture_output=True, text=True, timeout=600, cwd=ROOT,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"probe of {src} failed:\n{proc.stderr.strip()}")
+    times = json.loads(proc.stdout.splitlines()[-1])
+    times["total_ms"] = times["import_ms"] + times["build_ms"]
+    return times
+
+
+def print_setup(trees: dict[str, Path], workload: str, pairs: int) -> None:
+    """Time the cold set-up of ``workload`` on both trees in ``pairs`` alternating pairs."""
+    probes = {s: [] for s in SIDES}
+    for i in range(pairs):
+        for s in SIDES if i % 2 == 0 else SIDES[::-1]:
+            probes[s].append(probe(trees[s], workload))
+    ms = {(s, f): [p[f] for p in probes[s]] for s in SIDES for f in SETUP_FIELDS}
+    print(f"cold set-up of {workload}, {pairs} pairs of fresh processes:")
+    for s in SIDES:
+        for f in SETUP_FIELDS:
+            print(f"{s:4} {f:9} {quartiles_ms(ms[s, f])}")
+    for f in SETUP_FIELDS:
+        print(f"{f:9} {paired_ratios(ms['base', f], ms['new', f], 'pair')}")
+
+
 def print_rows(runs, workload: str, seeds: range) -> None:
     """One JSON line per run, and for a seeded workload a line of means."""
     rows = []
@@ -237,7 +311,7 @@ def print_rows(runs, workload: str, seeds: range) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("workload", choices=("q50", "rosen100", "rosen10"))
+    parser.add_argument("workload", choices=BENCH_NAMES)
     parser.add_argument("first", type=int, nargs="?")
     parser.add_argument("last", type=int, nargs="?")
     parser.add_argument("--base", type=Path,
@@ -251,12 +325,16 @@ def main(argv=None) -> int:
         parser.error(f"{args.workload} needs FIRST and LAST")
     if not ranged and args.first is not None:
         parser.error("rosen10 takes no seed range without --base")
+    if ranged and args.first < 0:
+        parser.error("FIRST must not be negative")
     if ranged and args.last < args.first:
         parser.error("LAST must not be below FIRST")
     # rosen10 draws no random numbers, so on one tree it runs once.
     seeds = range(args.first, args.last + 1) if ranged else range(1)
     trees = {"new": args.src} if args.base is None else dict(zip(SIDES, (args.base, args.src)))
     for src in trees.values():
+        if not (src / "sols" / "__init__.py").is_file():
+            parser.error(f"{src} holds no sols package")
         found = absolute_self_imports(src / "sols")
         if found:
             parser.error(f"sols imports itself by absolute name, so two copies cannot "
@@ -271,30 +349,25 @@ def main(argv=None) -> int:
     for s in SIDES:
         runners[s](seeds[0])
     walls = {s: [] for s in SIDES}
-    wins = moved = 0
+    moved = 0
     for i, seed in enumerate(seeds):
         done = {}
         for s in SIDES if i % 2 == 0 else SIDES[::-1]:
             wall, rows = runners[s](seed)
-            walls[s].append(wall)
+            walls[s].append(1e3 * wall)
             done[s] = rows
         decisions = {s: [[row[k] for k in DECISIONS] for row in rows] for s, rows in done.items()}
         if decisions["base"] != decisions["new"]:
             raise SystemExit(f"seed {seed}: the trees disagree on status, counts or iterations")
-        wins += walls["new"][-1] < walls["base"][-1]
         hashes = {s: [row["x_final_sha256"] for row in rows] for s, rows in done.items()}
         moved += hashes["new"] != hashes["base"]
 
-    n = len(walls["new"])
+    print_setup(trees, BENCH_NAMES[args.workload], min(len(seeds), SETUP_PAIRS))
+    n = len(seeds)
     for s in SIDES:
         print(f"{s:4} {trees[s]}: {quartiles_ms(walls[s])} over {n} seeds")
-    ratio = statistics.median(walls["new"]) / statistics.median(walls["base"])
-    ratios = [new / base for new, base in zip(walls["new"], walls["base"])]
-    per_seed = statistics.median(ratios)
-    print(f"new/base median {ratio:.4f} ({ratio - 1.0:+.2%}); median per-seed new/base "
-          f"{per_seed:.4f} ({per_seed - 1.0:+.2%}), {interval_note(median_interval(ratios))}; "
-          f"new faster on {wins}/{n} seeds ({wins / n:.1%}); x_final bytes differ on "
-          f"{moved}/{n} seeds")
+    print(f"{paired_ratios(walls['base'], walls['new'], 'seed')}; "
+          f"x_final bytes differ on {moved}/{n} seeds")
     return 0
 
 
